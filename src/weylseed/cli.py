@@ -99,8 +99,13 @@ def cmd_walk(args) -> dict:
     registry.insert_if_absent(seed)
     mutable = seed.matrix.mutable
     last = None
-    for _ in range(args.depth):
+    for step in range(1, args.depth + 1):
         choices = [k for k in mutable if k != last]
+        if not choices:
+            raise ValidationError(
+                f"walk step {step}: no vertex to mutate "
+                f"(mutable vertices: {len(mutable)})"
+            )
         k = rng.choice(choices)
         seed = seed.mutate(k)
         registry.insert_if_absent(seed)
@@ -175,6 +180,8 @@ def cmd_identities(args) -> dict:
     if pairs is None:
         plan = mu_i_plan(word)
         pairs = [[step.group, step.before.b] for step in plan.steps]
+    if not pairs:
+        return {"identities": []}
     cutoff = max(identity_step(word, k, s) for k, s in pairs)
     values = run_mu_i(
         word, with_seed=True, check_identities=False, max_seed_steps=cutoff

@@ -3,9 +3,34 @@
 Terms are kept in a dict keyed by exponent tuples; canonical (serialization
 and comparison) order is graded lexicographic.  All operations are pure and
 return new objects.
+
+Packed monomials.  ``__mul__`` and ``exact_div`` work on monomials packed
+into single ints (Kronecker substitution).  Each operation first shifts its
+operands by their per-variable minimum exponents, so every shifted exponent
+``d_i`` is >= 0, and packs ``(D, d_1, ..., d_n)`` with ``D = d_1 + ... + d_n``
+as the base-``2**bits`` digits of one int, ``D`` most significant.  ``bits``
+is chosen per call so that every digit the operation can reach is below
+``2**(bits - 1)``:
+
+* a product's digits are bounded by its total degree, at most the sum of the
+  operands' shifted total degrees;
+* every term of a long-division remainder has total degree at most the
+  shifted numerator's, because quotient terms are only emitted for
+  ``lead(rem) / lead(den)`` and ``lead(den)`` has the divisor's top degree;
+  a divisor of higher degree than the numerator is rejected up front.
+
+While no digit overflows, adding two packed ints adds the exponent vectors,
+and comparing packed ints compares ``D`` first and then ``d_1, ..., d_n``
+lexicographically, which is exactly the grlex order of ``_grlex_key``.  The
+top bit of each digit is a guard: ``(r | guard) - l`` borrows into no guard
+bit exactly when every digit of ``l`` is at most that of ``r``, which is the
+monomial divisibility test of long division.  Packing stays inside
+``_pack``/``_unpack``; ``terms`` is always keyed by exponent tuples.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from operator import add, lshift, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -52,6 +77,33 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
 
 
+def _pack(
+    terms: Mapping[tuple[int, ...], int], base: Sequence[int], bits: int
+) -> dict[int, int]:
+    """``{exp: coef}`` keyed by the packed digits ``(D, exp - base)``."""
+    width = len(base)
+    shifts = range((width - 1) * bits, -1, -bits)
+    total_shift = width * bits
+    out: dict[int, int] = {}
+    for exp, coef in terms.items():
+        d = list(map(sub, exp, base))
+        out[sum(map(lshift, d, shifts), sum(d) << total_shift)] = coef
+    return out
+
+
+def _unpack(
+    packed: Mapping[int, int], base: Sequence[int], bits: int
+) -> dict[tuple[int, ...], int]:
+    """Inverse of ``_pack`` (``D`` is dropped), without zero coefficients."""
+    shifts = range((len(base) - 1) * bits, -1, -bits)
+    mask = (1 << bits) - 1
+    return {
+        tuple([(key >> s & mask) + b for s, b in zip(shifts, base)]): coef
+        for key, coef in packed.items()
+        if coef
+    }
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial; no zero coefficients are stored."""
 
@@ -67,6 +119,14 @@ class LaurentPoly:
             if coef:
                 clean[tuple(exp)] = coef
         self.terms = clean
+
+    @staticmethod
+    def _of(table: VarTable, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Wrap ``terms`` as is: tuple keys of the table's width, no zeros."""
+        out = object.__new__(LaurentPoly)
+        out.vars = table
+        out.terms = terms
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -145,16 +205,28 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return LaurentPoly(self.vars, out)
+        big, small = self, other
+        if len(big.terms) < len(small.terms):
+            big, small = small, big
+        if not small.terms:
+            return LaurentPoly.zero(self.vars)
+        if len(small.terms) == 1:
+            ((e0, c0),) = small.terms.items()
+            return LaurentPoly._of(
+                self.vars,
+                {tuple(map(add, e, e0)): c * c0 for e, c in big.terms.items()},
+            )
+        mb, ms = big.min_exponents(), small.min_exponents()
+        top = max(map(sum, big.terms)) - sum(mb) + max(map(sum, small.terms)) - sum(ms)
+        bits = top.bit_length() + 1
+        packed_small = list(_pack(small.terms, ms, bits).items())
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in _pack(big.terms, mb, bits).items():
+            for k2, c2 in packed_small:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return LaurentPoly._of(self.vars, _unpack(out, tuple(map(add, mb, ms)), bits))
 
     def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()})
@@ -187,13 +259,6 @@ class LaurentPoly:
         cols = zip(*self.terms.keys())
         return tuple(min(col) for col in cols)
 
-    def shift(self, offset: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial with the given exponent vector."""
-        return LaurentPoly(
-            self.vars,
-            {tuple(a + b for a, b in zip(e, offset)): c for e, c in self.terms.items()},
-        )
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NotDivisibleError when no Laurent quotient exists."""
         self._check(other)
@@ -201,32 +266,54 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly.zero(self.vars)
-        # normalize to honest polynomials so the grlex leading term argument applies
-        sa = self.min_exponents()
-        sb = other.min_exponents()
-        num = self.shift(tuple(-x for x in sa))
-        den = other.shift(tuple(-x for x in sb))
-        lead_exp, lead_coef = max(
-            den.terms.items(), key=lambda t: _grlex_key(t[0])
-        )
-        quot: dict[tuple[int, ...], int] = {}
-        rem = dict(num.terms)
-        while rem:
-            r_exp, r_coef = max(rem.items(), key=lambda t: _grlex_key(t[0]))
-            q_exp = tuple(a - b for a, b in zip(r_exp, lead_exp))
-            if any(x < 0 for x in q_exp) or r_coef % lead_coef:
+        if other.is_monomial():
+            # monomials are units up to their coefficient: shift every term
+            ((e0, c0),) = other.terms.items()
+            if any(c % c0 for c in self.terms.values()):
                 raise NotDivisibleError("no exact Laurent quotient")
-            q_coef = r_coef // lead_coef
-            quot[q_exp] = q_coef
-            for e, c in den.terms.items():
-                key = tuple(a + b for a, b in zip(q_exp, e))
-                s = rem.get(key, 0) - q_coef * c
-                if s:
-                    rem[key] = s
+            return LaurentPoly._of(
+                self.vars,
+                {tuple(map(sub, e, e0)): c // c0 for e, c in self.terms.items()},
+            )
+        # Shifted by their minimum exponents both sides are honest polynomials
+        # and so is the quotient, so grlex long division applies.
+        sa, sb = self.min_exponents(), other.min_exponents()
+        top = max(map(sum, self.terms)) - sum(sa)
+        if max(map(sum, other.terms)) - sum(sb) > top:
+            raise NotDivisibleError("no exact Laurent quotient")
+        bits = top.bit_length() + 1
+        guard = sum(1 << (s + bits - 1) for s in range(0, (len(sa) + 1) * bits, bits))
+        den = sorted(_pack(other.terms, sb, bits).items(), reverse=True)
+        lead, lead_coef = den[0]
+        tail = [(k, -c) for k, c in den[1:]]
+        # max-heap of the remainder's keys; a key leaves the heap and ``rem``
+        # together, and a coefficient that cancels to 0 stays until popped
+        rem = _pack(self.terms, sa, bits)
+        heap = [-k for k in rem]
+        heapify(heap)
+        quot: dict[int, int] = {}
+        while heap:
+            r_key = -heappop(heap)
+            r_coef = rem.pop(r_key)
+            if not r_coef:
+                continue
+            q_key = (r_key | guard) - lead
+            if q_key & guard != guard:
+                raise NotDivisibleError("no exact Laurent quotient")
+            q_coef, r = divmod(r_coef, lead_coef)
+            if r:
+                raise NotDivisibleError("no exact Laurent quotient")
+            q_key ^= guard
+            quot[q_key] = q_coef
+            for k, c in tail:
+                k += q_key
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = q_coef * c
+                    heappush(heap, -k)
                 else:
-                    rem.pop(key, None)
-        offset = tuple(a - b for a, b in zip(sa, sb))
-        return LaurentPoly(self.vars, quot).shift(offset)
+                    rem[k] = old + q_coef * c
+        return LaurentPoly._of(self.vars, _unpack(quot, tuple(map(sub, sa, sb)), bits))
 
     def divides(self, other: "LaurentPoly") -> bool:
         try:
@@ -281,17 +368,27 @@ class LaurentPoly:
                         "non-unit image; use rational mode"
                     )
                 shifts[i] = -mn
-        numerator = LaurentPoly.zero(target)
+        powers: dict[tuple[int, int], LaurentPoly] = {}
+        acc: dict[tuple[int, ...], int] = {}
+        unit = (0,) * len(target)
         for exp, coef in self.terms.items():
-            term = LaurentPoly.const(target, coef)
+            term = None
             for i, e in enumerate(exp):
                 e += shifts[i]
                 if e == 0:
                     continue
-                img = img_list[i]
-                assert img is not None
-                term = term * img**e
-            numerator = numerator + term
+                power = powers.get((i, e))
+                if power is None:
+                    img = img_list[i]
+                    assert img is not None
+                    power = powers[i, e] = img**e
+                term = power if term is None else term * power
+            if term is None:
+                acc[unit] = acc.get(unit, 0) + coef
+                continue
+            for e, c in term.terms.items():
+                acc[e] = acc.get(e, 0) + coef * c
+        numerator = LaurentPoly(target, acc)
         denominator = LaurentPoly.one(target)
         for i, s in enumerate(shifts):
             if s:

@@ -110,6 +110,26 @@ def test_identities_command(capsys):
     assert all(x["ok"] for x in json.loads(out)["identities"])
 
 
+def test_identities_empty_plan(capsys):
+    # [1, 2] has no repeated letter, so its mu-i plan has no steps
+    doc = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2]}
+    code, out = run(capsys, "identities", "--inline", json.dumps(doc))
+    assert (code, json.loads(out)) == (0, {"identities": []})
+    code, out = run(capsys, "identities", "--inline", json.dumps(dict(PBW6, pairs=[])))
+    assert (code, json.loads(out)) == (0, {"identities": []})
+
+
+def test_walk_too_few_mutable_vertices(capsys):
+    # position 1 is the only mutable vertex of [1, 2, 1]: step 2 has no choice
+    doc = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2, 1]}
+    code = main(["walk", "--inline", json.dumps(doc), "--depth", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "walk step 2" in captured.err and "mutable vertices: 1" in captured.err
+    code, out = run(capsys, "walk", "--inline", json.dumps(doc), "--depth", "1")
+    assert code == 0 and json.loads(out)["final_provenance"] == [1]
+
+
 def test_pbw_command(capsys):
     doc = dict(PBW6, targets=[["V", 4], ["M", 5, 2]])
     code, out = run(capsys, "pbw", "--inline", json.dumps(doc))

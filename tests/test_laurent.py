@@ -19,12 +19,20 @@ def poly(table, terms):
     return LaurentPoly(table, terms)
 
 
-def small_polys(table=T2, min_exp=-2, max_exp=3):
+def small_polys(table=T2, min_exp=-2, max_exp=3, max_size=4):
     width = len(table)
     exps = st.tuples(*([st.integers(min_exp, max_exp)] * width))
-    return st.dictionaries(exps, st.integers(-6, 6), max_size=4).map(
+    return st.dictionaries(exps, st.integers(-6, 6), max_size=max_size).map(
         lambda d: LaurentPoly(table, d)
     )
+
+
+def monomials(table=T2, min_exp=-2, max_exp=3):
+    return small_polys(table, min_exp, max_exp, max_size=1).filter(bool)
+
+
+# degrees in the hundreds: packed digits several bits wide
+wide_polys = small_polys(T3, -40, 90, max_size=5)
 
 
 def test_mul_unit_inverse():
@@ -62,10 +70,56 @@ def naive_mul(a, b):
     return LaurentPoly(a.vars, out)
 
 
-@settings(max_examples=60)
-@given(small_polys(), small_polys())
-def test_mul_against_convolution_oracle(a, b):
+@settings(max_examples=100)
+@given(
+    st.one_of(st.tuples(small_polys(), small_polys()), st.tuples(wide_polys, wide_polys))
+)
+def test_mul_against_convolution_oracle(pair):
+    a, b = pair
     assert a * b == naive_mul(a, b)
+
+
+def long_division(a, b):
+    """Grlex long division that rescans the remainder for every quotient term."""
+    if not a:
+        return a
+    sa, sb = a.min_exponents(), b.min_exponents()
+    grlex = lambda t: (sum(t[0]), t[0])  # noqa: E731
+    rem = {tuple(x - m for x, m in zip(e, sa)): c for e, c in a.terms.items()}
+    den = {tuple(x - m for x, m in zip(e, sb)): c for e, c in b.terms.items()}
+    lead_exp, lead_coef = max(den.items(), key=grlex)
+    quot = {}
+    while rem:
+        r_exp, r_coef = max(rem.items(), key=grlex)
+        q_exp = tuple(x - y for x, y in zip(r_exp, lead_exp))
+        if any(x < 0 for x in q_exp) or r_coef % lead_coef:
+            raise NotDivisibleError("no exact Laurent quotient")
+        q_coef = r_coef // lead_coef
+        quot[q_exp] = q_coef
+        for e, c in den.items():
+            key = tuple(x + y for x, y in zip(q_exp, e))
+            rem[key] = rem.get(key, 0) - q_coef * c
+            if not rem[key]:
+                del rem[key]
+    offset = tuple(x - y for x, y in zip(sa, sb))
+    return LaurentPoly(
+        a.vars, {tuple(x + o for x, o in zip(e, offset)): c for e, c in quot.items()}
+    )
+
+
+def bump_lead(p, c):
+    """``p`` plus ``c`` times its grlex-leading monomial."""
+    if not p:
+        return p
+    lead = max(p.terms, key=lambda e: (sum(e), e))
+    return p + LaurentPoly.monomial(p.vars, lead, c)
+
+
+def division_outcome(divide, a, b):
+    try:
+        return divide(a, b)
+    except NotDivisibleError:
+        return NotDivisibleError
 
 
 @settings(max_examples=60)
@@ -74,6 +128,38 @@ def test_exact_div_roundtrip(a, b):
     if not b:
         return
     assert (a * b).exact_div(b) == a
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.tuples(small_polys(), small_polys()),
+        st.tuples(small_polys(max_size=8), monomials()),
+        st.tuples(small_polys(max_size=8), monomials()).map(
+            lambda t: (t[0] * t[1], t[1])
+        ),
+        st.tuples(wide_polys, wide_polys),
+        # a product with a perturbation: divisible or not, near the boundary
+        st.tuples(small_polys(), small_polys(), small_polys(max_size=1)).map(
+            lambda t: (t[0] * t[1] + t[2], t[1])
+        ),
+        st.tuples(wide_polys, wide_polys).map(lambda t: (t[0] * t[1], t[1])),
+        # divisible but for the numerator's leading coefficient
+        st.tuples(small_polys(), small_polys(), st.integers(1, 3)).map(
+            lambda t: (bump_lead(t[0] * t[1], t[2]), t[1])
+        ),
+        # divisible up to the content: the coefficient test decides
+        st.tuples(
+            small_polys(), small_polys(), st.integers(1, 4), st.integers(2, 4)
+        ).map(lambda t: (t[0] * t[1].scale(t[2]), t[1].scale(t[3]))),
+    ).filter(lambda t: bool(t[1]))
+)
+def test_exact_div_against_long_division_oracle(pair):
+    a, b = pair
+    quotient = division_outcome(LaurentPoly.exact_div, a, b)
+    assert quotient == division_outcome(long_division, a, b)
+    if quotient is not NotDivisibleError:
+        assert quotient * b == a
 
 
 def test_exact_div_goldens():
@@ -86,6 +172,19 @@ def test_exact_div_goldens():
         (y1 + one).exact_div(y2 + one)
     with pytest.raises(NotDivisibleError):
         (y1 + y2).exact_div(y1 + y2 + one)
+    # the divisor's degree exceeds the numerator's after normalisation
+    with pytest.raises(NotDivisibleError):
+        y2.exact_div(y1 + y2)
+    with pytest.raises(NotDivisibleError):
+        (y1 + one).exact_div(y1 * y1 + y2)
+    with pytest.raises(NotDivisibleError):
+        (y1.scale(3) + one).exact_div(y1.scale(2) + one)
+    # single-term divisors with non-unit coefficients
+    assert (y1.scale(4) + y2.scale(-6)).exact_div(y1.scale(2)) == LaurentPoly(
+        T2, {(0, 0): 2, (-1, 1): -3}
+    )
+    with pytest.raises(NotDivisibleError):
+        (y1.scale(4) + y2.scale(3)).exact_div(y1.scale(2))
 
 
 def test_substitute_identity_and_units():
