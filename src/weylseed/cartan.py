@@ -10,7 +10,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -159,23 +158,35 @@ def reflect_weight(cartan: CartanMatrix, i: int, lam: Weight) -> Weight:
 
 
 def _beta_list(cartan: CartanMatrix, positions: Sequence[int]) -> list[Root]:
-    """beta(k) = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) for letters in position order."""
+    """beta(k) = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) for letters in position order.
+
+    Keeps w = s_{i_1} ... s_{i_{k-1}} as its list of columns, so beta(k) is
+    column i_k of w.  Right multiplication by s_i subtracts c_ji times
+    column i from each column j, which touches column i and its neighbors.
+    """
+    n = cartan.n
+    for letter in positions:
+        if not 1 <= letter <= n:
+            raise ValidationError(f"letter {letter} out of range 1..{n}")
+    cols = [list(simple_root(n, j)) for j in range(1, n + 1)]
+    links = [
+        [(j, cartan.c(j + 1, i)) for j in range(n) if cartan.c(j + 1, i)]
+        for i in range(1, n + 1)
+    ]
     betas: list[Root] = []
-    for k, letter in enumerate(positions):
-        d = simple_root(cartan.n, letter)
-        for j in range(k - 1, -1, -1):
-            d = reflect_root(cartan, positions[j], d)
-        betas.append(d)
+    for letter in positions:
+        col_i = tuple(cols[letter - 1])
+        betas.append(col_i)
+        for j, c_ji in links[letter - 1]:
+            col_j = cols[j]
+            for a in range(n):
+                col_j[a] -= c_ji * col_i[a]
     return betas
 
 
 def is_reduced(cartan: CartanMatrix, printed: Sequence[int]) -> bool:
     """A word is reduced iff every beta(k) is a positive root."""
-    positions = tuple(reversed(printed))
-    for letter in positions:
-        if not 1 <= letter <= cartan.n:
-            raise ValidationError(f"letter {letter} out of range 1..{cartan.n}")
-    d_list = _beta_list(cartan, positions)
+    d_list = _beta_list(cartan, tuple(reversed(printed)))
     return all(is_positive_root_vector(d) for d in d_list)
 
 
@@ -191,12 +202,17 @@ class ReducedWord:
         self.printed = tuple(printed)
         self.r = len(self.printed)
         self._pos = tuple(reversed(self.printed))  # _pos[k-1] = i_k
-        if not is_reduced(cartan, self.printed):
+        self.betas: tuple[Root, ...] = tuple(_beta_list(cartan, self._pos))
+        if not all(is_positive_root_vector(d) for d in self.betas):
             raise NotReducedError(f"word {list(printed)} is not reduced")
         chains: dict[int, list[int]] = {}
+        occ = []  # occ[k-1] = k[i_k], the index of k in its chain
         for k, letter in enumerate(self._pos, start=1):
-            chains.setdefault(letter, []).append(k)
-        self._chains = chains
+            chain = chains.setdefault(letter, [])
+            occ.append(len(chain))
+            chain.append(k)
+        self._chains = {j: tuple(c) for j, c in chains.items()}
+        self._occ = tuple(occ)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ReducedWord({list(self.printed)})"
@@ -213,28 +229,30 @@ class ReducedWord:
 
     def chain(self, j: int) -> tuple[int, ...]:
         """Positions carrying letter j, increasing."""
-        return tuple(self._chains.get(j, ()))
+        return self._chains.get(j, ())
 
     def t(self, j: int) -> int:
         """Number of occurrences of letter j."""
         return len(self._chains.get(j, ()))
 
+    def _place(self, k: int) -> tuple[tuple[int, ...], int]:
+        """The chain through position k and the index of k in it."""
+        return self._chains[self.letter(k)], self._occ[k - 1]
+
     def occ_index(self, k: int) -> int:
         """k[i_k]: occurrences of the letter of k strictly before k."""
-        return self.chain(self.letter(k)).index(k)
+        return self._place(k)[1]
 
     def count_before(self, k: int, j: int) -> int:
         """k[j]: occurrences of letter j strictly before position k."""
         return sum(1 for s in self.chain(j) if s < k)
 
     def k_minus(self, k: int) -> int:
-        c = self.chain(self.letter(k))
-        i = c.index(k)
+        c, i = self._place(k)
         return c[i - 1] if i > 0 else 0
 
     def k_plus(self, k: int) -> int:
-        c = self.chain(self.letter(k))
-        i = c.index(k)
+        c, i = self._place(k)
         return c[i + 1] if i + 1 < len(c) else self.r + 1
 
     def k_min(self, k: int) -> int:
@@ -248,8 +266,8 @@ class ReducedWord:
 
         Returns 0 below the chain start and r+1 above its end.
         """
-        c = self.chain(self.letter(k))
-        i = c.index(k) + m
+        c, i = self._place(k)
+        i += m
         if i < 0:
             return 0
         if i >= len(c):
@@ -259,10 +277,6 @@ class ReducedWord:
     def frozen_positions(self) -> frozenset[int]:
         """Final occurrences of each letter: k with k^+ = r + 1."""
         return frozenset(c[-1] for c in self._chains.values())
-
-    @cached_property
-    def betas(self) -> tuple[Root, ...]:
-        return tuple(_beta_list(self.cartan, self._pos))
 
     def beta(self, k: int) -> Root:
         return self.betas[k - 1]

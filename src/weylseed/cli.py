@@ -32,6 +32,7 @@ from .intervals import (
 from .laurent import LaurentPoly
 from .minors import cross_validate, minor_spec_for_Vk
 from .quiver import (
+    ExchangeMatrix,
     Seed,
     SeedRegistry,
     acyclic_double,
@@ -78,8 +79,11 @@ def cmd_gamma(args) -> dict:
 
 def cmd_mutate(args) -> dict:
     doc = _load_doc(args)
-    word = _word_from_doc(doc)
-    seed = Seed.from_word(word).mutate_path(doc.get("path", []))
+    if "matrix" in doc:
+        seed = Seed.initial(ExchangeMatrix.from_json(doc["matrix"]))
+    else:
+        seed = Seed.from_word(_word_from_doc(doc))
+    seed = seed.mutate_path(doc.get("path", []))
     return {
         "matrix": seed.matrix.to_json(),
         "cluster": _cluster_json(seed, args.mode),
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument(
             "--mode",
-            choices=["frozen", "invertible", "specialized"],
+            choices=["frozen", "specialized"],
             default="frozen",
             help="coefficient handling for cluster output",
         )

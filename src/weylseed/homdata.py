@@ -60,32 +60,35 @@ class HomTables:
 def hom_tables(word: ReducedWord) -> HomTables:
     """Tables computed from the root sequence and the symmetrized form.
 
-    dim Hom(V_k, M_s) is 0 for k < s, 1 for k = s, and for k > s a chain sum
-    of symmetrized-form values, plus 1 when the letters agree; the chain
-    walks k, k-, k--, ... while it stays above s.
+    dim Hom(V_k, M_s) is 0 for k < s, 1 for k = s, and for k > s the chain
+    sum of (beta_k', beta_s) over k' = k, k-, k--, ... while k' > s, plus 1
+    when the letters agree.  As k- carries the letter of k, this is
+    VM[k][s] = (beta_k, beta_s) + VM[k-][s] when k- > s, and each form value
+    is one dot product with the precomputed vector C beta_s.  VV sums VM
+    over the chain of s up to s, so VV[k][s] = VM[k][s] + VV[k][s-].
     """
     cartan = word.cartan
     r = word.r
+    n = cartan.n
     betas = word.betas
+    letters = word.positions
+    c_betas = [
+        tuple(sum(cartan.rows[i][j] * beta[j] for j in range(n)) for i in range(n))
+        for beta in betas
+    ]
+    k_minus = [word.k_minus(k) for k in range(1, r + 1)]
     vm = [[0] * r for _ in range(r)]
-    for s in range(1, r + 1):
-        for k in range(1, r + 1):
-            if k < s:
-                continue
-            if k == s:
-                vm[k - 1][s - 1] = 1
-                continue
-            total = 1 if word.letter(k) == word.letter(s) else 0
-            cur = k
-            while cur > s:
-                total += sym_form(cartan, betas[cur - 1], betas[s - 1])
-                cur = word.k_minus(cur)
-            vm[k - 1][s - 1] = total
+    for k in range(1, r + 1):
+        beta_k, km, letter = betas[k - 1], k_minus[k - 1], letters[k - 1]
+        row, prev = vm[k - 1], vm[km - 1]  # prev is read only when km > s >= 1
+        for s in range(1, k):
+            form = sum(x * y for x, y in zip(beta_k, c_betas[s - 1]))
+            row[s - 1] = form + (prev[s - 1] if km > s else letter == letters[s - 1])
+        row[k - 1] = 1
     vv = [[0] * r for _ in range(r)]
-    for s in range(1, r + 1):
-        chain_below = [t for t in word.chain(word.letter(s)) if t <= s]
-        for k in range(1, r + 1):
-            vv[k - 1][s - 1] = sum(vm[k - 1][t - 1] for t in chain_below)
+    for vm_row, vv_row in zip(vm, vv):
+        for s, sm in enumerate(k_minus):
+            vv_row[s] = vm_row[s] + (vv_row[sm - 1] if sm else 0)
     d_delta = tuple(sum(vm[k][s] for k in range(r)) for s in range(r))
     return HomTables(
         word.printed,

@@ -328,7 +328,7 @@ def run_mu_i(
                 label_values[step.after] = seed.cluster[v - 1]
             else:
                 seed = None
-        matrix = matrix.mutate(v)
+        matrix = move.matrix
         labels[v - 1] = step.after
         checked += 1
     return MuIReport(
@@ -343,18 +343,24 @@ def run_mu_i(
 
 
 def identity_step(word: ReducedWord, k: int, s: int) -> int:
-    """Plan step index at which the pass-k exchange at chain position s occurs."""
+    """Plan step index at which the pass-k exchange at chain position s occurs.
+
+    Pass k' makes r_k' = t_{i_k'} - 1 - k'[i_k'] steps, so the step is
+    1 + m + sum of r_k' over k' < k, with m the chain distance from k to s.
+    """
     if word.letter(k) != word.letter(s):
         raise ValidationError("positions must carry the same letter")
     m = word.occ_index(s) - word.occ_index(k)
     r_k = word.t(word.letter(k)) - 1 - word.occ_index(k)
     if not 0 <= m < r_k:
         raise ValidationError(f"pair (k={k}, s={s}) is not exchanged in the pass")
-    plan = mu_i_plan(word)
-    for step in plan.steps:
-        if step.group == k and step.before.b == s:
-            return step.index
-    raise ValidationError(f"pair (k={k}, s={s}) not found in the plan")
+    index = 1 + m
+    seen: dict[int, int] = {}  # occurrences of each letter before position k'
+    for j in word.positions[: k - 1]:
+        occ = seen.get(j, 0)
+        index += word.t(j) - 1 - occ
+        seen[j] = occ + 1
+    return index
 
 
 def verify_identity(

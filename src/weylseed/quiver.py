@@ -6,6 +6,13 @@ vertices.  Entry b[i][col] counts arrows (col's vertex -> i) minus arrows
 column's vertex.  Arrows between two frozen vertices are intentionally not
 representable: they are not needed for seed mutation and are not controlled
 by it.
+
+Matrix mutation at k (Fomin-Zelevinsky) rewrites only row k, column k and
+the entries b_ij with b_ik and b_kj both nonzero, so it touches O(deg(k)^2)
+entries besides copying the rows of k's neighbors.  Skew-symmetry of the
+principal part is checked in full when a matrix is built from outside;
+after a mutation it is checked on the pairs of mutable vertices among k and
+its neighbors, the only pairs whose entries change.
 """
 from __future__ import annotations
 
@@ -93,7 +100,7 @@ def gamma_i(word: ReducedWord) -> Quiver:
 class ExchangeMatrix:
     """Integer matrix with one column per mutable vertex, rows over all vertices."""
 
-    __slots__ = ("r", "mutable", "rows")
+    __slots__ = ("r", "mutable", "rows", "_col_of")
 
     def __init__(
         self,
@@ -106,12 +113,22 @@ class ExchangeMatrix:
         self.rows = tuple(tuple(row) for row in rows)
         if len(self.rows) != r or any(len(row) != len(self.mutable) for row in self.rows):
             raise ValidationError("exchange matrix shape mismatch")
-        col_of = {v: c for c, v in enumerate(self.mutable)}
         for v in self.mutable:
             if not 1 <= v <= r:
                 raise ValidationError("mutable vertex out of range")
-            for w in self.mutable:
-                if self.rows[v - 1][col_of[w]] != -self.rows[w - 1][col_of[v]]:
+        self._col_of = {v: c for c, v in enumerate(self.mutable)}
+        if len(self._col_of) != len(self.mutable):
+            raise ValidationError("mutable vertices must be distinct")
+        self._check_skew(self.mutable)
+
+    def _check_skew(self, vertices: Iterable[int]) -> None:
+        """b_vw = -b_wv for every pair of the given mutable vertices."""
+        col_of, rows = self._col_of, self.rows
+        cols = [(v, col_of[v]) for v in vertices]
+        for v, cv in cols:
+            row = rows[v - 1]
+            for w, cw in cols:
+                if row[cw] != -rows[w - 1][cv]:
                     raise ValidationError("principal part is not skew-symmetric")
 
     @property
@@ -120,8 +137,8 @@ class ExchangeMatrix:
 
     def col(self, k: int) -> int:
         try:
-            return self.mutable.index(k)
-        except ValueError:
+            return self._col_of[k]
+        except KeyError:
             raise FrozenIndexError(f"vertex {k} is frozen or absent") from None
 
     def entry(self, i: int, k: int) -> int:
@@ -129,20 +146,28 @@ class ExchangeMatrix:
         return self.rows[i - 1][self.col(k)]
 
     def mutate(self, k: int) -> "ExchangeMatrix":
+        """Matrix mutation at k, rewriting only the rows of k and its neighbors."""
         c = self.col(k)
-        out = []
-        for i in range(1, self.r + 1):
-            row = []
-            b_ik = self.rows[i - 1][c]
-            for j, v in enumerate(self.mutable):
-                b_ij = self.rows[i - 1][j]
-                b_kj = self.rows[k - 1][j]
-                if i == k or v == k:
-                    row.append(-b_ij)
-                else:
-                    row.append(b_ij + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2)
-            out.append(row)
-        return ExchangeMatrix(self.r, self.mutable, out)
+        rows = list(self.rows)
+        row_k = rows[k - 1]
+        # columns j with b_kj != 0: the only ones a neighbor row changes in
+        hits = [(j, b_kj, abs(b_kj)) for j, b_kj in enumerate(row_k) if b_kj]
+        neighbors = [i for i, row in enumerate(rows, start=1) if row[c]]  # b_kk = 0
+        for i in neighbors:
+            row = list(rows[i - 1])
+            b_ik = row[c]
+            for j, b_kj, abs_kj in hits:
+                if (b_ik > 0) == (b_kj > 0):
+                    row[j] += b_ik * abs_kj
+            row[c] = -b_ik
+            rows[i - 1] = tuple(row)
+        rows[k - 1] = tuple(-x for x in row_k)
+        # built without __init__: only the changed pairs are re-checked
+        out = object.__new__(ExchangeMatrix)
+        out.r, out.mutable, out._col_of = self.r, self.mutable, self._col_of
+        out.rows = tuple(rows)
+        out._check_skew([k] + [i for i in neighbors if i in self._col_of])
+        return out
 
     def in_neighbors(self, k: int) -> list[tuple[int, int]]:
         """(vertex, multiplicity) pairs with arrows vertex -> k."""
@@ -182,7 +207,23 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(doc: Mapping) -> "ExchangeMatrix":
-        return ExchangeMatrix(doc["vertices"], doc["mutable"], doc["rows"])
+        """Build from ``to_json`` output; any malformed document is a ValidationError."""
+        if not isinstance(doc, Mapping) or not {"vertices", "mutable", "rows"} <= doc.keys():
+            raise ValidationError("exchange matrix needs 'vertices', 'mutable' and 'rows'")
+        r, mutable, rows = doc["vertices"], doc["mutable"], doc["rows"]
+        if not (
+            _is_int(r)
+            and isinstance(mutable, list)
+            and all(_is_int(v) for v in mutable)
+            and isinstance(rows, list)
+            and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in rows)
+        ):
+            raise ValidationError("exchange matrix entries must be integers in lists")
+        return ExchangeMatrix(r, mutable, rows)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
@@ -276,6 +317,8 @@ class Seed:
 
     def specialize_frozen(self) -> tuple[LaurentPoly, ...]:
         """Cluster with the frozen initial variables set to 1."""
+        if not self.cluster:
+            return ()
         table = self.table
         images = {
             table.names[v - 1]: LaurentPoly.one(table)

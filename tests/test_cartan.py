@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,10 @@ from weylseed.cartan import (
     positive_roots_upto,
     reflect_root,
     reflect_weight,
+    simple_root,
     sym_form,
 )
-from weylseed.errors import NonDominantError, NotReducedError
+from weylseed.errors import NonDominantError, NotReducedError, ValidationError
 
 
 def test_reflect_root_simple(a2):
@@ -119,6 +121,32 @@ def test_beta_sequence_wild(word_wild10):
         (1392, 465, 58),
     ]
     assert list(word_wild10.betas[:8]) == expected
+
+
+def test_betas_match_reflection_oracle(a4, star4, wild3):
+    """beta(k) = s_{i_1}(...(s_{i_{k-1}}(alpha_{i_k}))), one reflection at a time."""
+    rng = random.Random(13)
+    for cartan in (a4, star4, wild3) * 5:
+        printed = [rng.randint(1, cartan.n) for _ in range(rng.randint(0, 12))]
+        positions = printed[::-1]
+        expected = []
+        for k, letter in enumerate(positions):
+            d = simple_root(cartan.n, letter)
+            for j in reversed(positions[:k]):
+                d = reflect_root(cartan, j, d)
+            expected.append(d)
+        reduced = all(min(d) >= 0 for d in expected)
+        assert is_reduced(cartan, printed) == reduced
+        if reduced:
+            assert list(ReducedWord(cartan, printed).betas) == expected
+        else:
+            with pytest.raises(NotReducedError):
+                ReducedWord(cartan, printed)
+    for bad in ((1, 5), (0,)):
+        with pytest.raises(ValidationError, match="out of range"):
+            is_reduced(a4, bad)
+        with pytest.raises(ValidationError, match="out of range"):
+            ReducedWord(a4, bad)
 
 
 def test_not_reduced_raises(a2):

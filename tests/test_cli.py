@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylseed.cli import main
 
 GAMMA7 = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [3, 1, 2, 3, 1, 2, 1]}
@@ -43,6 +45,61 @@ def test_mutate_and_modes(capsys):
     for entry in spec["cluster"]:
         for term in entry["terms"]:
             assert all(e == 0 for e in term["exp"][3:])
+
+
+def test_mutate_matrix_document(capsys):
+    # A2 pentagon: mutating at 1, 2, 1, 2, 1 returns the initial cluster, swapped
+    matrix = {"vertices": 2, "mutable": [1, 2], "rows": [[0, -1], [1, 0]]}
+    doc = {"matrix": matrix, "path": [1, 2, 1, 2, 1]}
+    code, out = run(capsys, "mutate", "--inline", json.dumps(doc))
+    assert code == 0
+    parsed = json.loads(out)
+    assert parsed["matrix"] == {"vertices": 2, "mutable": [1, 2], "rows": [[0, 1], [-1, 0]]}
+    assert [c["terms"] for c in parsed["cluster"]] == [
+        [{"exp": [0, 1], "coef": "1"}],
+        [{"exp": [1, 0], "coef": "1"}],
+    ]
+
+
+def test_mutate_rejects_bad_matrix_documents(capsys):
+    non_skew = {"vertices": 2, "mutable": [1, 2], "rows": [[0, -1], [2, 0]]}
+    for matrix in (non_skew, {"vertices": 2}, dict(non_skew, rows=[[0, "a"], [1, 0]])):
+        code = main(["mutate", "--inline", json.dumps({"matrix": matrix})])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+    main(["mutate", "--inline", json.dumps({"matrix": non_skew})])
+    assert "not skew-symmetric" in capsys.readouterr().err
+
+
+def test_mode_invertible_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mutate", "--inline", json.dumps(PBW6), "--mode", "invertible"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_consecutive_calls_do_not_share_flags(capsys):
+    """Each call in one process sees only its own flags and their defaults."""
+    doc = json.dumps(dict(PBW6, path=[3, 2]))
+    _, frozen = run(capsys, "mutate", "--inline", doc)
+    _, specialized = run(capsys, "mutate", "--inline", doc, "--mode", "specialized")
+    _, again = run(capsys, "mutate", "--inline", doc)
+    assert frozen == again != specialized
+    _, out = run(capsys, "walk", "--inline", json.dumps(GAMMA7), "--depth", "2", "--seed", "3")
+    assert json.loads(out)["steps"] == 2
+    _, out = run(capsys, "walk", "--inline", json.dumps(GAMMA7))
+    assert json.loads(out)["steps"] == 6 and json.loads(out)["rng_seed"] == 20240801
+    _, out = run(capsys, "mu-i", "--inline", json.dumps(PBW6), "--plan-only")
+    assert "report" not in json.loads(out)
+    _, out = run(capsys, "mu-i", "--inline", json.dumps(PBW6))
+    assert "report" in json.loads(out)
+
+
+def test_mutate_specialized_empty_word(capsys):
+    doc = {"rank": 2, "edges": [[1, 2, 1]], "word": []}
+    code, out = run(capsys, "mutate", "--inline", json.dumps(doc), "--mode", "specialized")
+    assert code == 0 and json.loads(out)["cluster"] == []
 
 
 def test_walk_reproducible(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weylseed.acceptance import random_reduced_word
-from weylseed.cartan import CartanMatrix, sym_form
+from weylseed.cartan import CartanMatrix, ReducedWord, sym_form
 from weylseed.errors import NegativeEntryError
 from weylseed.homdata import (
     hom_tables,
@@ -14,6 +14,10 @@ from weylseed.homdata import (
     ringel_form_delta,
 )
 from weylseed.quiver import b_matrix, gamma_i
+
+E8 = CartanMatrix.from_edges(
+    8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+)
 
 # columns of dim Hom(V_k, M_s) for the word (1,3,2,1,3,2,1), vertex order
 DELTA_COLUMNS = {
@@ -35,6 +39,48 @@ PROJECTIVE_COLUMNS = {
     6: (0, 0, 1, 0, 1, 1, 2),
     7: (1, 2, 2, 4, 8, 6, 13),
 }
+
+
+def chain_walk_tables(word):
+    """Oracle: VM by walking the chain k, k-, ... above s with one sym_form
+    call per link; VV by summing VM over the chain of s up to s."""
+    r = word.r
+    vm = [[0] * r for _ in range(r)]
+    for s in range(1, r + 1):
+        vm[s - 1][s - 1] = 1
+        for k in range(s + 1, r + 1):
+            total = 1 if word.letter(k) == word.letter(s) else 0
+            cur = k
+            while cur > s:
+                total += sym_form(word.cartan, word.beta(cur), word.beta(s))
+                cur = word.k_minus(cur)
+            vm[k - 1][s - 1] = total
+    vv = [
+        [
+            sum(vm[k][t - 1] for t in word.chain(word.letter(s)) if t <= s)
+            for s in range(1, r + 1)
+        ]
+        for k in range(r)
+    ]
+    return vm, vv
+
+
+def test_hom_tables_against_chain_walk_oracle():
+    rng = random.Random(17)
+    pool = [
+        CartanMatrix.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+        CartanMatrix.from_edges(4, [(1, 4, 1), (2, 4, 1), (3, 4, 1)]),
+        CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)]),
+    ]
+    words = [random_reduced_word(rng, c, rng.randint(1, 14)) for c in pool * 4]
+    e8_word = ReducedWord(E8, tuple(range(8, 0, -1)) * 15)
+    words += [e8_word.prefix(k) for k in (1, 9, 23, 40, 77)]
+    for word in words:
+        tables = hom_tables(word)
+        vm, vv = chain_walk_tables(word)
+        assert [list(row) for row in tables.VM] == vm
+        assert [list(row) for row in tables.VV] == vv
+        assert tables.d_delta == tuple(sum(col) for col in zip(*vm))
 
 
 def test_hom_tables_unitriangular(word_mut7):

@@ -147,6 +147,33 @@ def test_identity_step_lookup(word_wild10):
         identity_step(word_wild10, 2, 10)  # final occurrence, never exchanged
 
 
+def test_identity_step_matches_plan(word_wild10, word_a4_shift, word_gamma7):
+    for word in (word_wild10, word_a4_shift, word_gamma7):
+        found = {}
+        for step in mu_i_plan(word).steps:
+            found[(step.group, step.before.b)] = step.index
+        for k in range(1, word.r + 1):
+            for s in word.chain(word.letter(k)):
+                if (k, s) in found:
+                    assert identity_step(word, k, s) == found[(k, s)]
+                else:
+                    with pytest.raises(ValidationError):
+                        identity_step(word, k, s)
+        other = next(t for t in range(2, word.r + 1) if word.letter(t) != word.letter(1))
+        with pytest.raises(ValidationError):
+            identity_step(word, 1, other)  # different letters
+
+
+def test_e8_combinatorial_pass():
+    """The whole 840-step chain reversal on E8 (8,...,1)^15, no Laurent part."""
+    edges = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+    word = ReducedWord(CartanMatrix.from_edges(8, edges), tuple(range(8, 0, -1)) * 15)
+    report = run_mu_i(word, with_seed=False)
+    assert report.steps_checked == 840
+    assert report.final_labels_expected(word)
+    assert report.final_chains_reversed(word)
+
+
 def test_star_golden(word_a4_shift):
     assert star(word_a4_shift, 5) == 5
     assert star(word_a4_shift, 6) == 2

@@ -9,6 +9,7 @@ from weylseed.errors import (
     LinearAnCaveatError,
     NonIntegralError,
     NotAcyclicError,
+    ValidationError,
 )
 from weylseed.homdata import hom_tables
 from weylseed.quiver import (
@@ -103,6 +104,89 @@ def test_matrix_mutate_involution_random():
         m = random_matrix(rng, r, rng.randint(0, r - 2))
         k = rng.choice(m.mutable)
         assert m.mutate(k).mutate(k) == m
+
+
+def dense_mutate(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Oracle: every entry from the mutation formula, rebuilt through the
+    fully checking constructor."""
+    c = m.col(k)
+    out = []
+    for i in range(1, m.r + 1):
+        row = []
+        b_ik = m.rows[i - 1][c]
+        for j, v in enumerate(m.mutable):
+            b_ij = m.rows[i - 1][j]
+            b_kj = m.rows[k - 1][j]
+            if i == k or v == k:
+                row.append(-b_ij)
+            else:
+                row.append(b_ij + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2)
+        out.append(row)
+    return ExchangeMatrix(m.r, m.mutable, out)
+
+
+def test_matrix_mutate_against_dense_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        r = rng.randint(2, 12)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        k = rng.choice(m.mutable)
+        assert m.mutate(k).rows == dense_mutate(m, k).rows
+    for _ in range(40):
+        r = rng.randint(2, 12)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        oracle = m
+        for _ in range(20):
+            k = rng.choice(m.mutable)
+            m, oracle = m.mutate(k), dense_mutate(oracle, k)
+            assert m == oracle and m.rows == oracle.rows
+
+
+def test_matrix_mutate_along_word_quiver_against_dense_oracle(word_wild10):
+    m = oracle = b_matrix(gamma_i(word_wild10))
+    rng = random.Random(5)
+    for _ in range(20):
+        k = rng.choice(m.mutable)
+        m, oracle = m.mutate(k), dense_mutate(oracle, k)
+        assert m.rows == oracle.rows
+
+
+def test_matrix_rejects_non_skew_principal_part():
+    with pytest.raises(ValidationError, match="skew"):
+        ExchangeMatrix(2, (1, 2), [[0, -1], [2, 0]])
+    with pytest.raises(ValidationError, match="skew"):
+        ExchangeMatrix(2, (1,), [[1], [0]])  # nonzero diagonal
+    # frozen rows are not part of the principal part
+    assert ExchangeMatrix(3, (1, 2), [[0, -1], [1, 0], [5, -3]]).r == 3
+    doc = {"vertices": 3, "mutable": [1, 2], "rows": [[0, -1], [2, 0], [5, -3]]}
+    with pytest.raises(ValidationError, match="skew"):
+        ExchangeMatrix.from_json(doc)
+
+
+def test_matrix_mutate_checks_skew_symmetry_near_k():
+    m = ExchangeMatrix(3, (1, 2, 3), [[0, -1, 0], [1, 0, -1], [0, 1, 0]])
+    m.rows = ((0, -1, 0), (1, 0, -1), (0, 2, 0))  # b_32 != -b_23, next to 2
+    with pytest.raises(ValidationError, match="skew"):
+        m.mutate(2)
+
+
+def test_matrix_from_json_rejects_malformed_documents():
+    good = {"vertices": 2, "mutable": [1, 2], "rows": [[0, -1], [1, 0]]}
+    assert ExchangeMatrix.from_json(good).rows == ((0, -1), (1, 0))
+    bad = [
+        [],
+        {"vertices": 2, "mutable": [1, 2]},
+        dict(good, vertices="2"),
+        dict(good, mutable=[1, True]),
+        dict(good, rows=[[0, -1], [1, 0.0]]),
+        dict(good, rows=[[0, -1], 7]),
+        dict(good, mutable=[1, 1]),
+        dict(good, mutable=[1, 3]),
+        dict(good, rows=[[0, -1]]),
+    ]
+    for doc in bad:
+        with pytest.raises(ValidationError):
+            ExchangeMatrix.from_json(doc)
 
 
 def test_matrix_mutate_frozen_rejected(word_gamma7):
