@@ -10,7 +10,6 @@ from .cartan import (
     ReducedWord,
     Weight,
     b_vector,
-    beta_sequence,
     dim_V,
     euler_form,
     fundamental_weight,

@@ -25,7 +25,7 @@ from .homdata import (
 )
 from .intervals import run_mu_i
 from .laurent import VarTable
-from .quiver import ExchangeMatrix, Seed, b_matrix, gamma_i
+from .quiver import ExchangeMatrix, Seed
 from .words import WordSum, g_V, phi_eval, shuffle
 
 CARTAN_POOL: tuple[CartanMatrix, ...] = (
@@ -128,11 +128,9 @@ def check_seed_walks(
             continue
         grading = _word_grading(word)
         tables = hom_tables(word)
-        matrix = b_matrix(gamma_i(word))
-        seed_state = Seed.initial(matrix)
+        seed_state = Seed.from_word(word)
         dims = initial_dimvec_labels(tables)
         deltas = initial_delta_labels(word)
-        dim_matrix = matrix
         if not seed_state.matrix.mutable:
             continue
         last = None
@@ -146,13 +144,13 @@ def check_seed_walks(
                 return False
             if nxt.cluster[k - 1].multidegree(grading) is None:
                 return False
-            move_d = mutate_dimvec(dim_matrix, dims, k)
-            move_a = mutate_delta_dimvec(dim_matrix, deltas, k, tables.d_delta)
+            move_d = mutate_dimvec(seed_state.matrix, dims, k)
+            move_a = mutate_delta_dimvec(seed_state.matrix, deltas, k, tables.d_delta)
             if not move_d.dominated:
                 return False
             if tables.dimvec_of_delta(move_a.new_label) != move_d.new_label:
                 return False
-            dim_matrix, dims, deltas = move_d.matrix, move_d.labels, move_a.labels
+            dims, deltas = move_d.labels, move_a.labels
             seed_state = nxt
             last = k
     return True

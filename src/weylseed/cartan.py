@@ -22,6 +22,21 @@ from .errors import (
 Root = tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _edge_triple(edge, what: str) -> tuple[int, int, int]:
+    """(i, j, multiplicity) from an integer pair or triple; pairs count once."""
+    if not (
+        isinstance(edge, (list, tuple))
+        and len(edge) in (2, 3)
+        and all(_is_int(x) for x in edge)
+    ):
+        raise ValidationError(f"bad {what} {edge!r}")
+    return (edge[0], edge[1], edge[2] if len(edge) == 3 else 1)
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """Symmetric generalized Cartan matrix: c_ii = 2, c_ij = c_ji <= 0."""
@@ -53,15 +68,15 @@ class CartanMatrix:
         return -self.c(i, j)
 
     @staticmethod
-    def from_edges(rank: int, edges: Iterable[Sequence[int]]) -> "CartanMatrix":
+    def from_edges(rank: int, edges: Sequence[Sequence[int]]) -> "CartanMatrix":
         """Build from a graph given as (i, j, multiplicity) triples."""
+        if not _is_int(rank) or rank < 0:
+            raise ValidationError(f"rank must be a non-negative integer, got {rank!r}")
+        if not isinstance(edges, (list, tuple)):
+            raise ValidationError("edges must be a list")
         rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
         for edge in edges:
-            if len(edge) == 2:
-                i, j = edge
-                m = 1
-            else:
-                i, j, m = edge
+            i, j, m = _edge_triple(edge, "edge")
             if not (1 <= i <= rank and 1 <= j <= rank) or i == j or m < 1:
                 raise ValidationError(f"bad edge {edge!r}")
             rows[i - 1][j - 1] -= m
@@ -137,9 +152,6 @@ class Weight:
     def is_dominant(self, cartan: CartanMatrix) -> bool:
         return all(self.pair_coroot(cartan, i) >= 0 for i in range(1, self.n + 1))
 
-    def add_alpha(self, d: Root, scale: int = 1) -> "Weight":
-        return Weight(self.fund, tuple(a + scale * x for a, x in zip(self.alpha, d)))
-
 
 def fundamental_weight(n: int, j: int) -> Weight:
     if not 1 <= j <= n:
@@ -198,6 +210,10 @@ class ReducedWord:
     """
 
     def __init__(self, cartan: CartanMatrix, printed: Sequence[int]):
+        if not (
+            isinstance(printed, (list, tuple)) and all(_is_int(x) for x in printed)
+        ):
+            raise ValidationError(f"word must be a list of integer letters, got {printed!r}")
         self.cartan = cartan
         self.printed = tuple(printed)
         self.r = len(self.printed)
@@ -289,11 +305,6 @@ class ReducedWord:
         doc = self.cartan.to_json()
         doc["word"] = list(self.printed)
         return doc
-
-
-def beta_sequence(word: ReducedWord) -> tuple[Root, ...]:
-    """The positive roots s_{i_1}...s_{i_{k-1}}(alpha_{i_k}), k = 1..r."""
-    return word.betas
 
 
 def positive_roots_upto(cartan: CartanMatrix, height: int) -> frozenset[Root]:
@@ -419,16 +430,11 @@ class QuiverOrientation:
                     )
 
     @staticmethod
-    def from_arrows(rank: int, arrows: Iterable[Sequence[int]]) -> "QuiverOrientation":
-        normalized = []
-        for a in arrows:
-            if len(a) == 2:
-                s, t = a
-                m = 1
-            else:
-                s, t, m = a
-            normalized.append((s, t, m))
-        cartan = CartanMatrix.from_edges(rank, [(s, t, m) for s, t, m in normalized])
+    def from_arrows(rank: int, arrows: Sequence[Sequence[int]]) -> "QuiverOrientation":
+        if not isinstance(arrows, (list, tuple)):
+            raise ValidationError("arrows must be a list")
+        normalized = [_edge_triple(a, "arrow") for a in arrows]
+        cartan = CartanMatrix.from_edges(rank, normalized)
         return QuiverOrientation(cartan, tuple(normalized))
 
     def is_acyclic(self) -> bool:

@@ -50,12 +50,19 @@ def _dump(doc: Any) -> str:
 
 
 def _load_doc(args) -> dict:
-    if args.inline is not None:
-        return json.loads(args.inline)
-    if args.input is None or args.input == "-":
-        return json.load(sys.stdin)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if args.inline is not None:
+            doc = json.loads(args.inline)
+        elif args.input is None or args.input == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("input document must be a JSON object")
+    return doc
 
 
 def _word_from_doc(doc: dict) -> ReducedWord:
@@ -134,7 +141,7 @@ def cmd_dimvec(args) -> dict:
     picks = []
     for k in doc.get("path", []):
         move = mutate_dimvec(matrix, labels, k)
-        matrix, labels = move.matrix, move.labels
+        matrix, labels = matrix.mutate(k), move.labels
         picks.append("in" if move.picked_in_side else "out")
     return {
         "tables": tables.to_json(),
@@ -152,7 +159,7 @@ def cmd_delta_dimvec(args) -> dict:
     picks = []
     for k in doc.get("path", []):
         move = mutate_delta_dimvec(matrix, labels, k, tables.d_delta)
-        matrix, labels = move.matrix, move.labels
+        matrix, labels = matrix.mutate(k), move.labels
         picks.append("in" if move.picked_in_side else "out")
     return {
         "d_delta": list(tables.d_delta),
@@ -167,7 +174,7 @@ def cmd_mu_i(args) -> dict:
     plan = mu_i_plan(word)
     out = {"plan": plan.to_json()}
     if not args.plan_only:
-        report = run_mu_i(word, with_seed=True, max_seed_steps=args.depth)
+        report = run_mu_i(word, max_seed_steps=args.depth)
         out["report"] = {
             "steps_checked": report.steps_checked,
             "final_labels": [[lab.b, lab.a] for lab in report.final_labels],
@@ -187,9 +194,7 @@ def cmd_identities(args) -> dict:
     if not pairs:
         return {"identities": []}
     cutoff = max(identity_step(word, k, s) for k, s in pairs)
-    values = run_mu_i(
-        word, with_seed=True, check_identities=False, max_seed_steps=cutoff
-    ).label_values
+    values = run_mu_i(word, max_seed_steps=cutoff).label_values
     return {"identities": [verify_identity(word, k, s, values) for k, s in pairs]}
 
 
@@ -310,7 +315,15 @@ COMMANDS = {
 }
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, carrying only the flags that command reads."""
     parser = argparse.ArgumentParser(
         prog="weylseed",
         description="exact cluster-seed engine over Weyl group words",
@@ -318,29 +331,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", help="input JSON document (default stdin)")
-        p.add_argument("--inline", help="inline JSON document")
+        if name != "selftest":
+            p.add_argument("--input", help="input JSON document (default stdin)")
+            p.add_argument("--inline", help="inline JSON document")
         p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument(
-            "--mode",
-            choices=["frozen", "specialized"],
-            default="frozen",
-            help="coefficient handling for cluster output",
-        )
-        p.add_argument("--depth", type=int, default=None, help="walk or seed depth bound")
-        p.add_argument("--seed", type=int, default=20240801, help="RNG seed")
-        p.add_argument(
-            "--plan-only",
-            action="store_true",
-            help="plan combinatorics without symbolic execution",
-        )
+    cmd = sub.choices
+    cmd["mutate"].add_argument(
+        "--mode",
+        choices=["frozen", "specialized"],
+        default="frozen",
+        help="coefficient handling for cluster output",
+    )
+    cmd["walk"].add_argument(
+        "--depth", type=_non_negative_int, default=6, help="number of mutation steps"
+    )
+    cmd["mu-i"].add_argument(
+        "--depth",
+        type=_non_negative_int,
+        default=None,
+        help="plan steps tracked symbolically (default all)",
+    )
+    cmd["mu-i"].add_argument(
+        "--plan-only",
+        action="store_true",
+        help="plan combinatorics without symbolic execution",
+    )
+    for name in ("walk", "selftest"):
+        cmd[name].add_argument("--seed", type=int, default=20240801, help="RNG seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "walk" and args.depth is None:
-        args.depth = 6
     try:
         result = COMMANDS[args.command](args)
     except ValidationError as exc:

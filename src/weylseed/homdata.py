@@ -37,10 +37,6 @@ class HomTables:
     def projective_column(self, k: int) -> Vec:
         return tuple(self.VV[i][k - 1] for i in range(len(self.VV)))
 
-    def cartan_matrix(self) -> tuple[Vec, ...]:
-        """Rows i, columns k: dim Hom(V_i, V_k); columns are projective vectors."""
-        return self.VV
-
     def dimvec_of_delta(self, a: Sequence[int]) -> Vec:
         """Image of a filtration-multiplicity vector under the VM columns."""
         r = len(self.VM)
@@ -143,7 +139,6 @@ def _weighted_sum(pairs: Sequence[tuple[int, int]], labels: Sequence[Vec], r: in
 class MutationStep:
     new_label: Vec
     labels: tuple[Vec, ...]
-    matrix: ExchangeMatrix
     picked_in_side: bool
     dominated: bool
 
@@ -182,9 +177,7 @@ def _mutate_labels(
         )
     new_labels = list(labels)
     new_labels[k - 1] = new_label
-    return MutationStep(
-        new_label, tuple(new_labels), matrix.mutate(k), in_total > out_total, dominated
-    )
+    return MutationStep(new_label, tuple(new_labels), in_total > out_total, dominated)
 
 
 def mutate_dimvec(
@@ -194,7 +187,8 @@ def mutate_dimvec(
 
     The replacement is minus the old label plus the entrywise maximum of the
     two arrow-weighted neighbor sums; the side with the larger total is
-    expected to dominate coordinatewise, and violations are logged.
+    expected to dominate coordinatewise, and violations are logged.  The
+    matrix is only read: the caller mutates it at k.
     """
     return _mutate_labels(matrix, labels, k, lambda v: sum(v), True)
 

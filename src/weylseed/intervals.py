@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cartan import ReducedWord, Root
+from .cartan import ReducedWord
 from .errors import (
     IdentityFailsError,
     NotDivisibleError,
@@ -62,23 +62,11 @@ class IntervalLabel:
             vec[t - 1] = 1
         return tuple(vec)
 
-    def dim_vector(self, word: ReducedWord) -> Root:
-        n = word.cartan.n
-        acc = [0] * n
-        for t in self.positions(word):
-            for i, x in enumerate(word.beta(t)):
-                acc[i] += x
-        return tuple(acc)
-
     def __repr__(self) -> str:  # pragma: no cover
         return "1" if self.is_unit else f"M[{self.b},{self.a}]"
 
 
 UNIT = IntervalLabel(0, 1)
-
-
-def unit_label() -> IntervalLabel:
-    return UNIT
 
 
 @dataclass(frozen=True)
@@ -215,9 +203,8 @@ class MuIReport:
     final_labels: tuple[IntervalLabel, ...]
     label_values: dict[IntervalLabel, LaurentPoly]
     seed: Seed | None
-    final_matrix: ExchangeMatrix | None
+    final_matrix: ExchangeMatrix
     steps_checked: int
-    dominance_ok: bool
 
     def final_labels_expected(self, word: ReducedWord) -> bool:
         by_vertex = all(
@@ -231,8 +218,6 @@ class MuIReport:
 
     def final_chains_reversed(self, word: ReducedWord) -> bool:
         """Horizontal arrows point up the chains once the pass is complete."""
-        if self.final_matrix is None:
-            return False
         for j in range(1, word.cartan.n + 1):
             chain = word.chain(j)
             for u, v in zip(chain, chain[1:]):
@@ -271,35 +256,27 @@ def _exchange_matches_identity(
     )
 
 
-def run_mu_i(
-    word: ReducedWord,
-    with_seed: bool = True,
-    check_identities: bool = True,
-    max_seed_steps: int | None = None,
-) -> MuIReport:
+def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     """Execute the chain-reversal pass, validating every step.
 
     Checks per step: the mutated vertex carries the predicted label before
     and after, the filtration-multiplicity label stays the interval
     indicator, and the exchange neighborhoods match the identity pattern.
 
-    Laurent cluster tracking can be cut off after ``max_seed_steps`` steps;
-    the combinatorial checks always run the full plan.  Exchange supports
-    blow up quickly on wild Cartan data, so callers verifying specific
-    identities should cut the symbolic part at the step they need.
+    Laurent cluster tracking can be cut off after ``max_seed_steps`` steps
+    (0 tracks none); the combinatorial checks always run the full plan.
+    Each step mutates the exchange matrix once: inside the seed while it is
+    tracked, directly after the cut-off.  Exchange supports blow up quickly
+    on wild Cartan data, so callers verifying specific identities should
+    cut the symbolic part at the step they need.
     """
     plan = mu_i_plan(word)
     matrix = b_matrix(gamma_i(word))
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
     tables = hom_tables(word)
     delta_labels = initial_delta_labels(word)
-    seed = Seed.initial(matrix) if with_seed else None
-    label_values: dict[IntervalLabel, LaurentPoly] = {}
-    if seed is not None:
-        for k in range(1, word.r + 1):
-            label_values[labels[k - 1]] = seed.cluster[k - 1]
-    dominance_ok = True
-    checked = 0
+    seed: Seed | None = Seed.initial(matrix)
+    label_values = dict(zip(labels, seed.cluster))
     for step in plan.steps:
         v = step.vertex
         if labels[v - 1] != step.before:
@@ -307,9 +284,7 @@ def run_mu_i(
                 f"step {step.index}: vertex {v} carries {labels[v - 1]}, "
                 f"expected {step.before}"
             )
-        if check_identities and not _exchange_matches_identity(
-            word, labels, matrix, step
-        ):
+        if not _exchange_matches_identity(word, labels, matrix, step):
             raise StepMismatchError(
                 f"step {step.index}: exchange neighborhoods do not match the "
                 f"identity pattern at vertex {v}"
@@ -320,25 +295,22 @@ def run_mu_i(
                 f"step {step.index}: filtration label {move.new_label} is not "
                 f"the indicator of {step.after}"
             )
-        dominance_ok = dominance_ok and move.dominated
         delta_labels = move.labels
-        if seed is not None:
-            if max_seed_steps is None or step.index <= max_seed_steps:
-                seed = seed.mutate(v)
-                label_values[step.after] = seed.cluster[v - 1]
-            else:
-                seed = None
-        matrix = move.matrix
+        if max_seed_steps is None or step.index <= max_seed_steps:
+            seed = seed.mutate(v)
+            matrix = seed.matrix
+            label_values[step.after] = seed.cluster[v - 1]
+        else:
+            seed = None
+            matrix = matrix.mutate(v)
         labels[v - 1] = step.after
-        checked += 1
     return MuIReport(
         plan=plan,
         final_labels=tuple(labels),
         label_values=label_values,
         seed=seed,
         final_matrix=matrix,
-        steps_checked=checked,
-        dominance_ok=dominance_ok,
+        steps_checked=plan.length,
     )
 
 
@@ -378,9 +350,7 @@ def verify_identity(
     thevalues = label_values
     if thevalues is None:
         cutoff = identity_step(word, k, s)
-        thevalues = run_mu_i(
-            word, with_seed=True, check_identities=False, max_seed_steps=cutoff
-        ).label_values
+        thevalues = run_mu_i(word, max_seed_steps=cutoff).label_values
     lhs_pair, rhs_pair, factors = identity_sides(word, k, s)
     table = next(iter(thevalues.values())).vars
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     NonUnitNegativePowerError,
@@ -315,13 +315,6 @@ class LaurentPoly:
                     rem[k] = old + q_coef * c
         return LaurentPoly._of(self.vars, _unpack(quot, tuple(map(sub, sa, sb)), bits))
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisibleError:
-            return False
-
     # -- substitution and grading ---------------------------------------
 
     def substitute(
@@ -457,10 +450,3 @@ class LaurentPoly:
             )
             bits.append(f"{coef}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def product(table: VarTable, factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    out = LaurentPoly.one(table)
-    for f in factors:
-        out = out * f
-    return out

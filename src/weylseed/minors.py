@@ -43,10 +43,13 @@ def x_product(
 
 
 def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Laplace expansion along the first row, skipping zero entries.
+
+    The unitriangular minors are sparse enough that this beat fraction-free
+    (Bareiss) elimination at every size measured, up to 6 on A6.
+    """
     size = len(rows)
     table = rows[0][0].vars
-    if size == 0:
-        return LaurentPoly.one(table)
     if size == 1:
         return rows[0][0]
     acc = LaurentPoly.zero(table)
@@ -61,29 +64,6 @@ def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return acc
 
 
-def _det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free elimination; every division is exact by construction."""
-    size = len(rows)
-    table = rows[0][0].vars
-    a = [row[:] for row in rows]
-    prev = LaurentPoly.one(table)
-    sign = 1
-    for k in range(size - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if pivot is None:
-                return LaurentPoly.zero(table)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = LaurentPoly.zero(table)
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
 def minor(
     matrix: Sequence[Sequence[LaurentPoly]],
     row_set: Sequence[int],
@@ -95,9 +75,7 @@ def minor(
     rows = [[matrix[i - 1][j - 1] for j in sorted(col_set)] for i in sorted(row_set)]
     if len(rows) == 0:
         return LaurentPoly.one(matrix[0][0].vars)
-    if len(rows) < 5:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    return _det_cofactor(rows)
 
 
 def minor_spec_for_Vk(word: ReducedWord, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

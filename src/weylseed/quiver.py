@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cartan import QuiverOrientation, ReducedWord
+from .cartan import QuiverOrientation, ReducedWord, _is_int
 from .errors import (
     FrozenIndexError,
     LinearAnCaveatError,
@@ -222,10 +222,6 @@ class ExchangeMatrix:
         return ExchangeMatrix(r, mutable, rows)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices."""
     mult = quiver.arrow_multiset()
@@ -412,8 +408,6 @@ def _is_linear_type_a(orientation: QuiverOrientation) -> bool:
     cartan = orientation.cartan
     if not cartan.is_type_a():
         return False
-    sources = {s for s, _, _ in orientation.arrows}
-    targets = {t for _, t, _ in orientation.arrows}
     # linearly oriented: every inner vertex has one in- and one out-arrow
     # along the path, i.e. arrows all point the same way along 1-2-...-n
     ups = all((i, i + 1, 1) in orientation.arrows for i in range(1, cartan.n))

@@ -7,6 +7,7 @@ shuffle product.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import CartanMatrix, ReducedWord, Weight, b_vector, fundamental_weight
@@ -94,12 +95,6 @@ class WordSum:
 
     def sorted_terms(self) -> list[tuple[Word, int]]:
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def content_components(self, n: int) -> dict[tuple[int, ...], "WordSum"]:
-        comps: dict[tuple[int, ...], dict[Word, int]] = {}
-        for w, c in self.terms.items():
-            comps.setdefault(letter_content(w, n), {})[w] = c
-        return {k: WordSum(v) for k, v in comps.items()}
 
     def to_json(self) -> dict:
         return {
@@ -199,23 +194,19 @@ def lowering_monomial(
     cartan: CartanMatrix,
     lam: Weight,
     letters_with_powers: Sequence[tuple[int, int]],
-    start: WordSum | None = None,
 ) -> WordSum:
-    """Apply a product of divided powers of lowering operators to a word sum.
+    """Apply a product of divided powers of lowering operators to the empty word.
 
     ``letters_with_powers`` is read left to right as the operator product, so
     the last pair acts first.  Divided powers are computed as iterated
     applications followed by one exact division by the product of factorials.
     """
-    acc = start if start is not None else WordSum.unit()
+    acc = WordSum.unit()
     denom = 1
     for letter, power in reversed(list(letters_with_powers)):
         for _ in range(power):
             acc = rho_f(cartan, lam, letter, acc)
-        f = 1
-        for m in range(2, power + 1):
-            f *= m
-        denom *= f
+        denom *= math.factorial(power)
     return acc.exact_div_int(denom) if denom > 1 else acc
 
 
@@ -262,13 +253,6 @@ def _decompositions(u: Word, pattern: Sequence[int]) -> Iterable[tuple[int, ...]
     yield from rec(0, 0, [])
 
 
-def _factorial(m: int) -> int:
-    f = 1
-    for x in range(2, m + 1):
-        f *= x
-    return f
-
-
 def phi_eval(
     g: WordSum,
     pattern: Sequence[int],
@@ -294,7 +278,7 @@ def phi_eval(
         for a in _decompositions(u, pattern):
             denom = 1
             for m in a:
-                denom *= _factorial(m)
+                denom *= math.factorial(m)
             if coef % denom:
                 raise NonIntegralCoefficientError(
                     f"coefficient {coef} of word {list(u)} not divisible by {denom}"

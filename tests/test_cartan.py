@@ -10,7 +10,6 @@ from weylseed.cartan import (
     ReducedWord,
     Weight,
     b_vector,
-    beta_sequence,
     dim_V,
     euler_form,
     fundamental_weight,
@@ -106,7 +105,7 @@ def test_beta_sequence_star(star4):
 
 
 def test_beta_sequence_single_letter(a2):
-    assert beta_sequence(ReducedWord(a2, (2,))) == ((0, 1),)
+    assert ReducedWord(a2, (2,)).betas == ((0, 1),)
 
 
 def test_beta_sequence_wild(word_wild10):

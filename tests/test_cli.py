@@ -131,6 +131,14 @@ def test_dimvec_commands(capsys):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["labels"][3] == [0, 2, 0, 0, 0, 0, 1]
+    # a longer path needs the exchange matrix mutated between the steps
+    doc["path"] = [4, 1, 2, 4, 1]
+    code, out = run(capsys, "dimvec", "--inline", json.dumps(doc))
+    parsed = json.loads(out)
+    assert code == 0 and parsed["sides"] == ["in", "in", "in", "in", "out"]
+    assert parsed["labels"][0] == [1, 6, 6, 11, 22, 16, 36]
+    code, out = run(capsys, "delta-dimvec", "--inline", json.dumps(doc))
+    assert code == 0 and json.loads(out)["labels"][0] == [1, 4, 0, 0, 0, 0, 3]
 
 
 def test_mu_i_plan_only_e8(capsys):
@@ -256,3 +264,60 @@ def test_output_file(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_path.read_text())["quiver"]["vertices"] == 7
+
+
+def test_malformed_json_exits_2(capsys):
+    for text in ("{bad", "[1, 2]", '"word"'):
+        code = main(["gamma", "--inline", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_negative_depth_rejected(capsys):
+    for command in ("walk", "mu-i"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--inline", json.dumps(GAMMA7), "--depth", "-5"])
+        assert exc.value.code == 2
+        assert "-5 is negative" in capsys.readouterr().err
+
+
+def test_commands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ["gamma", "--inline", json.dumps(GAMMA7), "--depth", "3"],
+        ["walk", "--inline", json.dumps(GAMMA7), "--mode", "frozen"],
+        ["selftest", "--inline", "{}"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run(capsys, "walk", "--inline", json.dumps(GAMMA7))
+    assert code == 0 and json.loads(out)["steps"] == 6
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("gamma", {"rank": 3, "edges": [[1, 2, 1.5]], "word": [1]}),
+        ("gamma", {"rank": 2, "edges": [[1, 2, True]], "word": [1]}),
+        ("gamma", {"rank": 2, "edges": [[1, "2"]], "word": [1]}),
+        ("gamma", {"rank": 2, "edges": [[1, 2, 1, 1]], "word": [1]}),
+        ("gamma", {"rank": 2, "edges": 3, "word": [1]}),
+        ("gamma", {"rank": 2, "edges": [[1, 2, 1]], "word": "121"}),
+        ("gamma", {"rank": 2, "edges": [[1, 2, 1]], "word": [True, 2]}),
+        ("gamma", {"rank": 2, "edges": [[1, 2, 1]], "word": [1.0, 2]}),
+        ("gamma", {"rank": 2.0, "edges": [], "word": [1]}),
+        ("gamma", {"rank": True, "edges": [], "word": [1]}),
+        ("gamma", {"rank": "2", "edges": [], "word": [1]}),
+        ("gamma", {"rank": -1, "edges": [], "word": []}),
+        ("acyclic", {"rank": 2, "arrows": [[1, 2, 1.5]]}),
+        ("acyclic", {"rank": 2, "arrows": [[True, 2]]}),
+        ("acyclic", {"rank": -2, "arrows": []}),
+    ],
+)
+def test_non_integer_input_exits_2(capsys, command, doc):
+    code = main([command, "--inline", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -190,9 +190,10 @@ def test_mutation_involution(word_mut7):
     matrix = b_matrix(gamma_i(word_mut7))
     labels = initial_dimvec_labels(tables)
     once = mutate_dimvec(matrix, labels, 4)
-    back = mutate_dimvec(once.matrix, once.labels, 4)
+    mutated = matrix.mutate(4)
+    back = mutate_dimvec(mutated, once.labels, 4)
     assert back.labels == labels
-    assert back.matrix == matrix
+    assert mutated.mutate(4) == matrix
 
 
 def test_two_path_consistency_random_walks():
@@ -220,7 +221,7 @@ def test_two_path_consistency_random_walks():
             ma = mutate_delta_dimvec(matrix, deltas, k, tables.d_delta)
             assert md.dominated
             assert tables.dimvec_of_delta(ma.new_label) == md.new_label
-            matrix, dims, deltas = md.matrix, md.labels, ma.labels
+            matrix, dims, deltas = matrix.mutate(k), md.labels, ma.labels
             last = k
 
 

@@ -6,6 +6,7 @@ from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V
 from weylseed.errors import StarUndefinedError, ValidationError
 from weylseed.intervals import (
+    UNIT,
     IntervalLabel,
     PBWExpander,
     expected_final_label,
@@ -16,7 +17,6 @@ from weylseed.intervals import (
     run_mu_i,
     shift_sequence,
     star,
-    unit_label,
     verify_identity,
 )
 from weylseed.laurent import LaurentPoly
@@ -102,7 +102,7 @@ def test_run_mu_i_empty_plan(a4):
 
 
 def test_final_label_layout(word_a4_shift):
-    report = run_mu_i(word_a4_shift, with_seed=False)
+    report = run_mu_i(word_a4_shift, max_seed_steps=0)
     as_pairs = {(lab.b, lab.a) for lab in report.final_labels}
     expected = {
         (word_a4_shift.k_max(k), k) for k in range(1, word_a4_shift.r + 1)
@@ -168,7 +168,7 @@ def test_e8_combinatorial_pass():
     """The whole 840-step chain reversal on E8 (8,...,1)^15, no Laurent part."""
     edges = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
     word = ReducedWord(CartanMatrix.from_edges(8, edges), tuple(range(8, 0, -1)) * 15)
-    report = run_mu_i(word, with_seed=False)
+    report = run_mu_i(word, max_seed_steps=0)
     assert report.steps_checked == 840
     assert report.final_labels_expected(word)
     assert report.final_chains_reversed(word)
@@ -242,7 +242,7 @@ def test_pbw_goldens(word_pbw6):
         return LaurentPoly(t, {tuple(e): coef})
 
     assert exp.expand(IntervalLabel(3, 3)) == mono(1, (3, 1))
-    assert exp.expand(unit_label()).is_one()
+    assert exp.expand(UNIT).is_one()
     assert exp.expand_initial(4) == mono(1, (1, 1), (4, 1)) - mono(1, (3, 1))
     assert exp.expand_initial(5) == mono(1, (2, 1), (5, 1)) - mono(1, (3, 1))
     assert exp.expand_initial(6) == mono(1, (3, 1), (6, 1)) - mono(

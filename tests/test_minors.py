@@ -7,7 +7,6 @@ from weylseed.cartan import CartanMatrix, ReducedWord
 from weylseed.errors import NotTypeAError
 from weylseed.laurent import LaurentPoly, VarTable
 from weylseed.minors import (
-    _det_bareiss,
     _det_cofactor,
     cross_validate,
     minor,
@@ -19,6 +18,32 @@ from weylseed.minors import (
 def a4_word():
     c = CartanMatrix.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     return ReducedWord(c, (3, 4, 2, 1, 3, 4, 2, 1))
+
+
+A6_LONGEST = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 1)
+
+
+def det_bareiss(rows):
+    """Fraction-free elimination; every division is exact by construction."""
+    size = len(rows)
+    table = rows[0][0].vars
+    a = [row[:] for row in rows]
+    prev = LaurentPoly.one(table)
+    sign = 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return LaurentPoly.zero(table)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
+            a[i][k] = LaurentPoly.zero(table)
+        prev = a[k][k]
+    det = a[size - 1][size - 1]
+    return det if sign == 1 else -det
 
 
 def t_table(r):
@@ -131,7 +156,21 @@ def test_bareiss_agrees_with_cofactor():
             ]
             for _ in range(size)
         ]
-        assert _det_bareiss([r[:] for r in rows]) == _det_cofactor(rows)
+        assert det_bareiss(rows) == _det_cofactor(rows)
+    # the A6 minors of sizes 5 and 6 on the longest word
+    a6 = ReducedWord(
+        CartanMatrix.from_edges(6, [(i, i + 1, 1) for i in range(1, 6)]), A6_LONGEST
+    )
+    table = t_table(a6.r)
+    mat = x_product(6, a6.printed, table.names, table)
+    sizes = set()
+    for k in range(1, a6.r + 1):
+        rows, cols = minor_spec_for_Vk(a6, k)
+        if len(rows) >= 5:
+            sub = [[mat[i - 1][j - 1] for j in cols] for i in rows]
+            assert det_bareiss(sub) == _det_cofactor(sub) == minor(mat, rows, cols)
+            sizes.add(len(rows))
+    assert sizes == {5, 6}
 
 
 def test_unitriangular_degree_bound():

@@ -273,7 +273,7 @@ def test_exchange_homogeneous(word_gamma7):
 
 def test_g_vector_initial(word_mut7):
     tables = hom_tables(word_mut7)
-    cartan_bi = [list(row) for row in tables.cartan_matrix()]
+    cartan_bi = [list(row) for row in tables.VV]
     r = word_mut7.r
     for k in range(1, r + 1):
         d = tables.projective_column(k)
