@@ -4,6 +4,7 @@ Conventions used throughout the package:
 
 * vertices / letters are 1-based,
 * a root is a plain tuple of ints in simple-root coordinates,
+* a weight is the tuple of its pairings with the simple coroots,
 * a word is stored in printed order ``(i_r, ..., i_1)``; position ``k``
   counts from 1 at the *rightmost* letter, so ``letter(1) == i_1``.
 """
@@ -20,6 +21,8 @@ from .errors import (
 )
 
 Root = tuple[int, ...]
+# A weight lam as its coroot pairings (lam(alpha_1^vee), ..., lam(alpha_n^vee)).
+Weight = tuple[int, ...]
 
 
 def _is_int(x) -> bool:
@@ -126,47 +129,18 @@ def root_height(d: Root) -> int:
     return sum(d)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Integral weight written as sum f_j w_j plus a root-lattice correction.
-
-    Only the pairing with the simple coroots is ever needed, so the
-    imaginary fundamental directions are not represented.
-    """
-
-    fund: tuple[int, ...]
-    alpha: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.fund) != len(self.alpha):
-            raise ValidationError("weight coordinate lengths differ")
-
-    @property
-    def n(self) -> int:
-        return len(self.fund)
-
-    def pair_coroot(self, cartan: CartanMatrix, i: int) -> int:
-        """Evaluate the weight on alpha_i^vee."""
-        return self.fund[i - 1] + root_pairing(cartan, self.alpha, i)
-
-    def is_dominant(self, cartan: CartanMatrix) -> bool:
-        return all(self.pair_coroot(cartan, i) >= 0 for i in range(1, self.n + 1))
-
-
 def fundamental_weight(n: int, j: int) -> Weight:
     if not 1 <= j <= n:
         raise ValidationError(f"fundamental weight index {j} out of range")
-    return Weight(tuple(1 if i == j - 1 else 0 for i in range(n)), (0,) * n)
+    return tuple(1 if i == j - 1 else 0 for i in range(n))
 
 
 def reflect_weight(cartan: CartanMatrix, i: int, lam: Weight) -> Weight:
-    """s_i(lam) = lam - lam(alpha_i^vee) alpha_i; only the alpha part moves."""
+    """s_i(lam) = lam - lam(alpha_i^vee) alpha_i: h -> h - h_i * (row i of C)."""
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range 1..{cartan.n}")
-    coef = lam.pair_coroot(cartan, i)
-    out = list(lam.alpha)
-    out[i - 1] -= coef
-    return Weight(lam.fund, tuple(out))
+    coef = lam[i - 1]
+    return tuple(h - coef * c for h, c in zip(lam, cartan.rows[i - 1]))
 
 
 def _beta_list(cartan: CartanMatrix, positions: Sequence[int]) -> list[Root]:
@@ -347,48 +321,45 @@ def positive_roots_upto(cartan: CartanMatrix, height: int) -> frozenset[Root]:
 
 
 def is_bracket_closed(
-    cartan: CartanMatrix,
-    roots: Iterable[Root],
-    ambient=None,
-    height: int = 64,
+    cartan: CartanMatrix, roots: Iterable[Root], height: int = 64
 ) -> bool:
-    """Check closure under addition inside the ambient positive root set.
+    """Check closure under addition inside the positive roots up to ``height``.
 
-    ``ambient`` is a membership predicate; by default the precomputed set of
-    positive roots up to the height bound is used.  Sums reaching beyond the
-    bound are an error since membership cannot be decided.
+    Sums reaching beyond the bound are an error since membership cannot be
+    decided.
     """
     roots = list(roots)
     for d in roots:
         if not is_positive_root_vector(d):
             raise ValidationError(f"{d} is not a positive root vector")
-    if ambient is None:
-        table = positive_roots_upto(cartan, height)
-
-        def ambient(v: Root, _t=table) -> bool:
-            if root_height(v) > height:
-                raise HeightBoundExceededError(
-                    f"root height {root_height(v)} exceeds bound {height}"
-                )
-            return v in _t
-
+    table = positive_roots_upto(cartan, height)
     members = set(roots)
     for a in roots:
         for b in roots:
             s = tuple(x + y for x, y in zip(a, b))
-            if ambient(s) and s not in members:
+            if root_height(s) > height:
+                raise HeightBoundExceededError(
+                    f"root height {root_height(s)} exceeds bound {height}"
+                )
+            if s in table and s not in members:
                 return False
     return True
 
 
 def dim_V(word: ReducedWord, k: int) -> Root:
-    """w_{i_k} - s_{i_1}...s_{i_k}(w_{i_k}) as a root-lattice vector."""
+    """w_{i_k} - s_{i_1}...s_{i_k}(w_{i_k}) as a root-lattice vector.
+
+    That is the sum of beta(k') over the positions k' <= k of the chain of k.
+    """
     if not 1 <= k <= word.r:
         raise ValidationError(f"position {k} out of range")
-    lam = fundamental_weight(word.cartan.n, word.letter(k))
-    for j in range(k, 0, -1):
-        lam = reflect_weight(word.cartan, word.letter(j), lam)
-    return tuple(-a for a in lam.alpha)
+    out = [0] * word.cartan.n
+    for s in word.chain(word.letter(k)):
+        if s > k:
+            break
+        for a, x in enumerate(word.betas[s - 1]):
+            out[a] += x
+    return tuple(out)
 
 
 def b_vector(word: ReducedWord, lam: Weight) -> tuple[int, ...]:
@@ -397,12 +368,12 @@ def b_vector(word: ReducedWord, lam: Weight) -> tuple[int, ...]:
     Requires lam dominant; entries are then nonnegative.
     """
     cartan = word.cartan
-    if not lam.is_dominant(cartan):
+    if any(h < 0 for h in lam):
         raise NonDominantError(f"{lam} is not dominant")
     out = [0] * word.r
     current = lam  # s_{i_{k+1}} ... s_{i_r}(lam), from k = r down to 1
     for k in range(word.r, 0, -1):
-        out[k - 1] = current.pair_coroot(cartan, word.letter(k))
+        out[k - 1] = current[word.letter(k) - 1]
         current = reflect_weight(cartan, word.letter(k), current)
     return tuple(out)
 

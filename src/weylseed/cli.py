@@ -12,7 +12,7 @@ import sys
 from typing import Any
 
 from . import acceptance
-from .cartan import CartanMatrix, QuiverOrientation, ReducedWord
+from .cartan import CartanMatrix, QuiverOrientation, ReducedWord, _is_int
 from .errors import EngineError, ValidationError, WeylseedError
 from .homdata import (
     hom_tables,
@@ -58,7 +58,9 @@ def _load_doc(args) -> dict:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read input: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes or nesting
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("input document must be a JSON object")
@@ -71,6 +73,13 @@ def _word_from_doc(doc: dict) -> ReducedWord:
         return ReducedWord(cartan, doc["word"])
     except KeyError as exc:
         raise ValidationError(f"missing input field {exc}") from exc
+
+
+def _int_list(value, what: str, lo: int, hi: int) -> list[int]:
+    """``value`` if it is a list of ints in lo..hi; a ValidationError otherwise."""
+    if not (isinstance(value, list) and all(_is_int(x) and lo <= x <= hi for x in value)):
+        raise ValidationError(f"{what} must be a list of integers in {lo}..{hi}, got {value!r}")
+    return value
 
 
 def _cluster_json(seed: Seed, mode: str) -> list:
@@ -90,7 +99,7 @@ def cmd_mutate(args) -> dict:
         seed = Seed.initial(ExchangeMatrix.from_json(doc["matrix"]))
     else:
         seed = Seed.from_word(_word_from_doc(doc))
-    seed = seed.mutate_path(doc.get("path", []))
+    seed = seed.mutate_path(_int_list(doc.get("path", []), "path", 1, seed.matrix.r))
     return {
         "matrix": seed.matrix.to_json(),
         "cluster": _cluster_json(seed, args.mode),
@@ -139,7 +148,7 @@ def cmd_dimvec(args) -> dict:
     matrix = b_matrix(gamma_i(word))
     labels = initial_dimvec_labels(tables)
     picks = []
-    for k in doc.get("path", []):
+    for k in _int_list(doc.get("path", []), "path", 1, word.r):
         move = mutate_dimvec(matrix, labels, k)
         matrix, labels = matrix.mutate(k), move.labels
         picks.append("in" if move.picked_in_side else "out")
@@ -157,7 +166,7 @@ def cmd_delta_dimvec(args) -> dict:
     matrix = b_matrix(gamma_i(word))
     labels = initial_delta_labels(word)
     picks = []
-    for k in doc.get("path", []):
+    for k in _int_list(doc.get("path", []), "path", 1, word.r):
         move = mutate_delta_dimvec(matrix, labels, k, tables.d_delta)
         matrix, labels = matrix.mutate(k), move.labels
         picks.append("in" if move.picked_in_side else "out")
@@ -171,26 +180,31 @@ def cmd_delta_dimvec(args) -> dict:
 def cmd_mu_i(args) -> dict:
     doc = _load_doc(args)
     word = _word_from_doc(doc)
-    plan = mu_i_plan(word)
-    out = {"plan": plan.to_json()}
-    if not args.plan_only:
-        report = run_mu_i(word, max_seed_steps=args.depth)
-        out["report"] = {
+    if args.plan_only:
+        return {"plan": mu_i_plan(word).to_json()}
+    report = run_mu_i(word, max_seed_steps=args.depth)
+    return {
+        "plan": report.plan.to_json(),
+        "report": {
             "steps_checked": report.steps_checked,
             "final_labels": [[lab.b, lab.a] for lab in report.final_labels],
             "final_labels_ok": report.final_labels_expected(word),
             "chains_reversed": report.final_chains_reversed(word),
-        }
-    return out
+        },
+    }
 
 
 def cmd_identities(args) -> dict:
     doc = _load_doc(args)
     word = _word_from_doc(doc)
-    pairs = doc.get("pairs")
-    if pairs is None:
-        plan = mu_i_plan(word)
-        pairs = [[step.group, step.before.b] for step in plan.steps]
+    if "pairs" in doc:
+        pairs = doc["pairs"]
+        if not isinstance(pairs, list) or any(
+            len(_int_list(pair, "pair", 1, word.r)) != 2 for pair in pairs
+        ):
+            raise ValidationError(f"pairs must be a list of [k, s] pairs, got {pairs!r}")
+    else:
+        pairs = [[step.group, step.before.b] for step in mu_i_plan(word).steps]
     if not pairs:
         return {"identities": []}
     cutoff = max(identity_step(word, k, s) for k, s in pairs)
@@ -202,32 +216,33 @@ def cmd_pbw(args) -> dict:
     doc = _load_doc(args)
     word = _word_from_doc(doc)
     expander = PBWExpander(word)
-    targets = doc.get("targets")
+    targets = doc.get("targets", [["V", k] for k in range(1, word.r + 1)])
+    if not isinstance(targets, list):
+        raise ValidationError(f"targets must be a list, got {targets!r}")
     results = []
-    if targets is None:
-        targets = [["V", k] for k in range(1, word.r + 1)]
     for target in targets:
-        kind = target[0]
-        if kind == "V":
-            poly = expander.expand_initial(target[1])
-        elif kind == "M":
-            poly = expander.expand(IntervalLabel(target[1], target[2]))
-        elif kind == "laurent":
-            poly = expander.expand_laurent(
-                LaurentPoly.from_json(target[1])
-            )
+        kind, *rest = target if isinstance(target, list) and target else [None]
+        if kind == "V" and len(_int_list(rest, "V target", 1, word.r)) == 1:
+            poly = expander.expand_initial(rest[0])
+        elif kind == "M" and len(_int_list(rest, "M target", 0, word.r + 1)) == 2:
+            poly = expander.expand(IntervalLabel(*rest))
+        elif kind == "laurent" and len(rest) == 1:
+            poly = expander.expand_laurent(LaurentPoly.from_json(rest[0]))
         else:
             raise ValidationError(f"unknown expansion target {target!r}")
         results.append({"target": target, "poly": poly.to_json()})
     return {"expansions": results}
 
 
+def _positions(doc: dict, word: ReducedWord) -> list[int]:
+    return _int_list(doc.get("positions", list(range(1, word.r + 1))), "positions", 1, word.r)
+
+
 def cmd_euler_gen(args) -> dict:
     doc = _load_doc(args)
     word = _word_from_doc(doc)
-    ks = doc.get("positions", list(range(1, word.r + 1)))
     out = []
-    for k in ks:
+    for k in _positions(doc, word):
         g = g_V(word, k)
         out.append(
             {"k": k, "words": g.word_count(), "sum": g.to_json()}
@@ -238,12 +253,19 @@ def cmd_euler_gen(args) -> dict:
 def cmd_phi_eval(args) -> dict:
     doc = _load_doc(args)
     word = _word_from_doc(doc)
-    pattern = doc.get("pattern", list(word.printed))
-    names = doc.get(
-        "vars", [f"t{q}" for q in range(len(pattern), 0, -1)]
-    )
+    pattern = _int_list(doc.get("pattern", list(word.printed)), "pattern", 1, word.cartan.n)
+    names = doc.get("vars", [f"t{q}" for q in range(len(pattern), 0, -1)])
+    if not (
+        isinstance(names, list)
+        and len(names) == len(pattern)
+        and all(isinstance(name, str) for name in names)
+        and len(set(names)) == len(names)
+    ):
+        raise ValidationError(
+            f"vars must be {len(pattern)} distinct names, one per pattern letter, got {names!r}"
+        )
     out = []
-    for k in doc.get("positions", list(range(1, word.r + 1))):
+    for k in _positions(doc, word):
         val = phi_eval(g_V(word, k), pattern, names)
         out.append({"k": k, "value": val.to_json()})
     return {"pattern": pattern, "values": out}
@@ -364,7 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = COMMANDS[args.command](args)
+        text = _dump(COMMANDS[args.command](args))
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write output: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,12 +402,6 @@ def main(argv=None) -> int:
         diag = {"error": type(exc).__name__, "detail": str(exc)}
         print(_dump(diag), file=sys.stderr, end="")
         return 3
-    text = _dump(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

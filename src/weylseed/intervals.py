@@ -339,27 +339,23 @@ def verify_identity(
     word: ReducedWord,
     k: int,
     s: int,
-    label_values: Mapping[IntervalLabel, LaurentPoly] | None = None,
+    label_values: Mapping[IntervalLabel, LaurentPoly],
 ) -> dict:
     """Instantiate one exchange identity in the Laurent ring and check it.
 
-    Both sides are formed from the cluster expressions of the interval
-    labels collected along the chain-reversal pass; the pass is run
-    symbolically only as far as this identity needs.
+    Both sides are formed from ``label_values``, the cluster expressions of
+    the interval labels collected along the chain-reversal pass (run it
+    symbolically up to ``identity_step(word, k, s)`` at least).
     """
-    thevalues = label_values
-    if thevalues is None:
-        cutoff = identity_step(word, k, s)
-        thevalues = run_mu_i(word, max_seed_steps=cutoff).label_values
     lhs_pair, rhs_pair, factors = identity_sides(word, k, s)
-    table = next(iter(thevalues.values())).vars
+    table = next(iter(label_values.values())).vars
 
     def value(lab: IntervalLabel) -> LaurentPoly:
         if lab.is_unit:
             return LaurentPoly.one(table)
-        if lab not in thevalues:
+        if lab not in label_values:
             raise ValidationError(f"label {lab} was not produced by the pass")
-        return thevalues[lab]
+        return label_values[lab]
 
     lhs = value(lhs_pair[0]) * value(lhs_pair[1])
     rhs1 = value(rhs_pair[0]) * value(rhs_pair[1])
@@ -450,4 +446,4 @@ class PBWExpander:
         images = {
             f"y{k}": self.expand_initial(k) for k in range(1, self.word.r + 1)
         }
-        return expr.substitute(images, rational=True)
+        return expr.substitute(images)

@@ -33,6 +33,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 from typing import Mapping, Sequence
 
+from .cartan import _is_int
 from .errors import (
     NonUnitNegativePowerError,
     NotDivisibleError,
@@ -317,50 +318,26 @@ class LaurentPoly:
 
     # -- substitution and grading ---------------------------------------
 
-    def substitute(
-        self,
-        images: Mapping[str, "LaurentPoly"],
-        rational: bool = False,
-    ) -> "LaurentPoly":
-        """Replace variables by polynomial images, exactly.
+    def substitute(self, images: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
+        """Replace variables by Laurent polynomial images, exactly.
 
-        Variables occurring with negative exponents must map to single-term
-        unit-coefficient images unless ``rational`` is set, in which case the
-        substituted value is computed as an exact quotient and must come out
-        polynomial (NotPolynomialAfterSubstitutionError otherwise).
+        Every variable that occurs needs an image.  Negative exponents are
+        cleared by multiplying through with the matching image powers, and
+        the value is the exact quotient of the two sides; when there is none
+        this raises NotPolynomialAfterSubstitutionError.
         """
         if not self.terms:
             return self
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
             raise VarTableMismatchError("images use different variable tables")
+        cols = list(zip(*self.terms))
+        for name, col in zip(self.vars.names, cols):
+            if any(col) and name not in images:
+                raise ValidationError(f"no image for variable {name}")
+        img_list = [images.get(name) for name in self.vars.names]
+        shifts = [max(0, -min(col)) for col in cols]
         target = tables.pop() if tables else self.vars
-        width = len(self.vars)
-        mins = self.min_exponents()
-        img_list: list[LaurentPoly | None] = [None] * width
-        for i, name in enumerate(self.vars.names):
-            img = images.get(name)
-            if img is None and any(e[i] for e in self.terms):
-                # identity image requires the variable to exist in the target
-                if name not in target._index:
-                    raise ValidationError(f"no image for variable {name}")
-                img = LaurentPoly.var(target, name)
-            img_list[i] = img
-        shifts = [0] * width
-        for i, mn in enumerate(mins):
-            if mn < 0:
-                img = img_list[i]
-                assert img is not None
-                if img.is_monomial():
-                    ((_, coef),) = img.terms.items()
-                    if coef * coef == 1:
-                        continue  # invertible image, inverted term by term
-                if not rational:
-                    raise NonUnitNegativePowerError(
-                        f"variable {self.vars.names[i]} has negative exponents and a "
-                        "non-unit image; use rational mode"
-                    )
-                shifts[i] = -mn
         powers: dict[tuple[int, int], LaurentPoly] = {}
         acc: dict[tuple[int, ...], int] = {}
         unit = (0,) * len(target)
@@ -372,9 +349,7 @@ class LaurentPoly:
                     continue
                 power = powers.get((i, e))
                 if power is None:
-                    img = img_list[i]
-                    assert img is not None
-                    power = powers[i, e] = img**e
+                    power = powers[i, e] = img_list[i] ** e
                 term = power if term is None else term * power
             if term is None:
                 acc[unit] = acc.get(unit, 0) + coef
@@ -382,14 +357,12 @@ class LaurentPoly:
             for e, c in term.terms.items():
                 acc[e] = acc.get(e, 0) + coef * c
         numerator = LaurentPoly(target, acc)
-        denominator = LaurentPoly.one(target)
-        for i, s in enumerate(shifts):
-            if s:
-                img = img_list[i]
-                assert img is not None
-                denominator = denominator * img**s
-        if denominator.is_one():
+        if not any(shifts):
             return numerator
+        denominator = LaurentPoly.one(target)
+        for img, s in zip(img_list, shifts):
+            if s:
+                denominator = denominator * img**s
         if not denominator:
             raise NotPolynomialAfterSubstitutionError(
                 "an inverted variable has the zero polynomial as image"
@@ -432,11 +405,33 @@ class LaurentPoly:
         }
 
     @staticmethod
-    def from_json(doc: Mapping, table: VarTable | None = None) -> "LaurentPoly":
-        t = table or VarTable(doc["vars"])
-        return LaurentPoly(
-            t, {tuple(item["exp"]): int(item["coef"]) for item in doc["terms"]}
-        )
+    def from_json(doc: Mapping) -> "LaurentPoly":
+        """Build from ``to_json`` output; any malformed document is a ValidationError."""
+        if not (
+            isinstance(doc, Mapping)
+            and isinstance(doc.get("vars"), list)
+            and all(isinstance(name, str) for name in doc["vars"])
+            and isinstance(doc.get("terms"), list)
+        ):
+            raise ValidationError("Laurent polynomial needs 'vars' (names) and 'terms' lists")
+        table = VarTable(doc["vars"])
+        terms = {}
+        for item in doc["terms"]:
+            exp = item.get("exp") if isinstance(item, Mapping) else None
+            coef = item.get("coef") if isinstance(item, Mapping) else None
+            try:
+                coef = int(coef) if isinstance(coef, str) else coef
+            except ValueError:
+                coef = None
+            if not (
+                isinstance(exp, list)
+                and len(exp) == len(table)
+                and all(_is_int(e) for e in exp)
+                and _is_int(coef)
+            ):
+                raise ValidationError(f"bad Laurent term {item!r}")
+            terms[tuple(exp)] = coef
+        return LaurentPoly(table, terms)
 
     def __repr__(self) -> str:  # pragma: no cover
         if not self.terms:

@@ -316,9 +316,11 @@ class Seed:
         if not self.cluster:
             return ()
         table = self.table
+        one = LaurentPoly.one(table)
+        frozen = self.matrix.frozen
         images = {
-            table.names[v - 1]: LaurentPoly.one(table)
-            for v in self.matrix.frozen
+            name: one if v in frozen else LaurentPoly.var(table, name)
+            for v, name in enumerate(table.names, start=1)
         }
         return tuple(x.substitute(images) for x in self.cluster)
 

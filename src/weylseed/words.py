@@ -149,8 +149,8 @@ def shuffle(a: WordSum, b: WordSum) -> WordSum:
     return WordSum(out)
 
 
-def rho_e(cartan: CartanMatrix, lam: Weight, i: int, u: WordSum) -> WordSum:
-    """Raising operator: strips a trailing letter i."""
+def rho_e(cartan: CartanMatrix, i: int, u: WordSum) -> WordSum:
+    """Raising operator: strips a trailing letter i (``cartan`` range-checks i)."""
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range")
     out: dict[Word, int] = {}
@@ -173,7 +173,7 @@ def rho_f(cartan: CartanMatrix, lam: Weight, i: int, u: WordSum) -> WordSum:
     """
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range")
-    base = lam.pair_coroot(cartan, i)
+    base = lam[i - 1]
     out: dict[Word, int] = {}
     for w, c in u.terms.items():
         weight = base
@@ -318,4 +318,4 @@ def euler_of_reachable(
         for k in range(1, word.r + 1)
         if f"y{k}" in used
     }
-    return expr.substitute(images, rational=True)
+    return expr.substitute(images)

@@ -321,3 +321,74 @@ def test_non_integer_input_exits_2(capsys, command, doc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+A2_WORD = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2, 1]}
+BAD_LAURENT = [
+    {},
+    {"vars": ["y1"]},
+    {"vars": "y1", "terms": []},
+    {"vars": [1], "terms": []},
+    {"vars": ["y1"], "terms": [{"exp": [1]}]},
+    {"vars": ["y1"], "terms": [{"exp": [1, 0], "coef": "1"}]},
+    {"vars": ["y1"], "terms": [{"exp": ["a"], "coef": "1"}]},
+    {"vars": ["y1"], "terms": [{"exp": [1], "coef": 1.5}]},
+    {"vars": ["y1"], "terms": [{"exp": [1], "coef": "x"}]},
+    {"vars": ["y1"], "terms": [[1]]},
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=[["a", 1]]))],
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=[[1]]))],
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=5))],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=["a"]))],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[4]))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, positions=["a"]))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, pattern="ab"))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, pattern=[1, 3]))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, pattern=[1, 2], vars=["a"]))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, pattern=[1, 2], vars=["a", "a"]))],
+        ["phi-eval", "--inline", json.dumps(dict(A2_WORD, pattern=[1, 2], vars=["a", 2]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["V", "a"]]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["M", 5]]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["M", 3, "1"]]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[[]]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets="V"))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["laurent", {}]]))],
+        *(
+            ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["laurent", bad]]))]
+            for bad in BAD_LAURENT
+        ),
+        ["mutate", "--inline", json.dumps(dict(A2_WORD, path=5))],
+        ["mutate", "--inline", json.dumps(dict(A2_WORD, path=[1.0]))],
+        ["dimvec", "--inline", json.dumps(dict(A2_WORD, path=[None]))],
+        ["delta-dimvec", "--inline", json.dumps(dict(A2_WORD, path="1"))],
+        ["gamma", "--input", "{tmp}/missing.json"],
+        ["gamma", "--inline", json.dumps(A2_WORD), "--output", "{tmp}/missing/out.json"],
+    ],
+)
+def test_malformed_fields_exit_2(capsys, tmp_path, argv):
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_selftest_command(capsys):
+    code, out = run(capsys, "selftest", "--seed", "7")
+    summary = json.loads(out)["selftest"]
+    assert code == 0 and len(summary) == 7 and all(summary.values())
+
+
+def test_document_on_stdin(capsys, monkeypatch):
+    import io
+
+    text = json.dumps(GAMMA7)
+    _, inline = run(capsys, "gamma", "--inline", text)
+    for argv in (["gamma"], ["gamma", "--input", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == inline

@@ -7,6 +7,7 @@ from weylseed.errors import (
     NonUnitNegativePowerError,
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
+    ValidationError,
     VarTableMismatchError,
 )
 from weylseed.laurent import LaurentPoly, VarTable
@@ -189,25 +190,25 @@ def test_exact_div_goldens():
 
 def test_substitute_identity_and_units():
     t = VarTable(("y1", "y2", "y3", "t1", "t2"))
+    y1, y2, y3 = (LaurentPoly.var(t, name) for name in ("y1", "y2", "y3"))
     p = LaurentPoly(t, {(1, -1, 0, 0, 0): 1})
-    assert p.substitute({"y2": LaurentPoly.var(t, "y2")}) == p
+    assert p.substitute({"y1": y1, "y2": y2}) == p
+    with pytest.raises(ValidationError):
+        p.substitute({"y2": y2})  # y1 occurs and has no image
     q = LaurentPoly(t, {(-1, 1, 0, 0, 0): 1, (-1, 0, 1, 0, 0): 1})
     image = LaurentPoly(t, {(0, 0, 0, 1, 1): 1})
-    out = q.substitute({"y1": image})
+    out = q.substitute({"y1": image, "y2": y2, "y3": y3})
     assert out == LaurentPoly(t, {(0, 1, 0, -1, -1): 1, (0, 0, 1, -1, -1): 1})
 
 
 def test_substitute_nonunit_requires_rational_mode():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
-    p = LaurentPoly(T2, {(-1, 0): 1})
-    with pytest.raises(NonUnitNegativePowerError):
-        p.substitute({"y1": y1 + y2})
     # (y1^2 + y1 y2)/y1 substituted through y1 -> y1 + y2 stays polynomial
     frac = LaurentPoly(T2, {(1, 0): 1, (0, 1): 1, (-1, 2): 1})  # y1 + y2 + y2^2/y1
-    out = frac.substitute({"y1": y2, "y2": y2}, rational=True)
+    out = frac.substitute({"y1": y2, "y2": y2})
     assert out == y2 + y2 + y2
     q = LaurentPoly(T2, {(-1, 0): 1}) * ((y1 + y2) ** 2)  # (y1 + y2)^2 / y1
-    res = q.substitute({"y1": (y1 + y2) ** 2, "y2": y2 * (y1 + y2)}, rational=True)
+    res = q.substitute({"y1": (y1 + y2) ** 2, "y2": y2 * (y1 + y2)})
     assert res == (y1 + y2) ** 2 + y2.scale(2) * (y1 + y2) + y2 * y2
 
 
@@ -215,7 +216,66 @@ def test_substitute_rational_failure():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
     p = LaurentPoly(T2, {(-1, 1): 1})  # y2 / y1
     with pytest.raises(NotPolynomialAfterSubstitutionError):
-        p.substitute({"y1": y1 + y2, "y2": y2}, rational=True)
+        p.substitute({"y1": y1 + y2, "y2": y2})
+
+
+def substitute_oracle(p, images):
+    """The former rational mode of ``substitute`` (an image for every variable).
+
+    Single-term images with coefficient +-1 are inverted term by term; the
+    negative exponents of every other image are cleared by one exact quotient.
+    """
+    if not p.terms:
+        return p
+    (target,) = {img.vars for img in images.values()}
+    img_list = [images[name] for name in p.vars.names]
+    shifts = [0] * len(p.vars)
+    for i, mn in enumerate(p.min_exponents()):
+        img = img_list[i]
+        unit = img.is_monomial() and next(iter(img.terms.values())) in (1, -1)
+        if mn < 0 and not unit:
+            shifts[i] = -mn
+    numerator = LaurentPoly.zero(target)
+    for exp, coef in p.terms.items():
+        term = LaurentPoly.const(target, coef)
+        for img, e, s in zip(img_list, exp, shifts):
+            if e + s:
+                term = term * img ** (e + s)
+        numerator = numerator + term
+    denominator = LaurentPoly.one(target)
+    for img, s in zip(img_list, shifts):
+        if s:
+            denominator = denominator * img**s
+    if denominator.is_one():
+        return numerator
+    if not denominator:
+        raise NotPolynomialAfterSubstitutionError("zero image inverted")
+    try:
+        return numerator.exact_div(denominator)
+    except NotDivisibleError as exc:
+        raise NotPolynomialAfterSubstitutionError("not a Laurent polynomial") from exc
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotPolynomialAfterSubstitutionError:
+        return "not a Laurent polynomial"
+
+
+unit_monomials = st.tuples(
+    st.tuples(*([st.integers(-2, 2)] * 3)), st.sampled_from([1, -1])
+).map(lambda ec: LaurentPoly(T3, {ec[0]: ec[1]}))
+images_t3 = st.one_of(small_polys(T3, -1, 2, 2), monomials(T3, -2, 2), unit_monomials)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys(T2, -2, 2, 3), images_t3, images_t3)
+def test_substitute_matches_rational_oracle(p, img1, img2):
+    """Random polynomials and images, unit monomials among them: one exact
+    quotient agrees with the former mode, or both find no Laurent value."""
+    images = {"y1": img1, "y2": img2}
+    assert _outcome(LaurentPoly.substitute, p, images) == _outcome(substitute_oracle, p, images)
 
 
 def test_multidegree():
