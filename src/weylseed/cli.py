@@ -30,7 +30,7 @@ from .intervals import (
     verify_identity,
 )
 from .laurent import LaurentPoly
-from .minors import cross_validate, minor_spec_for_Vk
+from .minors import cross_validate
 from .quiver import (
     ExchangeMatrix,
     Seed,
@@ -87,14 +87,13 @@ def _cluster_json(seed: Seed, mode: str) -> list:
     return [x.to_json() for x in cluster]
 
 
-def cmd_gamma(args) -> dict:
-    word = _word_from_doc(_load_doc(args))
+def cmd_gamma(doc, args) -> dict:
+    word = _word_from_doc(doc)
     quiver = gamma_i(word)
     return {"quiver": quiver.to_json(), "b_matrix": b_matrix(quiver).to_json()}
 
 
-def cmd_mutate(args) -> dict:
-    doc = _load_doc(args)
+def cmd_mutate(doc, args) -> dict:
     if "matrix" in doc:
         seed = Seed.initial(ExchangeMatrix.from_json(doc["matrix"]))
     else:
@@ -110,8 +109,7 @@ def cmd_mutate(args) -> dict:
     }
 
 
-def cmd_walk(args) -> dict:
-    doc = _load_doc(args)
+def cmd_walk(doc, args) -> dict:
     word = _word_from_doc(doc)
     rng = random.Random(args.seed)
     seed = Seed.from_word(word)
@@ -141,8 +139,7 @@ def cmd_walk(args) -> dict:
     }
 
 
-def cmd_dimvec(args) -> dict:
-    doc = _load_doc(args)
+def cmd_dimvec(doc, args) -> dict:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
     matrix = b_matrix(gamma_i(word))
@@ -159,8 +156,7 @@ def cmd_dimvec(args) -> dict:
     }
 
 
-def cmd_delta_dimvec(args) -> dict:
-    doc = _load_doc(args)
+def cmd_delta_dimvec(doc, args) -> dict:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
     matrix = b_matrix(gamma_i(word))
@@ -177,8 +173,7 @@ def cmd_delta_dimvec(args) -> dict:
     }
 
 
-def cmd_mu_i(args) -> dict:
-    doc = _load_doc(args)
+def cmd_mu_i(doc, args) -> dict:
     word = _word_from_doc(doc)
     if args.plan_only:
         return {"plan": mu_i_plan(word).to_json()}
@@ -194,8 +189,7 @@ def cmd_mu_i(args) -> dict:
     }
 
 
-def cmd_identities(args) -> dict:
-    doc = _load_doc(args)
+def cmd_identities(doc, args) -> dict:
     word = _word_from_doc(doc)
     if "pairs" in doc:
         pairs = doc["pairs"]
@@ -212,8 +206,7 @@ def cmd_identities(args) -> dict:
     return {"identities": [verify_identity(word, k, s, values) for k, s in pairs]}
 
 
-def cmd_pbw(args) -> dict:
-    doc = _load_doc(args)
+def cmd_pbw(doc, args) -> dict:
     word = _word_from_doc(doc)
     expander = PBWExpander(word)
     targets = doc.get("targets", [["V", k] for k in range(1, word.r + 1)])
@@ -238,8 +231,7 @@ def _positions(doc: dict, word: ReducedWord) -> list[int]:
     return _int_list(doc.get("positions", list(range(1, word.r + 1))), "positions", 1, word.r)
 
 
-def cmd_euler_gen(args) -> dict:
-    doc = _load_doc(args)
+def cmd_euler_gen(doc, args) -> dict:
     word = _word_from_doc(doc)
     out = []
     for k in _positions(doc, word):
@@ -250,8 +242,7 @@ def cmd_euler_gen(args) -> dict:
     return {"generating_functions": out}
 
 
-def cmd_phi_eval(args) -> dict:
-    doc = _load_doc(args)
+def cmd_phi_eval(doc, args) -> dict:
     word = _word_from_doc(doc)
     pattern = _int_list(doc.get("pattern", list(word.printed)), "pattern", 1, word.cartan.n)
     names = doc.get("vars", [f"t{q}" for q in range(len(pattern), 0, -1)])
@@ -271,27 +262,17 @@ def cmd_phi_eval(args) -> dict:
     return {"pattern": pattern, "values": out}
 
 
-def cmd_minor_check(args) -> dict:
-    doc = _load_doc(args)
-    word = _word_from_doc(doc)
-    out = []
-    for k in range(1, word.r + 1):
-        rows, cols = minor_spec_for_Vk(word, k)
-        val = cross_validate(word, k)
-        out.append(
-            {
-                "k": k,
-                "rows": list(rows),
-                "cols": list(cols),
-                "value": val.to_json(),
-                "ok": True,
-            }
-        )
-    return {"checks": out}
+def cmd_minor_check(doc, args) -> dict:
+    checks = cross_validate(_word_from_doc(doc))
+    return {
+        "checks": [
+            {"k": k, "rows": list(rows), "cols": list(cols), "value": val.to_json(), "ok": True}
+            for k, (rows, cols, val) in enumerate(checks, start=1)
+        ]
+    }
 
 
-def cmd_acyclic(args) -> dict:
-    doc = _load_doc(args)
+def cmd_acyclic(doc, args) -> dict:
     try:
         orientation = QuiverOrientation.from_arrows(doc["rank"], doc["arrows"])
     except KeyError as exc:
@@ -313,7 +294,7 @@ def cmd_acyclic(args) -> dict:
     return result
 
 
-def cmd_selftest(args) -> dict:
+def cmd_selftest(doc, args) -> dict:
     summary = acceptance.quick_selftest(seed=args.seed)
     if not all(summary.values()):
         raise EngineError(f"selftest failed: {summary}")
@@ -386,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = _dump(COMMANDS[args.command](args))
+        doc = None if args.command == "selftest" else _load_doc(args)
+        text = _dump(COMMANDS[args.command](doc, args))
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

@@ -31,12 +31,6 @@ class HomTables:
     VV: tuple[Vec, ...]
     d_delta: Vec
 
-    def delta_column(self, s: int) -> Vec:
-        return tuple(self.VM[k][s - 1] for k in range(len(self.VM)))
-
-    def projective_column(self, k: int) -> Vec:
-        return tuple(self.VV[i][k - 1] for i in range(len(self.VV)))
-
     def dimvec_of_delta(self, a: Sequence[int]) -> Vec:
         """Image of a filtration-multiplicity vector under the VM columns."""
         r = len(self.VM)
@@ -108,8 +102,7 @@ def ringel_form_delta(word: ReducedWord, k: int, s: int) -> int:
 
 def initial_dimvec_labels(tables: HomTables) -> tuple[Vec, ...]:
     """Dimension vectors of the projectives, i.e. the VV columns."""
-    r = len(tables.VV)
-    return tuple(tables.projective_column(k) for k in range(1, r + 1))
+    return tuple(zip(*tables.VV))
 
 
 def initial_delta_labels(word: ReducedWord) -> tuple[Vec, ...]:
@@ -153,8 +146,9 @@ def _mutate_labels(
     r = matrix.r
     if len(labels) != r:
         raise ValidationError("label count must match vertex count")
-    in_sum = _weighted_sum(matrix.in_neighbors(k), labels, r)
-    out_sum = _weighted_sum(matrix.out_neighbors(k), labels, r)
+    ins, outs = matrix.neighbors(k)
+    in_sum = _weighted_sum(ins, labels, r)
+    out_sum = _weighted_sum(outs, labels, r)
     in_total = weight(in_sum)
     out_total = weight(out_sum)
     picked = in_sum if in_total > out_total else out_sum

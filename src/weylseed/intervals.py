@@ -106,14 +106,6 @@ class MutationPlan:
         }
 
 
-def plan_length(word: ReducedWord) -> int:
-    total = 0
-    for j in range(1, word.cartan.n + 1):
-        t = word.t(j)
-        total += t * (t - 1) // 2
-    return total
-
-
 def mu_i_plan(word: ReducedWord) -> MutationPlan:
     """One chain pass per word position, bottom of the chain upward.
 
@@ -237,7 +229,7 @@ def _exchange_matches_identity(
     lhs, rhs_pair, factors = identity_sides(word, step.group, step.before.b)
     v = step.vertex
     sides = []
-    for pairs in (matrix.in_neighbors(v), matrix.out_neighbors(v)):
+    for pairs in matrix.neighbors(v):
         bag: dict[IntervalLabel, int] = {}
         for vertex, mult in pairs:
             lab = labels[vertex - 1]

@@ -177,10 +177,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> int:
-        """The constant term (the whole value if the polynomial is constant)."""
-        return self.terms.get((0,) * len(self.vars), 0)
-
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
             raise VarTableMismatchError("operands use different variable tables")
@@ -430,6 +426,8 @@ class LaurentPoly:
                 and _is_int(coef)
             ):
                 raise ValidationError(f"bad Laurent term {item!r}")
+            if tuple(exp) in terms:
+                raise ValidationError(f"repeated Laurent exponent {exp}; merge the terms")
             terms[tuple(exp)] = coef
         return LaurentPoly(table, terms)
 

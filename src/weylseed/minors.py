@@ -15,7 +15,6 @@ def x_product(
     rank: int,
     letters: Sequence[int],
     var_names: Sequence[str],
-    table: VarTable | None = None,
 ) -> list[list[LaurentPoly]]:
     """Product of elementary unitriangular factors, leftmost factor first.
 
@@ -25,8 +24,7 @@ def x_product(
     if len(letters) != len(var_names):
         raise ValidationError("need one variable per letter")
     m = rank + 1
-    if table is None:
-        table = VarTable(var_names)
+    table = VarTable(var_names)
     result = [
         [LaurentPoly.const(table, 1 if i == j else 0) for j in range(m)]
         for i in range(m)
@@ -102,22 +100,26 @@ def minor_spec_for_Vk(word: ReducedWord, k: int) -> tuple[tuple[int, ...], tuple
     return rows, tuple(sorted(cols))
 
 
-def cross_validate(word: ReducedWord, k: int) -> LaurentPoly:
-    """Check the evaluation function of position k against the symbolic minor.
+def cross_validate(
+    word: ReducedWord,
+) -> list[tuple[tuple[int, ...], tuple[int, ...], LaurentPoly]]:
+    """Check the evaluation function of every position against its symbolic minor.
 
     The evaluation pattern is the whole word, leftmost letter i_r with
-    variable t_r down to i_1 with t_1.  Returns the common polynomial.
+    variable t_r down to i_1 with t_1; the unitriangular product is built
+    once.  Returns (rows, cols, common polynomial) for k = 1..r.
     """
-    r = word.r
     pattern = list(word.printed)
-    var_names = [f"t{q}" for q in range(r, 0, -1)]
-    table = VarTable(var_names)
-    mat = x_product(word.cartan.n, pattern, var_names, table)
-    rows, cols = minor_spec_for_Vk(word, k)
-    lhs = minor(mat, rows, cols)
-    rhs = phi_eval(g_V(word, k), pattern, var_names, table)
-    if lhs != rhs:
-        raise MismatchError(
-            f"position {k}: minor {lhs!r} differs from evaluation {rhs!r}"
-        )
-    return lhs
+    var_names = [f"t{q}" for q in range(word.r, 0, -1)]
+    mat = x_product(word.cartan.n, pattern, var_names)
+    out = []
+    for k in range(1, word.r + 1):
+        rows, cols = minor_spec_for_Vk(word, k)
+        lhs = minor(mat, rows, cols)
+        rhs = phi_eval(g_V(word, k), pattern, var_names)
+        if lhs != rhs:
+            raise MismatchError(
+                f"position {k}: minor {lhs!r} differs from evaluation {rhs!r}"
+            )
+        out.append((rows, cols, lhs))
+    return out

@@ -169,23 +169,17 @@ class ExchangeMatrix:
         out._check_skew([k] + [i for i in neighbors if i in self._col_of])
         return out
 
-    def in_neighbors(self, k: int) -> list[tuple[int, int]]:
-        """(vertex, multiplicity) pairs with arrows vertex -> k."""
+    def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(vertex, multiplicity) pairs with arrows vertex -> k, then with k -> vertex."""
         c = self.col(k)
-        return [
-            (i, -self.rows[i - 1][c])
-            for i in range(1, self.r + 1)
-            if self.rows[i - 1][c] < 0
-        ]
-
-    def out_neighbors(self, k: int) -> list[tuple[int, int]]:
-        """(vertex, multiplicity) pairs with arrows k -> vertex."""
-        c = self.col(k)
-        return [
-            (i, self.rows[i - 1][c])
-            for i in range(1, self.r + 1)
-            if self.rows[i - 1][c] > 0
-        ]
+        ins, outs = [], []
+        for i, row in enumerate(self.rows, start=1):
+            b_ik = row[c]
+            if b_ik < 0:
+                ins.append((i, -b_ik))
+            elif b_ik > 0:
+                outs.append((i, b_ik))
+        return ins, outs
 
     def __eq__(self, other) -> bool:
         return (
@@ -234,24 +228,6 @@ def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     return ExchangeMatrix(quiver.r, mutable, rows)
 
 
-def quiver_of_matrix(matrix: ExchangeMatrix) -> Quiver:
-    """Tracked part of the quiver; frozen-frozen arrows are unknown and omitted."""
-    arrows: dict[tuple[int, int], int] = {}
-    frozen = matrix.frozen
-    for k in matrix.mutable:
-        for i, m in matrix.out_neighbors(k):
-            arrows[(k, i)] = m
-        # frozen -> mutable arrows only show up as in-neighbors
-        for i, m in matrix.in_neighbors(k):
-            if i in frozen:
-                arrows[(i, k)] = m
-    return Quiver(
-        matrix.r,
-        frozen,
-        tuple((s, t, m) for (s, t), m in sorted(arrows.items())),
-    )
-
-
 class Seed:
     """An exchange matrix with exact Laurent cluster variables.
 
@@ -290,11 +266,12 @@ class Seed:
     def exchange_products(self, k: int) -> tuple[LaurentPoly, LaurentPoly]:
         """The two monomials of the exchange binomial at a mutable vertex."""
         table = self.table
+        ins, outs = self.matrix.neighbors(k)
         out_prod = LaurentPoly.one(table)
-        for i, m in self.matrix.out_neighbors(k):
+        for i, m in outs:
             out_prod = out_prod * self.cluster[i - 1] ** m
         in_prod = LaurentPoly.one(table)
-        for i, m in self.matrix.in_neighbors(k):
+        for i, m in ins:
             in_prod = in_prod * self.cluster[i - 1] ** m
         return out_prod, in_prod
 

@@ -21,13 +21,6 @@ from .laurent import LaurentPoly, VarTable
 Word = tuple[int, ...]
 
 
-def letter_content(word: Word, n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for letter in word:
-        out[letter - 1] += 1
-    return tuple(out)
-
-
 class WordSum:
     """Finite integer combination of words; canonical order is graded-lex."""
 
@@ -44,10 +37,6 @@ class WordSum:
     @staticmethod
     def unit() -> "WordSum":
         return WordSum({(): 1})
-
-    @staticmethod
-    def word(letters: Sequence[int], coef: int = 1) -> "WordSum":
-        return WordSum({tuple(letters): coef})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -224,14 +213,6 @@ def g_V(word: ReducedWord, k: int) -> WordSum:
     return lowering_monomial(cartan, lam, ops)
 
 
-def refined_word(word: ReducedWord, k: int, b: Sequence[int]) -> Word:
-    """The word (i_k^{b_k}, ..., i_1^{b_1}) read left to right."""
-    out: list[int] = []
-    for j in range(k, 0, -1):
-        out.extend([word.letter(j)] * b[j - 1])
-    return tuple(out)
-
-
 def _decompositions(u: Word, pattern: Sequence[int]) -> Iterable[tuple[int, ...]]:
     """All exponent tuples a with pattern^a == u (runs of length >= 0)."""
     p = len(pattern)
@@ -257,7 +238,6 @@ def phi_eval(
     g: WordSum,
     pattern: Sequence[int],
     var_names: Sequence[str] | None = None,
-    table: VarTable | None = None,
 ) -> LaurentPoly:
     """Evaluate a generating function on a one-parameter product.
 
@@ -270,9 +250,8 @@ def phi_eval(
     p = len(pattern)
     if var_names is None:
         var_names = [f"t{q}" for q in range(1, p + 1)]
-    if table is None:
-        table = VarTable(var_names)
-    idx = [table.index(name) for name in var_names]
+    elif len(var_names) != p:
+        raise ValidationError("need one variable name per pattern letter")
     terms: dict[tuple[int, ...], int] = {}
     for u, coef in g.terms.items():
         for a in _decompositions(u, pattern):
@@ -283,12 +262,8 @@ def phi_eval(
                 raise NonIntegralCoefficientError(
                     f"coefficient {coef} of word {list(u)} not divisible by {denom}"
                 )
-            exp = [0] * len(table)
-            for q, m in enumerate(a):
-                exp[idx[q]] += m
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + coef // denom
-    return LaurentPoly(table, terms)
+            terms[a] = terms.get(a, 0) + coef // denom
+    return LaurentPoly(VarTable(var_names), terms)
 
 
 def euler_of_reachable(
@@ -303,10 +278,6 @@ def euler_of_reachable(
     variable and asserts the result is polynomial; its coefficients are the
     Euler characteristics of the corresponding reachable module.
     """
-    p = len(pattern)
-    if var_names is None:
-        var_names = [f"t{q}" for q in range(1, p + 1)]
-    table = VarTable(var_names)
     used = {
         expr.vars.names[i]
         for exp in expr.terms
@@ -314,7 +285,7 @@ def euler_of_reachable(
         if e
     }
     images = {
-        f"y{k}": phi_eval(g_V(word, k), pattern, var_names, table)
+        f"y{k}": phi_eval(g_V(word, k), pattern, var_names)
         for k in range(1, word.r + 1)
         if f"y{k}" in used
     }

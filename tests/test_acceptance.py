@@ -33,7 +33,6 @@ from weylseed.intervals import (
     IntervalLabel,
     PBWExpander,
     mu_i_plan,
-    plan_length,
     run_mu_i,
     verify_identity,
 )
@@ -182,11 +181,12 @@ def test_criterion_4_minor_cross_validation():
         7: poly((7, 4, 2, 1)),
         8: poly((8, 7, 6, 5, 4, 2)),
     }
-    mat = x_product(4, w.printed, table.names, table)
-    for k in range(1, 9):
-        common = cross_validate(w, k)
+    mat = x_product(4, w.printed, table.names)
+    checks = cross_validate(w)
+    assert len(checks) == 8
+    for k, (rows, cols, common) in enumerate(checks, start=1):
         assert common == printed[k]
-        rows, cols = minor_spec_for_Vk(w, k)
+        assert (rows, cols) == minor_spec_for_Vk(w, k)
         assert minor(mat, rows, cols) == printed[k]
     ok("4 type-A minor cross-validation")
 
@@ -238,7 +238,7 @@ def test_criterion_6_chain_pass(wild_word, wild_report):
         8,
         [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)],
     )
-    assert plan_length(ReducedWord(e8, tuple(range(8, 0, -1)) * 15)) == 840
+    assert mu_i_plan(ReducedWord(e8, tuple(range(8, 0, -1)) * 15)).length == 840
     # full runs on the two length-10 words: every step is checked against
     # the exchange-identity pattern inside run_mu_i
     report_shift = run_mu_i(w_shift)

@@ -336,6 +336,8 @@ BAD_LAURENT = [
     {"vars": ["y1"], "terms": [{"exp": [1], "coef": "x"}]},
     {"vars": ["y1"], "terms": [[1]]},
 ]
+# appended after the other cases, so that their parameter ids stay put
+REPEATED_EXPONENT = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "1"}, {"exp": [1], "coef": "2"}]}
 
 
 @pytest.mark.parametrize(
@@ -368,6 +370,7 @@ BAD_LAURENT = [
         ["delta-dimvec", "--inline", json.dumps(dict(A2_WORD, path="1"))],
         ["gamma", "--input", "{tmp}/missing.json"],
         ["gamma", "--inline", json.dumps(A2_WORD), "--output", "{tmp}/missing/out.json"],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["laurent", REPEATED_EXPONENT]]))],
     ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, argv):

@@ -13,7 +13,6 @@ from weylseed.intervals import (
     identity_sides,
     identity_step,
     mu_i_plan,
-    plan_length,
     run_mu_i,
     shift_sequence,
     star,
@@ -21,6 +20,15 @@ from weylseed.intervals import (
 )
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import Seed
+
+
+def plan_length(word: ReducedWord) -> int:
+    """Oracle: the plan makes t_j (t_j - 1) / 2 steps on the chain of each letter j."""
+    total = 0
+    for j in range(1, word.cartan.n + 1):
+        t = word.t(j)
+        total += t * (t - 1) // 2
+    return total
 
 
 def test_plan_groups_wild(word_wild10):

@@ -297,6 +297,14 @@ def test_canonical_serialization_deterministic():
     assert LaurentPoly.from_json(a.to_json()) == a
 
 
+def test_from_json_rejects_repeated_exponent():
+    doc = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "1"}, {"exp": [1], "coef": "2"}]}
+    with pytest.raises(ValidationError, match="repeated"):
+        LaurentPoly.from_json(doc)
+    doc["terms"][1]["exp"] = [2]
+    assert LaurentPoly.from_json(doc).terms == {(1,): 1, (2,): 2}
+
+
 def test_negative_power_of_sum_rejected():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
     with pytest.raises(NonUnitNegativePowerError):

@@ -1,0 +1,49 @@
+"""Guards on the package as a whole: every name the benchmark rebinds exists,
+and the modules import only the standard library and only what they use."""
+import ast
+import importlib
+import pathlib
+import sys
+
+from weylseed.intervals import MuIReport
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "weylseed"
+
+
+def test_benchmark_rebinding_targets_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    spans = importlib.import_module("spans")
+    missing = []
+    for module_name, class_name, attr, *_ in spans.TARGETS:
+        module = importlib.import_module(f"weylseed.{module_name}")
+        if class_name is None:
+            found = callable(getattr(module, attr, None))
+        else:
+            found = attr in vars(getattr(module, class_name, object))
+        if not found:
+            missing.append(".".join(filter(None, (module_name, class_name, attr))))
+    assert missing == []
+    # the run_mu_i count hook reads this field of the result
+    assert "steps_checked" in MuIReport.__dataclass_fields__
+
+
+def test_stdlib_only_and_no_unused_imports():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(alias.name, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                bound = [(node.module, alias.asname or alias.name) for alias in node.names]
+            else:
+                continue
+            absolute = isinstance(node, ast.Import) or node.level == 0
+            for module, name in bound:
+                if absolute and module.split(".")[0] not in sys.stdlib_module_names:
+                    problems.append(f"{path.name}: imports {module} from outside the standard library")
+                if path.name != "__init__.py" and module != "__future__" and name not in used:
+                    problems.append(f"{path.name}: imports {name} but never uses it")
+    assert problems == []

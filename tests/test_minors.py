@@ -59,15 +59,15 @@ def mono(table, coef, *pairs):
 
 def test_x_product_single_factor():
     table = VarTable(("t1",))
-    m = x_product(2, (1,), ("t1",), table)
+    m = x_product(2, (1,), ("t1",))
     assert m[0][1] == LaurentPoly.var(table, "t1")
-    assert m[0][0].is_one() and m[1][2].constant_value() == 0
+    assert m[0][0].is_one() and m[1][2].terms.get((0,), 0) == 0
 
 
 def test_x_product_entries_match_printed():
     w = a4_word()
     table = t_table(8)
-    m = x_product(4, w.printed, table.names, table)
+    m = x_product(4, w.printed, table.names)
     assert m[1][4] == mono(table, 1, ("t6", 1), ("t4", 1), ("t3", 1))
     expected_25 = (
         mono(table, 1, ("t8", 1), ("t7", 1))
@@ -78,15 +78,14 @@ def test_x_product_entries_match_printed():
 
 
 def test_minor_identity_matrix():
-    table = VarTable(("t1",))
-    ident = x_product(3, (), (), table)
+    ident = x_product(3, (), ())
     assert minor(ident, (1, 3), (1, 3)).is_one()
 
 
 def test_minor_printed_values():
     w = a4_word()
     table = t_table(8)
-    m = x_product(4, w.printed, table.names, table)
+    m = x_product(4, w.printed, table.names)
     d12 = minor(m, (1,), (2,))
     assert d12 == mono(table, 1, ("t5", 1)) + mono(table, 1, ("t1", 1))
     d = minor(m, (1, 2), (2, 3))
@@ -122,8 +121,7 @@ def test_minor_spec_requires_type_a(double_edge):
 
 def test_cross_validate_a4_all():
     w = a4_word()
-    for k in range(1, 9):
-        cross_validate(w, k)
+    assert len(cross_validate(w)) == 8
 
 
 def test_cross_validate_random_type_a():
@@ -135,8 +133,7 @@ def test_cross_validate_random_type_a():
     ]
     for _ in range(8):
         w = random_reduced_word(rng, rng.choice(pool), rng.randint(1, 6))
-        for k in range(1, w.r + 1):
-            cross_validate(w, k)
+        assert len(cross_validate(w)) == w.r
 
 
 def test_bareiss_agrees_with_cofactor():
@@ -162,7 +159,7 @@ def test_bareiss_agrees_with_cofactor():
         CartanMatrix.from_edges(6, [(i, i + 1, 1) for i in range(1, 6)]), A6_LONGEST
     )
     table = t_table(a6.r)
-    mat = x_product(6, a6.printed, table.names, table)
+    mat = x_product(6, a6.printed, table.names)
     sizes = set()
     for k in range(1, a6.r + 1):
         rows, cols = minor_spec_for_Vk(a6, k)
@@ -176,7 +173,7 @@ def test_bareiss_agrees_with_cofactor():
 def test_unitriangular_degree_bound():
     w = a4_word()
     table = t_table(8)
-    m = x_product(4, w.printed, table.names, table)
+    m = x_product(4, w.printed, table.names)
     for i in range(5):
         for j in range(5):
             if i > j:

@@ -23,7 +23,6 @@ from weylseed.quiver import (
     denominator_vector,
     g_vector_initial,
     gamma_i,
-    quiver_of_matrix,
     y_dagger,
 )
 
@@ -140,6 +139,48 @@ def test_matrix_mutate_against_dense_oracle():
             k = rng.choice(m.mutable)
             m, oracle = m.mutate(k), dense_mutate(oracle, k)
             assert m == oracle and m.rows == oracle.rows
+
+
+def in_neighbors(m: ExchangeMatrix, k: int) -> list[tuple[int, int]]:
+    """Oracle: (vertex, multiplicity) pairs with arrows vertex -> k, one scan."""
+    c = m.col(k)
+    return [(i, -m.rows[i - 1][c]) for i in range(1, m.r + 1) if m.rows[i - 1][c] < 0]
+
+
+def out_neighbors(m: ExchangeMatrix, k: int) -> list[tuple[int, int]]:
+    """Oracle: (vertex, multiplicity) pairs with arrows k -> vertex, a second scan."""
+    c = m.col(k)
+    return [(i, m.rows[i - 1][c]) for i in range(1, m.r + 1) if m.rows[i - 1][c] > 0]
+
+
+def quiver_of_matrix(matrix: ExchangeMatrix) -> Quiver:
+    """Tracked part of the quiver; frozen-frozen arrows are unknown and omitted."""
+    arrows: dict[tuple[int, int], int] = {}
+    frozen = matrix.frozen
+    for k in matrix.mutable:
+        ins, outs = matrix.neighbors(k)
+        for i, m in outs:
+            arrows[(k, i)] = m
+        # frozen -> mutable arrows only show up as in-neighbors
+        for i, m in ins:
+            if i in frozen:
+                arrows[(i, k)] = m
+    return Quiver(
+        matrix.r,
+        frozen,
+        tuple((s, t, m) for (s, t), m in sorted(arrows.items())),
+    )
+
+
+def test_neighbors_against_two_scan_oracle():
+    rng = random.Random(43)
+    for _ in range(300):
+        r = rng.randint(3, 12)
+        m = random_matrix(rng, r, rng.randint(1, r - 2))
+        for k in m.mutable:
+            assert m.neighbors(k) == (in_neighbors(m, k), out_neighbors(m, k))
+    with pytest.raises(FrozenIndexError):
+        m.neighbors(r)
 
 
 def test_matrix_mutate_along_word_quiver_against_dense_oracle(word_wild10):
@@ -276,7 +317,7 @@ def test_g_vector_initial(word_mut7):
     cartan_bi = [list(row) for row in tables.VV]
     r = word_mut7.r
     for k in range(1, r + 1):
-        d = tables.projective_column(k)
+        d = tuple(zip(*tables.VV))[k - 1]
         g = g_vector_initial(d, cartan_bi)
         assert g == tuple(1 if i == k else 0 for i in range(1, r + 1))
     assert g_vector_initial((0,) * r, cartan_bi) == (0,) * r

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylseed.cartan import fundamental_weight
-from weylseed.errors import NonIntegralCoefficientError
+from weylseed.errors import NonIntegralCoefficientError, ValidationError
 from weylseed.laurent import LaurentPoly, VarTable
 from weylseed.quiver import Seed
 from weylseed.words import (
     WordSum,
     euler_of_reachable,
     g_V,
-    letter_content,
     phi_eval,
-    refined_word,
     rho_e,
     rho_f,
     shuffle,
@@ -20,6 +18,22 @@ from weylseed.words import (
 
 def ws(*pairs):
     return WordSum({tuple(w): c for w, c in pairs})
+
+
+def letter_content(word, n: int) -> tuple[int, ...]:
+    """Oracle: how often each letter 1..n occurs in a word."""
+    out = [0] * n
+    for letter in word:
+        out[letter - 1] += 1
+    return tuple(out)
+
+
+def refined_word(word, k: int, b) -> tuple[int, ...]:
+    """Oracle: the word (i_k^{b_k}, ..., i_1^{b_1}) read left to right."""
+    out: list[int] = []
+    for j in range(k, 0, -1):
+        out.extend([word.letter(j)] * b[j - 1])
+    return tuple(out)
 
 
 def test_shuffle_unit_and_basics():
@@ -119,6 +133,9 @@ def test_phi_eval_single_letter():
     g = ws(((1,), 1))
     val = phi_eval(g, (1,))
     assert val == LaurentPoly(VarTable(("t1",)), {(1,): 1})
+    for names in (["a", "b"], []):
+        with pytest.raises(ValidationError, match="one variable name per pattern letter"):
+            phi_eval(g, (1,), names)
 
 
 def test_phi_eval_a4(word_a4_running):
