@@ -24,7 +24,6 @@ from .homdata import (
     ringel_form_delta,
 )
 from .intervals import run_mu_i
-from .laurent import VarTable
 from .quiver import ExchangeMatrix, Seed
 from .words import WordSum, g_V, phi_eval, shuffle
 
@@ -95,7 +94,6 @@ def check_matrix_involution(seed: int = 0, trials: int = 1000) -> bool:
 
 
 def check_a2_pentagon() -> bool:
-    table = VarTable.indexed("y", 2)
     matrix = ExchangeMatrix(2, (1, 2), [[0, -1], [1, 0]])
     seed = Seed.initial(matrix)
     seen = set(seed.cluster)

@@ -257,7 +257,7 @@ def cmd_phi_eval(doc, args) -> dict:
         )
     out = []
     for k in _positions(doc, word):
-        val = phi_eval(g_V(word, k), pattern, names)
+        val = phi_eval(g_V(word, k, pattern), pattern, names)
         out.append({"k": k, "value": val.to_json()})
     return {"pattern": pattern, "values": out}
 

@@ -171,9 +171,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.vars): 1}
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -320,10 +317,9 @@ class LaurentPoly:
         Every variable that occurs needs an image.  Negative exponents are
         cleared by multiplying through with the matching image powers, and
         the value is the exact quotient of the two sides; when there is none
-        this raises NotPolynomialAfterSubstitutionError.
+        this raises NotPolynomialAfterSubstitutionError.  The value lives over
+        the images' variable table, also when the polynomial is zero.
         """
-        if not self.terms:
-            return self
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
             raise VarTableMismatchError("images use different variable tables")

@@ -116,7 +116,7 @@ def cross_validate(
     for k in range(1, word.r + 1):
         rows, cols = minor_spec_for_Vk(word, k)
         lhs = minor(mat, rows, cols)
-        rhs = phi_eval(g_V(word, k), pattern, var_names)
+        rhs = phi_eval(g_V(word, k, pattern), pattern, var_names)
         if lhs != rhs:
             raise MismatchError(
                 f"position {k}: minor {lhs!r} differs from evaluation {rhs!r}"

@@ -92,10 +92,6 @@ class WordSum:
             ]
         }
 
-    @staticmethod
-    def from_json(doc: Mapping) -> "WordSum":
-        return WordSum({tuple(t["word"]): int(t["coef"]) for t in doc["terms"]})
-
     def __repr__(self) -> str:  # pragma: no cover
         if not self.terms:
             return "0"
@@ -162,13 +158,14 @@ def rho_f(cartan: CartanMatrix, lam: Weight, i: int, u: WordSum) -> WordSum:
     """
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range")
+    row = cartan.rows[i - 1]
     base = lam[i - 1]
     out: dict[Word, int] = {}
     for w, c in u.terms.items():
         weight = base
         for l in range(len(w) + 1):
             if l > 0:
-                weight -= cartan.c(i, w[l - 1])
+                weight -= row[w[l - 1] - 1]
             if weight:
                 key = w[:l] + (i,) + w[l:]
                 s = out.get(key, 0) + c * weight
@@ -179,38 +176,62 @@ def rho_f(cartan: CartanMatrix, lam: Weight, i: int, u: WordSum) -> WordSum:
     return WordSum(out)
 
 
+def splits_into_runs(u: Word, pattern: Sequence[int]) -> bool:
+    """Whether u is pattern[0]^a_1 ... pattern[-1]^a_p for some a_q >= 0.
+
+    Taking the longest run at each pattern letter is enough: after each
+    pattern letter it has read at least as far into u as any split has.
+    """
+    pos, n = 0, len(u)
+    for letter in pattern:
+        while pos < n and u[pos] == letter:
+            pos += 1
+    return pos == n
+
+
 def lowering_monomial(
     cartan: CartanMatrix,
     lam: Weight,
     letters_with_powers: Sequence[tuple[int, int]],
+    pattern: Sequence[int] | None = None,
 ) -> WordSum:
     """Apply a product of divided powers of lowering operators to the empty word.
 
     ``letters_with_powers`` is read left to right as the operator product, so
     the last pair acts first.  Divided powers are computed as iterated
     applications followed by one exact division by the product of factorials.
+
+    With ``pattern``, only the words that split into runs along it are kept,
+    after every lowering step.  Lowering only inserts letters, and deleting
+    letters from such a word leaves one, so every word a kept word comes from
+    is kept too: the kept coefficients are those of the full sum.
     """
     acc = WordSum.unit()
     denom = 1
     for letter, power in reversed(list(letters_with_powers)):
         for _ in range(power):
             acc = rho_f(cartan, lam, letter, acc)
+            if pattern is not None:
+                acc = WordSum(
+                    {w: c for w, c in acc.terms.items() if splits_into_runs(w, pattern)}
+                )
         denom *= math.factorial(power)
     return acc.exact_div_int(denom) if denom > 1 else acc
 
 
-def g_V(word: ReducedWord, k: int) -> WordSum:
+def g_V(word: ReducedWord, k: int, pattern: Sequence[int] | None = None) -> WordSum:
     """Generating function of Euler characteristics of composition flags.
 
     Computed by acting with the divided-power lowering monomial prescribed by
-    the socle-series multiplicities of the length-k prefix word.
+    the socle-series multiplicities of the length-k prefix word.  With
+    ``pattern``, only the words ``phi_eval`` reads for that pattern are built.
     """
     prefix = word.prefix(k)
     cartan = word.cartan
     lam = fundamental_weight(cartan.n, prefix.letter(k))
     b = b_vector(prefix, lam)
     ops = [(prefix.letter(j), b[j - 1]) for j in range(1, k + 1)]
-    return lowering_monomial(cartan, lam, ops)
+    return lowering_monomial(cartan, lam, ops, pattern)
 
 
 def _decompositions(u: Word, pattern: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -285,7 +306,7 @@ def euler_of_reachable(
         if e
     }
     images = {
-        f"y{k}": phi_eval(g_V(word, k), pattern, var_names)
+        f"y{k}": phi_eval(g_V(word, k, pattern), pattern, var_names)
         for k in range(1, word.r + 1)
         if f"y{k}" in used
     }

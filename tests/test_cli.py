@@ -206,6 +206,16 @@ def test_pbw_command(capsys):
     ]
 
 
+def test_pbw_zero_laurent_target_uses_the_expansion_variables(capsys):
+    zero = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "0"}]}
+    doc = dict(PBW6, targets=[["laurent", zero], ["V", 1]])
+    code, out = run(capsys, "pbw", "--inline", json.dumps(doc))
+    assert code == 0
+    polys = [entry["poly"] for entry in json.loads(out)["expansions"]]
+    assert polys[0] == {"terms": [], "vars": [f"m{k}" for k in range(1, 7)]}
+    assert polys[1]["vars"] == polys[0]["vars"]
+
+
 def test_euler_gen_and_phi(capsys):
     doc = dict(GAMMA7, positions=[2])
     code, out = run(capsys, "euler-gen", "--inline", json.dumps(doc))

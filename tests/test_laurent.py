@@ -39,7 +39,7 @@ wide_polys = small_polys(T3, -40, 90, max_size=5)
 def test_mul_unit_inverse():
     y1 = LaurentPoly.var(T2, "y1")
     y1_inv = LaurentPoly.var(T2, "y1", -1)
-    assert (y1 * y1_inv).is_one()
+    assert y1 * y1_inv == LaurentPoly.one(T2)
 
 
 def test_square_of_sum():
@@ -201,6 +201,14 @@ def test_substitute_identity_and_units():
     assert out == LaurentPoly(t, {(0, 1, 0, -1, -1): 1, (0, 0, 1, -1, -1): 1})
 
 
+def test_substitute_zero_lands_over_the_images_table():
+    zero = LaurentPoly.zero(T2)
+    image = LaurentPoly.var(T3, "y3")
+    assert zero.substitute({"y1": image, "y2": image}) == LaurentPoly.zero(T3)
+    assert zero.substitute({"y1": image}).vars == T3
+    assert zero.substitute({}) == zero
+
+
 def test_substitute_nonunit_requires_rational_mode():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
     # (y1^2 + y1 y2)/y1 substituted through y1 -> y1 + y2 stays polynomial
@@ -225,9 +233,9 @@ def substitute_oracle(p, images):
     Single-term images with coefficient +-1 are inverted term by term; the
     negative exponents of every other image are cleared by one exact quotient.
     """
-    if not p.terms:
-        return p
     (target,) = {img.vars for img in images.values()}
+    if not p.terms:
+        return LaurentPoly.zero(target)
     img_list = [images[name] for name in p.vars.names]
     shifts = [0] * len(p.vars)
     for i, mn in enumerate(p.min_exponents()):
@@ -246,7 +254,7 @@ def substitute_oracle(p, images):
     for img, s in zip(img_list, shifts):
         if s:
             denominator = denominator * img**s
-    if denominator.is_one():
+    if denominator == LaurentPoly.one(target):
         return numerator
     if not denominator:
         raise NotPolynomialAfterSubstitutionError("zero image inverted")

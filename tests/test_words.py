@@ -1,23 +1,34 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylseed.cartan import fundamental_weight
+from weylseed import words
+from weylseed.acceptance import CARTAN_POOL, random_reduced_word
+from weylseed.cartan import ReducedWord, fundamental_weight
 from weylseed.errors import NonIntegralCoefficientError, ValidationError
 from weylseed.laurent import LaurentPoly, VarTable
 from weylseed.quiver import Seed
 from weylseed.words import (
     WordSum,
+    _decompositions,
     euler_of_reachable,
     g_V,
     phi_eval,
     rho_e,
     rho_f,
     shuffle,
+    splits_into_runs,
 )
 
 
 def ws(*pairs):
     return WordSum({tuple(w): c for w, c in pairs})
+
+
+def wordsum_from_json(doc) -> WordSum:
+    """The inverse of ``WordSum.to_json``."""
+    return WordSum({tuple(t["word"]): int(t["coef"]) for t in doc["terms"]})
 
 
 def letter_content(word, n: int) -> tuple[int, ...]:
@@ -239,4 +250,72 @@ def test_euler_cross_check_against_dual_basis(word_pbw6):
 
 def test_wordsum_serialization_roundtrip():
     u = ws(((1, 2, 1), 4), ((2,), -1))
-    assert WordSum.from_json(u.to_json()) == u
+    assert wordsum_from_json(u.to_json()) == u
+
+
+def has_decomposition(u, pattern) -> bool:
+    """Oracle: whether phi_eval reads the word u for this pattern at all."""
+    return next(_decompositions(u, pattern), None) is not None
+
+
+def oracle_patterns(rng: random.Random, word: ReducedWord) -> list[list[int]]:
+    """The printed word, random patterns with repeated letters, patterns with
+    letters the word does not use (among them one past the rank), and []."""
+    printed = list(word.printed)
+    absent = [x for x in range(1, word.cartan.n + 2) if x not in printed]
+    with_absent = list(printed)
+    for letter in absent:
+        with_absent.insert(rng.randint(0, len(with_absent)), letter)
+    letters = range(1, word.cartan.n + 1)
+    repeated = [
+        [rng.choice(letters) for _ in range(rng.randint(2, len(printed) + 3))]
+        for _ in range(3)
+    ]
+    return [printed, *repeated, with_absent, absent, []]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruned_lowering_against_full_sum(seed):
+    """g_V(w, k, p) is g_V(w, k) restricted to the words that split into runs
+    along p, and both evaluate to the same phi_eval."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        word = random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(2, 6))
+        patterns = oracle_patterns(rng, word)
+        for k in range(1, word.r + 1):
+            full = g_V(word, k)
+            for pattern in patterns:
+                kept = {
+                    u: c for u, c in full.terms.items() if has_decomposition(u, pattern)
+                }
+                assert all(splits_into_runs(u, pattern) == (u in kept) for u in full.terms)
+                pruned = g_V(word, k, pattern)
+                assert pruned.terms == kept
+                assert phi_eval(pruned, pattern) == phi_eval(full, pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=7).map(tuple),
+    st.lists(st.integers(1, 4), max_size=6),
+)
+def test_greedy_run_split_matches_decompositions(u, pattern):
+    assert splits_into_runs(u, pattern) == has_decomposition(u, pattern)
+
+
+def test_pruned_lowering_stays_small(monkeypatch):
+    """The [2,3,1,2,3,1] document of the benchmark's word-eval workload: its
+    unpruned sum at k = 6 has 58,625 words, and pruning after every lowering
+    step keeps the intermediate sums small as well."""
+    built = []
+
+    def counting_rho_f(*args):
+        out = rho_f(*args)
+        built.append(out.word_count())
+        return out
+
+    monkeypatch.setattr(words, "rho_f", counting_rho_f)
+    word = ReducedWord(CARTAN_POOL[3], (2, 3, 1, 2, 3, 1))
+    g = g_V(word, 6, word.printed)
+    assert g.word_count() <= 5
+    assert sum(built) <= 1000
