@@ -144,8 +144,6 @@ def check_seed_walks(
                 return False
             move_d = mutate_dimvec(seed_state.matrix, dims, k)
             move_a = mutate_delta_dimvec(seed_state.matrix, deltas, k, tables.d_delta)
-            if not move_d.dominated:
-                return False
             if tables.dimvec_of_delta(move_a.new_label) != move_d.new_label:
                 return False
             dims, deltas = move_d.labels, move_a.labels

@@ -9,6 +9,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from typing import Any
 
 from . import acceptance
@@ -139,38 +140,30 @@ def cmd_walk(doc, args) -> dict:
     }
 
 
+def _walk_labels(doc: dict, word: ReducedWord, labels, exchange) -> dict:
+    """Exchange ``labels`` along ``path``, mutating the word's matrix once per step."""
+    matrix = b_matrix(gamma_i(word))
+    picks = []
+    for k in _int_list(doc.get("path", []), "path", 1, word.r):
+        move = exchange(matrix, labels, k)
+        matrix, labels = matrix.mutate(k), move.labels
+        picks.append("in" if move.picked_in_side else "out")
+    return {"labels": [list(v) for v in labels], "sides": picks}
+
+
 def cmd_dimvec(doc, args) -> dict:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
-    matrix = b_matrix(gamma_i(word))
-    labels = initial_dimvec_labels(tables)
-    picks = []
-    for k in _int_list(doc.get("path", []), "path", 1, word.r):
-        move = mutate_dimvec(matrix, labels, k)
-        matrix, labels = matrix.mutate(k), move.labels
-        picks.append("in" if move.picked_in_side else "out")
-    return {
-        "tables": tables.to_json(),
-        "labels": [list(v) for v in labels],
-        "sides": picks,
-    }
+    walk = _walk_labels(doc, word, initial_dimvec_labels(tables), mutate_dimvec)
+    return {"tables": tables.to_json(), **walk}
 
 
 def cmd_delta_dimvec(doc, args) -> dict:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
-    matrix = b_matrix(gamma_i(word))
-    labels = initial_delta_labels(word)
-    picks = []
-    for k in _int_list(doc.get("path", []), "path", 1, word.r):
-        move = mutate_delta_dimvec(matrix, labels, k, tables.d_delta)
-        matrix, labels = matrix.mutate(k), move.labels
-        picks.append("in" if move.picked_in_side else "out")
-    return {
-        "d_delta": list(tables.d_delta),
-        "labels": [list(v) for v in labels],
-        "sides": picks,
-    }
+    exchange = partial(mutate_delta_dimvec, d_delta=tables.d_delta)
+    walk = _walk_labels(doc, word, initial_delta_labels(word), exchange)
+    return {"d_delta": list(tables.d_delta), **walk}
 
 
 def cmd_mu_i(doc, args) -> dict:

@@ -1,18 +1,18 @@
 """Integer Hom-dimension tables over the endomorphism algebra of a word,
 standard-module data, the Ringel form on standards, and mutation of
 dimension vectors and filtration-multiplicity vectors.
+
+Both label exchanges keep the neighbor sum with the larger weighted total; for
+dimension vectors it must dominate the other sum, or MismatchError is raised.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .cartan import ReducedWord, sym_form
-from .errors import NegativeEntryError, ValidationError
+from .errors import MismatchError, NegativeEntryError, ValidationError
 from .quiver import ExchangeMatrix
-
-logger = logging.getLogger(__name__)
 
 Vec = tuple[int, ...]
 
@@ -105,27 +105,34 @@ def initial_dimvec_labels(tables: HomTables) -> tuple[Vec, ...]:
     return tuple(zip(*tables.VV))
 
 
+def interval_indicator(word: ReducedWord, b: int, a: int) -> Vec:
+    """Indicator of the chain positions b, b-, b--, ... that are >= a (a >= 1);
+    the zero vector when a > b."""
+    vec = [0] * word.r
+    cur = b
+    while cur >= a:
+        vec[cur - 1] = 1
+        cur = word.k_minus(cur)
+    return tuple(vec)
+
+
 def initial_delta_labels(word: ReducedWord) -> tuple[Vec, ...]:
     """Interval indicator of positions k, k-, ..., k_min for each k."""
-    r = word.r
-    out = []
-    for k in range(1, r + 1):
-        vec = [0] * r
-        cur = k
-        while cur > 0:
-            vec[cur - 1] = 1
-            cur = word.k_minus(cur)
-        out.append(tuple(vec))
-    return tuple(out)
+    return tuple(interval_indicator(word, k, word.k_min(k)) for k in range(1, word.r + 1))
 
 
-def _weighted_sum(pairs: Sequence[tuple[int, int]], labels: Sequence[Vec], r: int) -> Vec:
-    acc = [0] * r
-    for vertex, mult in pairs:
-        lab = labels[vertex - 1]
-        for i in range(r):
-            acc[i] += mult * lab[i]
-    return tuple(acc)
+def _side_sums(matrix: ExchangeMatrix, labels: Sequence[Vec], k: int) -> list[Vec]:
+    """Arrow-weighted sums of the neighbor labels: into k, then out of k."""
+    r = matrix.r
+    sums = []
+    for pairs in matrix.neighbors(k):
+        acc = [0] * r
+        for vertex, mult in pairs:
+            lab = labels[vertex - 1]
+            for i in range(r):
+                acc[i] += mult * lab[i]
+        sums.append(tuple(acc))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -140,30 +147,16 @@ def _mutate_labels(
     matrix: ExchangeMatrix,
     labels: Sequence[Vec],
     k: int,
-    weight,
-    entrywise_max: bool,
+    weights: Sequence[int],
 ) -> MutationStep:
-    r = matrix.r
-    if len(labels) != r:
+    if len(labels) != matrix.r:
         raise ValidationError("label count must match vertex count")
-    ins, outs = matrix.neighbors(k)
-    in_sum = _weighted_sum(ins, labels, r)
-    out_sum = _weighted_sum(outs, labels, r)
-    in_total = weight(in_sum)
-    out_total = weight(out_sum)
-    picked = in_sum if in_total > out_total else out_sum
-    other = out_sum if in_total > out_total else in_sum
+    in_sum, out_sum = _side_sums(matrix, labels, k)
+    in_total = sum(x * w for x, w in zip(in_sum, weights))
+    out_total = sum(x * w for x, w in zip(out_sum, weights))
+    picked_in = in_total > out_total
+    picked, other = (in_sum, out_sum) if picked_in else (out_sum, in_sum)
     dominated = all(p >= o for p, o in zip(picked, other))
-    if entrywise_max and not dominated:
-        logger.warning(
-            "dominance violation at vertex %d: picked=%s other=%s totals=(%d,%d)",
-            k,
-            picked,
-            other,
-            in_total,
-            out_total,
-        )
-        picked = tuple(max(p, o) for p, o in zip(picked, other))
     new_label = tuple(p - d for p, d in zip(picked, labels[k - 1]))
     if any(x < 0 for x in new_label):
         raise NegativeEntryError(
@@ -171,7 +164,7 @@ def _mutate_labels(
         )
     new_labels = list(labels)
     new_labels[k - 1] = new_label
-    return MutationStep(new_label, tuple(new_labels), in_total > out_total, dominated)
+    return MutationStep(new_label, tuple(new_labels), picked_in, dominated)
 
 
 def mutate_dimvec(
@@ -179,12 +172,18 @@ def mutate_dimvec(
 ) -> MutationStep:
     """Exchange the dimension-vector label at a mutable vertex.
 
-    The replacement is minus the old label plus the entrywise maximum of the
-    two arrow-weighted neighbor sums; the side with the larger total is
-    expected to dominate coordinatewise, and violations are logged.  The
-    matrix is only read: the caller mutates it at k.
+    The replacement is minus the old label plus the neighbor sum with the
+    larger total.  That sum must dominate the other one coordinatewise;
+    otherwise the exchange raises MismatchError naming the vertex and both
+    totals.  The matrix is only read: the caller mutates it at k.
     """
-    return _mutate_labels(matrix, labels, k, lambda v: sum(v), True)
+    move = _mutate_labels(matrix, labels, k, (1,) * matrix.r)
+    if not move.dominated:
+        low, high = sorted(map(sum, _side_sums(matrix, labels, k)))
+        raise MismatchError(
+            f"dimension-vector exchange at vertex {k}: total {high} does not dominate total {low}"
+        )
+    return move
 
 
 def mutate_delta_dimvec(
@@ -199,6 +198,4 @@ def mutate_delta_dimvec(
     dimensions of the standard modules; unlike the dimension-vector rule the
     chosen side need not dominate the other one coordinatewise.
     """
-    return _mutate_labels(
-        matrix, labels, k, lambda v: sum(x * w for x, w in zip(v, d_delta)), False
-    )
+    return _mutate_labels(matrix, labels, k, d_delta)

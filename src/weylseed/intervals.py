@@ -9,8 +9,9 @@ as the unit and are dropped from products.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cartan import ReducedWord
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
 from .homdata import (
     hom_tables,
     initial_delta_labels,
+    interval_indicator,
     mutate_delta_dimvec,
 )
 from .laurent import LaurentPoly, VarTable
@@ -49,18 +51,8 @@ class IntervalLabel:
         if word.letter(self.a) != word.letter(self.b):
             raise ValidationError(f"interval {self} endpoints carry different letters")
 
-    def positions(self, word: ReducedWord) -> tuple[int, ...]:
-        if self.is_unit:
-            return ()
-        return tuple(
-            t for t in word.chain(word.letter(self.b)) if self.a <= t <= self.b
-        )
-
     def delta_indicator(self, word: ReducedWord) -> tuple[int, ...]:
-        vec = [0] * word.r
-        for t in self.positions(word):
-            vec[t - 1] = 1
-        return tuple(vec)
+        return interval_indicator(word, self.b, self.a)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "1" if self.is_unit else f"M[{self.b},{self.a}]"
@@ -106,20 +98,23 @@ class MutationPlan:
         }
 
 
+def _pass_length(word: ReducedWord, k: int) -> int:
+    """r_k = t_{i_k} - 1 - k[i_k], the number of steps of pass k."""
+    return word.t(word.letter(k)) - 1 - word.occ_index(k)
+
+
 def mu_i_plan(word: ReducedWord) -> MutationPlan:
     """One chain pass per word position, bottom of the chain upward.
 
-    Pass k mutates the first t_{i_k} - 1 - k[i_k] chain vertices; the vertex
-    k_min^(m) finds label [k^(m), k] and leaves label [k^(m+1), k+].
+    Pass k mutates the first r_k chain vertices; the vertex k_min^(m) finds
+    label [k^(m), k] and leaves label [k^(m+1), k+].
     """
     steps: list[PlanStep] = []
     groups: list[tuple[int, ...]] = []
     for k in range(1, word.r + 1):
-        j = word.letter(k)
-        r_k = word.t(j) - 1 - word.occ_index(k)
-        chain = word.chain(j)
+        chain = word.chain(word.letter(k))
         group: list[int] = []
-        for m in range(r_k):
+        for m in range(_pass_length(word, k)):
             vertex = chain[m]
             before = IntervalLabel(word.shift(k, m), k)
             after = IntervalLabel(word.shift(k, m + 1), word.k_plus(k))
@@ -162,7 +157,7 @@ def identity_sides(
     )
     factors: list[tuple[IntervalLabel, int]] = []
     sp = word.k_plus(s)
-    for t in range(s + 1, sp):
+    for t in itertools.chain(range(s + 1, sp), range(word.k_min(s) + 1, s)):
         if word.k_plus(t) >= sp:
             q = word.cartan.q(word.letter(s), word.letter(t))
             if q:
@@ -170,14 +165,6 @@ def identity_sides(
                     word.k_min(t), word.count_before(k, word.letter(t))
                 )
                 factors.append((IntervalLabel(t, bottom), q))
-    for l in range(word.k_min(s) + 1, s):
-        if word.k_plus(l) >= sp:
-            q = word.cartan.q(word.letter(s), word.letter(l))
-            if q:
-                bottom = word.shift(
-                    word.k_min(l), word.count_before(k, word.letter(l))
-                )
-                factors.append((IntervalLabel(l, bottom), q))
     return lhs, rhs_pair, tuple(factors)
 
 
@@ -219,6 +206,15 @@ class MuIReport:
         return True
 
 
+def _label_bag(pairs: Iterable[tuple[IntervalLabel, int]]) -> dict[IntervalLabel, int]:
+    """Multiset of the non-unit labels, each with its summed multiplicity."""
+    bag: dict[IntervalLabel, int] = {}
+    for lab, mult in pairs:
+        if not lab.is_unit:
+            bag[lab] = bag.get(lab, 0) + mult
+    return bag
+
+
 def _exchange_matches_identity(
     word: ReducedWord,
     labels: Sequence[IntervalLabel],
@@ -227,22 +223,12 @@ def _exchange_matches_identity(
 ) -> bool:
     """Compare the exchange neighborhoods with the predicted identity sides."""
     lhs, rhs_pair, factors = identity_sides(word, step.group, step.before.b)
-    v = step.vertex
-    sides = []
-    for pairs in matrix.neighbors(v):
-        bag: dict[IntervalLabel, int] = {}
-        for vertex, mult in pairs:
-            lab = labels[vertex - 1]
-            bag[lab] = bag.get(lab, 0) + mult
-        sides.append(bag)
-    expected_pair: dict[IntervalLabel, int] = {}
-    for lab in rhs_pair:
-        if not lab.is_unit:
-            expected_pair[lab] = expected_pair.get(lab, 0) + 1
-    expected_prod: dict[IntervalLabel, int] = {}
-    for lab, q in factors:
-        if not lab.is_unit:
-            expected_prod[lab] = expected_prod.get(lab, 0) + q
+    sides = [
+        _label_bag((labels[vertex - 1], mult) for vertex, mult in pairs)
+        for pairs in matrix.neighbors(step.vertex)
+    ]
+    expected_pair = _label_bag((lab, 1) for lab in rhs_pair)
+    expected_prod = _label_bag(factors)
     return (sides[0] == expected_pair and sides[1] == expected_prod) or (
         sides[1] == expected_pair and sides[0] == expected_prod
     )
@@ -309,22 +295,15 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
 def identity_step(word: ReducedWord, k: int, s: int) -> int:
     """Plan step index at which the pass-k exchange at chain position s occurs.
 
-    Pass k' makes r_k' = t_{i_k'} - 1 - k'[i_k'] steps, so the step is
-    1 + m + sum of r_k' over k' < k, with m the chain distance from k to s.
+    Pass k' makes r_k' steps, so the step is 1 + m + sum of r_k' over
+    k' < k, with m the chain distance from k to s.
     """
     if word.letter(k) != word.letter(s):
         raise ValidationError("positions must carry the same letter")
     m = word.occ_index(s) - word.occ_index(k)
-    r_k = word.t(word.letter(k)) - 1 - word.occ_index(k)
-    if not 0 <= m < r_k:
+    if not 0 <= m < _pass_length(word, k):
         raise ValidationError(f"pair (k={k}, s={s}) is not exchanged in the pass")
-    index = 1 + m
-    seen: dict[int, int] = {}  # occurrences of each letter before position k'
-    for j in word.positions[: k - 1]:
-        occ = seen.get(j, 0)
-        index += word.t(j) - 1 - occ
-        seen[j] = occ + 1
-    return index
+    return 1 + m + sum(_pass_length(word, kp) for kp in range(1, k))
 
 
 def verify_identity(

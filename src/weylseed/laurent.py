@@ -70,8 +70,8 @@ class VarTable:
         return self._index[name]
 
     @staticmethod
-    def indexed(prefix: str, count: int, start: int = 1) -> "VarTable":
-        return VarTable(tuple(f"{prefix}{i}" for i in range(start, start + count)))
+    def indexed(prefix: str, count: int) -> "VarTable":
+        return VarTable(tuple(f"{prefix}{i}" for i in range(1, count + 1)))
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:

@@ -59,9 +59,6 @@ class Quiver:
     def mutable(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.r + 1) if v not in self.frozen)
 
-    def arrow_multiset(self) -> dict[tuple[int, int], int]:
-        return {(s, t): m for s, t, m in self.arrows}
-
     def to_json(self) -> dict:
         return {
             "vertices": self.r,
@@ -152,7 +149,7 @@ class ExchangeMatrix:
         row_k = rows[k - 1]
         # columns j with b_kj != 0: the only ones a neighbor row changes in
         hits = [(j, b_kj, abs(b_kj)) for j, b_kj in enumerate(row_k) if b_kj]
-        neighbors = [i for i, row in enumerate(rows, start=1) if row[c]]  # b_kk = 0
+        neighbors = [i for side in self.neighbors(k) for i, _ in side]
         for i in neighbors:
             row = list(rows[i - 1])
             b_ik = row[c]
@@ -218,7 +215,7 @@ class ExchangeMatrix:
 
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices."""
-    mult = quiver.arrow_multiset()
+    mult = {(s, t): m for s, t, m in quiver.arrows}
     mutable = quiver.mutable
     rows = []
     for i in range(1, quiver.r + 1):
@@ -254,9 +251,9 @@ class Seed:
         return self.cluster[0].vars
 
     @staticmethod
-    def initial(matrix: ExchangeMatrix, prefix: str = "y") -> "Seed":
-        table = VarTable.indexed(prefix, matrix.r)
-        cluster = [LaurentPoly.var(table, f"{prefix}{k}") for k in range(1, matrix.r + 1)]
+    def initial(matrix: ExchangeMatrix) -> "Seed":
+        table = VarTable.indexed("y", matrix.r)
+        cluster = [LaurentPoly.var(table, f"y{k}") for k in range(1, matrix.r + 1)]
         return Seed(matrix, cluster)
 
     @staticmethod
@@ -301,14 +298,6 @@ class Seed:
         }
         return tuple(x.substitute(images) for x in self.cluster)
 
-    def canonical_key(self) -> tuple:
-        """Provenance-independent key: matrix plus canonical cluster content."""
-        return (
-            self.matrix.rows,
-            self.matrix.mutable,
-            tuple(tuple(x.sorted_terms()) for x in self.cluster),
-        )
-
     def to_json(self) -> dict:
         return {
             "matrix": self.matrix.to_json(),
@@ -325,7 +314,7 @@ def denominator_vector(seed: Seed, position: int) -> tuple[int, ...]:
 
 
 class SeedRegistry:
-    """Insert-if-absent registry of canonical seed keys for walk deduplication.
+    """Insert-if-absent registry of seeds, compared by value, for walk deduplication.
 
     Also records denominator-vector collisions: distinct cluster variables
     sharing a denominator vector are logged rather than assumed impossible.
@@ -337,13 +326,13 @@ class SeedRegistry:
         self.collisions: list[tuple] = []
 
     def insert_if_absent(self, seed: Seed) -> bool:
-        key = seed.canonical_key()
+        key = (seed.matrix, seed.cluster)
         if key in self.seen:
             return False
         self.seen[key] = len(self.seen)
         for pos in seed.matrix.mutable:
             den = denominator_vector(seed, pos)
-            content = tuple(seed.cluster[pos - 1].sorted_terms())
+            content = seed.cluster[pos - 1]
             bucket = self.by_denominator.setdefault(den, set())
             if content not in bucket and bucket:
                 self.collisions.append(den)
@@ -395,16 +384,15 @@ def _is_linear_type_a(orientation: QuiverOrientation) -> bool:
 
 
 def coefficient_free_matrix(orientation: QuiverOrientation) -> ExchangeMatrix:
-    """The n x n exchange matrix of an acyclic quiver, no frozen part."""
-    n = orientation.cartan.n
+    """The n x n exchange matrix of an orientation, no frozen part.
+
+    Repeated arrows are merged; a 2-cycle is a ValidationError.
+    """
     mult: dict[tuple[int, int], int] = {}
     for s, t, m in orientation.arrows:
         mult[(s, t)] = mult.get((s, t), 0) + m
-    rows = [
-        [mult.get((j, i), 0) - mult.get((i, j), 0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return ExchangeMatrix(n, tuple(range(1, n + 1)), rows)
+    arrows = tuple((s, t, m) for (s, t), m in mult.items())
+    return b_matrix(Quiver(orientation.cartan.n, frozenset(), arrows))
 
 
 def acyclic_double(orientation: QuiverOrientation) -> tuple[ReducedWord, Seed]:

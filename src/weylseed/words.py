@@ -291,7 +291,6 @@ def euler_of_reachable(
     expr: LaurentPoly,
     word: ReducedWord,
     pattern: Sequence[int],
-    var_names: Sequence[str] | None = None,
 ) -> LaurentPoly:
     """Evaluate a cluster expression in the initial variables on a product.
 
@@ -306,7 +305,7 @@ def euler_of_reachable(
         if e
     }
     images = {
-        f"y{k}": phi_eval(g_V(word, k, pattern), pattern, var_names)
+        f"y{k}": phi_eval(g_V(word, k, pattern), pattern)
         for k in range(1, word.r + 1)
         if f"y{k}" in used
     }

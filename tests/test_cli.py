@@ -381,6 +381,7 @@ REPEATED_EXPONENT = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "1"}, {"exp"
         ["gamma", "--input", "{tmp}/missing.json"],
         ["gamma", "--inline", json.dumps(A2_WORD), "--output", "{tmp}/missing/out.json"],
         ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["laurent", REPEATED_EXPONENT]]))],
+        ["acyclic", "--inline", json.dumps({"rank": 2, "arrows": [[1, 2, 1], [2, 1, 1]]})],
     ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, argv):

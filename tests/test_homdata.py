@@ -4,7 +4,7 @@ import pytest
 
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, sym_form
-from weylseed.errors import NegativeEntryError
+from weylseed.errors import MismatchError, NegativeEntryError
 from weylseed.homdata import (
     hom_tables,
     initial_delta_labels,
@@ -13,7 +13,7 @@ from weylseed.homdata import (
     mutate_dimvec,
     ringel_form_delta,
 )
-from weylseed.quiver import b_matrix, gamma_i
+from weylseed.quiver import ExchangeMatrix, b_matrix, gamma_i
 
 E8 = CartanMatrix.from_edges(
     8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
@@ -202,6 +202,8 @@ def test_two_path_consistency_random_walks():
     pool = [
         CartanMatrix.from_edges(3, [(1, 2, 2), (2, 3, 1)]),
         CartanMatrix.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+        CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)]),
+        CartanMatrix.from_edges(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]),
     ]
     for _ in range(6):
         word = random_reduced_word(rng, rng.choice(pool), rng.randint(3, 7))
@@ -232,3 +234,14 @@ def test_negative_entry_aborts(word_mut7):
     labels[0] = (100,) * 7  # corrupt the data so the exchange goes negative
     with pytest.raises(NegativeEntryError):
         mutate_dimvec(matrix, tuple(labels), 1)
+
+
+def test_non_dominating_exchange_raises():
+    """The larger side (total 5) does not dominate the other (total 1).
+    Filtration-multiplicity labels need not dominate, so that rule accepts it."""
+    matrix = ExchangeMatrix(3, (1,), [[0], [-1], [1]])
+    labels = ((0, 0, 0), (5, 0, 0), (0, 1, 0))
+    with pytest.raises(MismatchError, match=r"vertex 1: total 5 does not dominate total 1"):
+        mutate_dimvec(matrix, labels, 1)
+    move = mutate_delta_dimvec(matrix, labels, 1, (1, 1, 1))
+    assert move.new_label == (5, 0, 0) and not move.dominated

@@ -1,5 +1,6 @@
 """Guards on the package as a whole: every name the benchmark rebinds exists,
-and the modules import only the standard library and only what they use."""
+the modules import only the standard library and only what they use, and
+every specific error class is still raised somewhere."""
 import ast
 import importlib
 import pathlib
@@ -47,3 +48,19 @@ def test_stdlib_only_and_no_unused_imports():
                 if path.name != "__init__.py" and module != "__future__" and name not in used:
                     problems.append(f"{path.name}: imports {name} but never uses it")
     assert problems == []
+
+
+def test_every_error_class_is_raised():
+    """Exit-3 diagnostics print the class name, so each class other than the
+    three bases must have a ``raise Name(...)`` site in the package."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                if isinstance(func, ast.Name):
+                    raised.add(func.id)
+    bases = {"WeylseedError", "ValidationError", "EngineError"}
+    assert sorted(classes - bases - raised) == []

@@ -12,6 +12,7 @@ from weylseed.errors import (
     ValidationError,
 )
 from weylseed.homdata import hom_tables
+from weylseed.laurent import LaurentPoly
 from weylseed.quiver import (
     ExchangeMatrix,
     Quiver,
@@ -342,6 +343,21 @@ def test_seed_registry_dedup(word_gamma7):
     assert reg.insert_if_absent(seed.mutate(2))
 
 
+def test_seed_registry_ignores_term_order(word_gamma7):
+    """Seeds are compared by value: the order a cluster variable's terms
+    were inserted in does not make two equal seeds distinct."""
+    seed = Seed.from_word(word_gamma7).mutate(1)
+    variable = seed.cluster[0]
+    assert len(variable.terms) > 1
+    reordered = LaurentPoly(variable.vars, dict(reversed(list(variable.terms.items()))))
+    assert list(reordered.terms) != list(variable.terms)
+    twin = Seed(seed.matrix, (reordered,) + seed.cluster[1:], seed.provenance)
+    reg = SeedRegistry()
+    assert reg.insert_if_absent(seed)
+    assert not reg.insert_if_absent(twin)
+    assert reg.collisions == []
+
+
 def test_acyclic_double_and_dagger():
     ori = QuiverOrientation.from_arrows(3, [(1, 3, 1), (2, 3, 1)])
     word, seed = acyclic_double(ori)
@@ -362,6 +378,39 @@ def test_acyclic_a2_dagger_distinct():
     dagger = y_dagger(initial)
     assert dagger.matrix == matrix
     assert not set(initial.cluster) & set(dagger.cluster)
+
+
+def parent_coefficient_free_matrix(orientation):
+    """Oracle: b_ij = #(j -> i) - #(i -> j) over the merged arrow counts."""
+    n = orientation.cartan.n
+    mult = {}
+    for s, t, m in orientation.arrows:
+        mult[(s, t)] = mult.get((s, t), 0) + m
+    rows = [
+        [mult.get((j, i), 0) - mult.get((i, j), 0) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return ExchangeMatrix(n, tuple(range(1, n + 1)), rows)
+
+
+def test_coefficient_free_matrix_against_oracle():
+    """The acceptance-criterion-9 generator, with random directions and
+    double arrows sometimes given as two single entries."""
+    rng = random.Random(20240801)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        arrows = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.6:
+                    s, t = (i, j) if rng.random() < 0.5 else (j, i)
+                    m = rng.randint(1, 2)
+                    arrows += [(s, t, 1)] * m if rng.random() < 0.5 else [(s, t, m)]
+        orientation = QuiverOrientation.from_arrows(n, arrows)
+        assert coefficient_free_matrix(orientation) == parent_coefficient_free_matrix(orientation)
+    two_cycle = QuiverOrientation.from_arrows(2, [(1, 2, 1), (2, 1, 1)])
+    with pytest.raises(ValidationError):
+        coefficient_free_matrix(two_cycle)
 
 
 def test_acyclic_rejects_cycles():
