@@ -51,9 +51,6 @@ class IntervalLabel:
         if word.letter(self.a) != word.letter(self.b):
             raise ValidationError(f"interval {self} endpoints carry different letters")
 
-    def delta_indicator(self, word: ReducedWord) -> tuple[int, ...]:
-        return interval_indicator(word, self.b, self.a)
-
     def __repr__(self) -> str:  # pragma: no cover
         return "1" if self.is_unit else f"M[{self.b},{self.a}]"
 
@@ -268,7 +265,7 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
                 f"identity pattern at vertex {v}"
             )
         move = mutate_delta_dimvec(matrix, delta_labels, v, tables.d_delta)
-        if move.new_label != step.after.delta_indicator(word):
+        if move.new_label != interval_indicator(word, step.after.b, step.after.a):
             raise StepMismatchError(
                 f"step {step.index}: filtration label {move.new_label} is not "
                 f"the indicator of {step.after}"
@@ -330,9 +327,7 @@ def verify_identity(
 
     lhs = value(lhs_pair[0]) * value(lhs_pair[1])
     rhs1 = value(rhs_pair[0]) * value(rhs_pair[1])
-    rhs2 = LaurentPoly.one(table)
-    for lab, q in factors:
-        rhs2 = rhs2 * value(lab) ** q
+    rhs2 = LaurentPoly.product(table, (value(lab) ** q for lab, q in factors))
     ok = lhs == rhs1 + rhs2
     if not ok:
         raise IdentityFailsError(
@@ -391,16 +386,11 @@ class PBWExpander:
         # label = [b_prev^+, a]; the exchange identity at (k=a, s=b_prev)
         lhs_pair, rhs_pair, factors = identity_sides(word, label.a, b_prev)
         assert rhs_pair[0] == label
-        numerator = (
-            self.expand(lhs_pair[0]) * self.expand(lhs_pair[1])
-        )
-        prod = LaurentPoly.one(self.table)
-        for lab, q in factors:
-            prod = prod * self.expand(lab) ** q
-        numerator = numerator - prod
-        denominator = self.expand(rhs_pair[1])
+        expand = self.expand
+        lhs = expand(lhs_pair[0]) * expand(lhs_pair[1])
+        rhs2 = LaurentPoly.product(self.table, (expand(lab) ** q for lab, q in factors))
         try:
-            out = numerator.exact_div(denominator)
+            out = (lhs - rhs2).exact_div(expand(rhs_pair[1]))
         except NotDivisibleError as exc:
             raise NotPolynomialAfterSubstitutionError(
                 f"expansion of {label} is not polynomial"

@@ -1,8 +1,8 @@
 """Exact multivariate Laurent polynomials over arbitrary-precision integers.
 
 Terms are kept in a dict keyed by exponent tuples; canonical (serialization
-and comparison) order is graded lexicographic.  All operations are pure and
-return new objects.
+and comparison) order is graded lexicographic.  Operations never modify
+their operands; a result may be an operand itself (``x ** 1`` is ``x``).
 
 Packed monomials.  ``__mul__`` and ``exact_div`` work on monomials packed
 into single ints (Kronecker substitution).  Each operation first shifts its
@@ -29,9 +29,10 @@ monomial divisibility test of long division.  Packing stays inside
 """
 from __future__ import annotations
 
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import add, lshift, sub
-from typing import Mapping, Sequence
+from operator import add, lshift, mul, sub
+from typing import Iterable, Mapping, Sequence
 
 from .cartan import _is_int
 from .errors import (
@@ -144,6 +145,18 @@ class LaurentPoly:
         return LaurentPoly.const(table, 1)
 
     @staticmethod
+    def product(table: VarTable, factors: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The product of ``factors`` in order, one over ``table`` when empty.
+
+        The first factor is the starting value, so nothing is multiplied by one.
+        """
+        factors = iter(factors)
+        first = next(factors, None)
+        if first is None:
+            return LaurentPoly.one(table)
+        return reduce(mul, factors, first)
+
+    @staticmethod
     def var(table: VarTable, name: str, power: int = 1) -> "LaurentPoly":
         exp = [0] * len(table)
         exp[table.index(name)] = power
@@ -237,12 +250,18 @@ class LaurentPoly:
             return LaurentPoly.monomial(
                 self.vars, tuple(k * e for e in exp), coef if k % 2 else 1
             )
-        result = LaurentPoly.one(self.vars)
+        if k == 0:
+            return LaurentPoly.one(self.vars)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
             k >>= 1
         return result
 
@@ -330,31 +349,21 @@ class LaurentPoly:
         img_list = [images.get(name) for name in self.vars.names]
         shifts = [max(0, -min(col)) for col in cols]
         target = tables.pop() if tables else self.vars
-        powers: dict[tuple[int, int], LaurentPoly] = {}
+        power = cache(lambda i, e: img_list[i] ** e)
         acc: dict[tuple[int, ...], int] = {}
-        unit = (0,) * len(target)
         for exp, coef in self.terms.items():
-            term = None
-            for i, e in enumerate(exp):
-                e += shifts[i]
-                if e == 0:
-                    continue
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = img_list[i] ** e
-                term = power if term is None else term * power
-            if term is None:
-                acc[unit] = acc.get(unit, 0) + coef
-                continue
+            shifted = map(add, exp, shifts)
+            term = LaurentPoly.product(
+                target, (power(i, e) for i, e in enumerate(shifted) if e)
+            )
             for e, c in term.terms.items():
                 acc[e] = acc.get(e, 0) + coef * c
         numerator = LaurentPoly(target, acc)
         if not any(shifts):
             return numerator
-        denominator = LaurentPoly.one(target)
-        for img, s in zip(img_list, shifts):
-            if s:
-                denominator = denominator * img**s
+        denominator = LaurentPoly.product(
+            target, (img**s for img, s in zip(img_list, shifts) if s)
+        )
         if not denominator:
             raise NotPolynomialAfterSubstitutionError(
                 "an inverted variable has the zero polynomial as image"

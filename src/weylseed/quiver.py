@@ -260,23 +260,14 @@ class Seed:
     def from_word(word: ReducedWord) -> "Seed":
         return Seed.initial(b_matrix(gamma_i(word)))
 
-    def exchange_products(self, k: int) -> tuple[LaurentPoly, LaurentPoly]:
-        """The two monomials of the exchange binomial at a mutable vertex."""
-        table = self.table
-        ins, outs = self.matrix.neighbors(k)
-        out_prod = LaurentPoly.one(table)
-        for i, m in outs:
-            out_prod = out_prod * self.cluster[i - 1] ** m
-        in_prod = LaurentPoly.one(table)
-        for i, m in ins:
-            in_prod = in_prod * self.cluster[i - 1] ** m
-        return out_prod, in_prod
-
     def mutate(self, k: int) -> "Seed":
-        out_prod, in_prod = self.exchange_products(k)
-        new_var = (out_prod + in_prod).exact_div(self.cluster[k - 1])
-        cluster = list(self.cluster)
-        cluster[k - 1] = new_var
+        """Exchange x_k for (prod over out-arrows + prod over in-arrows) / x_k."""
+        table, cluster = self.table, self.cluster
+        ins, outs = self.matrix.neighbors(k)
+        out_prod = LaurentPoly.product(table, (cluster[i - 1] ** m for i, m in outs))
+        in_prod = LaurentPoly.product(table, (cluster[i - 1] ** m for i, m in ins))
+        new_var = (out_prod + in_prod).exact_div(cluster[k - 1])
+        cluster = cluster[: k - 1] + (new_var,) + cluster[k:]
         return Seed(self.matrix.mutate(k), cluster, self.provenance + (k,))
 
     def mutate_path(self, path: Iterable[int]) -> "Seed":
@@ -297,13 +288,6 @@ class Seed:
             for v, name in enumerate(table.names, start=1)
         }
         return tuple(x.substitute(images) for x in self.cluster)
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": self.matrix.to_json(),
-            "cluster": [x.to_json() for x in self.cluster],
-            "provenance": list(self.provenance),
-        }
 
 
 def denominator_vector(seed: Seed, position: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylseed.cartan import ReducedWord
 from weylseed.errors import (
     NonUnitNegativePowerError,
     NotDivisibleError,
@@ -10,7 +11,9 @@ from weylseed.errors import (
     ValidationError,
     VarTableMismatchError,
 )
+from weylseed.intervals import run_mu_i
 from weylseed.laurent import LaurentPoly, VarTable
+from weylseed.quiver import ExchangeMatrix, Seed
 
 T2 = VarTable(("y1", "y2"))
 T3 = VarTable(("y1", "y2", "y3"))
@@ -78,6 +81,89 @@ def naive_mul(a, b):
 def test_mul_against_convolution_oracle(pair):
     a, b = pair
     assert a * b == naive_mul(a, b)
+
+
+def one_seeded_product(table, factors):
+    """The former product loop: start from one and multiply each factor in."""
+    acc = LaurentPoly.one(table)
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        st.lists(st.one_of(small_polys(), st.just(LaurentPoly.one(T2))), max_size=4).map(
+            lambda fs: (T2, fs)
+        ),
+        st.lists(wide_polys, max_size=3).map(lambda fs: (T3, fs)),
+    )
+)
+def test_product_against_one_seeded_loop(case):
+    table, factors = case
+    expected = one_seeded_product(table, factors)
+    assert LaurentPoly.product(table, factors) == expected
+    assert LaurentPoly.product(table, iter(factors)) == expected
+
+
+def test_product_of_no_factors_and_of_one():
+    assert LaurentPoly.product(T3, []) == LaurentPoly.one(T3)
+    x = LaurentPoly.var(T2, "y1") + LaurentPoly.var(T2, "y2", -1)
+    one = LaurentPoly.one(T2)
+    assert LaurentPoly.product(T2, [x]) is x
+    assert LaurentPoly.product(T2, [one, x]) == x == LaurentPoly.product(T2, [x, one])
+    assert LaurentPoly.product(T2, [one]) == one
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_polys(), monomials()))
+def test_pow_against_repeated_multiplication(x):
+    expected = LaurentPoly.one(T2)
+    for k in range(6):
+        assert x ** k == expected
+        expected = expected * x
+    assert x ** 1 is x
+
+
+@pytest.fixture
+def mutate_products(monkeypatch):
+    """Operand pairs of every ``LaurentPoly.__mul__`` call made inside ``Seed.mutate``."""
+    pairs, depth = [], [0]
+    mul, mutate = LaurentPoly.__mul__, Seed.mutate
+
+    def recording_mul(a, b):
+        if depth[0]:
+            pairs.append((a, b))
+        return mul(a, b)
+
+    def counting_mutate(self, k):
+        depth[0] += 1
+        try:
+            return mutate(self, k)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(Seed, "mutate", counting_mutate)
+    return pairs
+
+
+def is_one(p):
+    return p == LaurentPoly.one(p.vars)
+
+
+def test_pentagon_mutations_multiply_nothing(mutate_products):
+    seed = Seed.initial(ExchangeMatrix(2, (1, 2), [[0, -1], [1, 0]]))
+    assert seed.mutate_path([1, 2] * 5).cluster == seed.cluster
+    # each exchange monomial is one variable or empty: no product to form
+    assert mutate_products == []
+
+
+def test_mu_i_mutations_never_multiply_by_one(mutate_products, a3):
+    report = run_mu_i(ReducedWord(a3, (2, 3, 1, 2, 3, 1)))
+    assert report.seed is not None and mutate_products
+    assert [pair for pair in mutate_products if is_one(pair[0]) or is_one(pair[1])] == []
 
 
 def long_division(a, b):

@@ -1,6 +1,7 @@
 """Guards on the package as a whole: every name the benchmark rebinds exists,
-the modules import only the standard library and only what they use, and
-every specific error class is still raised somewhere."""
+the modules import only the standard library and only what they use, every
+specific error class is still raised somewhere, and no module-level definition
+is dead."""
 import ast
 import importlib
 import pathlib
@@ -64,3 +65,25 @@ def test_every_error_class_is_raised():
                     raised.add(func.id)
     bases = {"WeylseedError", "ValidationError", "EngineError"}
     assert sorted(classes - bases - raised) == []
+
+
+def test_every_module_level_definition_is_referenced():
+    """Each module-level function and class is named somewhere in the package:
+    as a name, an attribute, or an imported name (which covers the
+    ``__init__`` exports)."""
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [
+            (path.stem, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert [f"{m}.{name}" for m, name in defined if name not in referenced] == []
