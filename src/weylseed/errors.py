@@ -69,10 +69,6 @@ class NonIntegralError(EngineError):
     pass
 
 
-class DividedPowerNotIntegralError(EngineError):
-    pass
-
-
 class NonIntegralCoefficientError(EngineError):
     pass
 

@@ -319,15 +319,16 @@ def verify_identity(
     table = next(iter(label_values.values())).vars
 
     def value(lab: IntervalLabel) -> LaurentPoly:
-        if lab.is_unit:
-            return LaurentPoly.one(table)
         if lab not in label_values:
             raise ValidationError(f"label {lab} was not produced by the pass")
         return label_values[lab]
 
-    lhs = value(lhs_pair[0]) * value(lhs_pair[1])
-    rhs1 = value(rhs_pair[0]) * value(rhs_pair[1])
-    rhs2 = LaurentPoly.product(table, (value(lab) ** q for lab, q in factors))
+    # unit labels are the constant one and are left out of every product
+    lhs = LaurentPoly.product(table, (value(lab) for lab in lhs_pair if not lab.is_unit))
+    rhs1 = LaurentPoly.product(table, (value(lab) for lab in rhs_pair if not lab.is_unit))
+    rhs2 = LaurentPoly.product(
+        table, (value(lab) ** q for lab, q in factors if not lab.is_unit)
+    )
     ok = lhs == rhs1 + rhs2
     if not ok:
         raise IdentityFailsError(
@@ -387,8 +388,12 @@ class PBWExpander:
         lhs_pair, rhs_pair, factors = identity_sides(word, label.a, b_prev)
         assert rhs_pair[0] == label
         expand = self.expand
-        lhs = expand(lhs_pair[0]) * expand(lhs_pair[1])
-        rhs2 = LaurentPoly.product(self.table, (expand(lab) ** q for lab, q in factors))
+        lhs = LaurentPoly.product(
+            self.table, (expand(lab) for lab in lhs_pair if not lab.is_unit)
+        )
+        rhs2 = LaurentPoly.product(
+            self.table, (expand(lab) ** q for lab, q in factors if not lab.is_unit)
+        )
         try:
             out = (lhs - rhs2).exact_div(expand(rhs_pair[1]))
         except NotDivisibleError as exc:

@@ -11,11 +11,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import CartanMatrix, ReducedWord, Weight, b_vector, fundamental_weight
-from .errors import (
-    DividedPowerNotIntegralError,
-    NonIntegralCoefficientError,
-    ValidationError,
-)
+from .errors import NonIntegralCoefficientError, ValidationError
 from .laurent import LaurentPoly, VarTable
 
 Word = tuple[int, ...]
@@ -65,16 +61,6 @@ class WordSum:
 
     def scale(self, c: int) -> "WordSum":
         return WordSum({w: c * v for w, v in self.terms.items()})
-
-    def exact_div_int(self, d: int) -> "WordSum":
-        out = {}
-        for w, c in self.terms.items():
-            if c % d:
-                raise DividedPowerNotIntegralError(
-                    f"coefficient {c} not divisible by {d}"
-                )
-            out[w] = c // d
-        return WordSum(out)
 
     def coefficient(self, word: Sequence[int]) -> int:
         return self.terms.get(tuple(word), 0)
@@ -150,30 +136,70 @@ def rho_e(cartan: CartanMatrix, i: int, u: WordSum) -> WordSum:
     return WordSum(out)
 
 
-def rho_f(cartan: CartanMatrix, lam: Weight, i: int, u: WordSum) -> WordSum:
-    """Lowering operator inserting the letter i at every position.
+def rho_f(
+    cartan: CartanMatrix,
+    lam: Weight,
+    i: int,
+    u: WordSum,
+    p: int,
+    pattern: Sequence[int] | None = None,
+) -> WordSum:
+    """Divided power f_i^(p) of the lowering operator, in one pass.
 
-    The insertion after the prefix (j_1, ..., j_l) is weighted by
-    (lam - a_{j_1} - ... - a_{j_l})(alpha_i^vee).
+    For a word w let c_g = lam(alpha_i^vee) - a_{i j_1} - ... - a_{i j_g} be
+    the weight of the gap after its first g letters.  Then
+
+        f_i^(p) w = sum over g_1 <= ... <= g_p of
+                    prod_s (c_{g_s} - (s - 1)) * (w with an i inserted at each g_s).
+
+    Summing the p! insertion orders of one choice of gaps gives p! times this
+    product (a_ii = 2), so the divided power has integer coefficients as it
+    stands and nothing is divided.  The letters are inserted left to right:
+    round s keeps, for each word, the coefficient of every position of its
+    last inserted i and inserts the next i at each later position l, with
+    factor (weight of the prefix of length l) + s - 1; a running sum over the
+    last positions makes a round one scan per word.
+
+    With ``pattern``, only the words that split into runs along it are kept,
+    after every round (see ``lowering_monomial``).
     """
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range")
+    if p < 0:
+        raise ValidationError(f"negative divided power {p}")
+    if p == 0:
+        return WordSum(u.terms)
     row = cartan.rows[i - 1]
     base = lam[i - 1]
-    out: dict[Word, int] = {}
-    for w, c in u.terms.items():
-        weight = base
-        for l in range(len(w) + 1):
-            if l > 0:
-                weight -= row[w[l - 1] - 1]
-            if weight:
-                key = w[:l] + (i,) + w[l:]
-                s = out.get(key, 0) + c * weight
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return WordSum(out)
+    letter = (i,)
+    # word -> {position of its last inserted i: coefficient}; -1 before round 1.
+    # The last round keys by word alone.
+    states: dict = {w: {-1: c} for w, c in u.terms.items()}
+    for s in range(p):
+        last = s == p - 1
+        out: dict = {}
+        for w, ends in states.items():
+            first = min(ends) + 1  # the next i goes after the last one
+            weight = base + s
+            for x in w[:first]:
+                weight -= row[x - 1]
+            running = 0
+            for l in range(first, len(w) + 1):
+                if l > first:
+                    weight -= row[w[l - 1] - 1]
+                running += ends.get(l - 1, 0)
+                if weight and running:
+                    key = w[:l] + letter + w[l:]
+                    if last:
+                        out[key] = out.get(key, 0) + weight * running
+                    elif key in out:
+                        out[key][l] = weight * running
+                    else:
+                        out[key] = {l: weight * running}
+        if pattern is not None:
+            out = {w: v for w, v in out.items() if splits_into_runs(w, pattern)}
+        states = out
+    return WordSum(states)
 
 
 def splits_into_runs(u: Word, pattern: Sequence[int]) -> bool:
@@ -198,25 +224,20 @@ def lowering_monomial(
     """Apply a product of divided powers of lowering operators to the empty word.
 
     ``letters_with_powers`` is read left to right as the operator product, so
-    the last pair acts first.  Divided powers are computed as iterated
-    applications followed by one exact division by the product of factorials.
+    the last pair acts first.  Each nonzero power is one call of ``rho_f``,
+    whose closed form gives the divided power with integer coefficients, so
+    nothing is divided.
 
     With ``pattern``, only the words that split into runs along it are kept,
-    after every lowering step.  Lowering only inserts letters, and deleting
+    after every inserted letter.  Lowering only inserts letters, and deleting
     letters from such a word leaves one, so every word a kept word comes from
     is kept too: the kept coefficients are those of the full sum.
     """
     acc = WordSum.unit()
-    denom = 1
     for letter, power in reversed(list(letters_with_powers)):
-        for _ in range(power):
-            acc = rho_f(cartan, lam, letter, acc)
-            if pattern is not None:
-                acc = WordSum(
-                    {w: c for w, c in acc.terms.items() if splits_into_runs(w, pattern)}
-                )
-        denom *= math.factorial(power)
-    return acc.exact_div_int(denom) if denom > 1 else acc
+        if power:
+            acc = rho_f(cartan, lam, letter, acc, power, pattern)
+    return acc
 
 
 def g_V(word: ReducedWord, k: int, pattern: Sequence[int] | None = None) -> WordSum:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -73,9 +74,90 @@ def test_shuffle_ring_axioms(a, b, c):
 
 def test_rho_examples(double_edge):
     lam = fundamental_weight(3, 2)
-    assert rho_f(double_edge, lam, 2, WordSum.unit()) == ws(((2,), 1))
-    assert rho_f(double_edge, lam, 1, ws(((2,), 1))) == ws(((2, 1), 2))
-    assert rho_f(double_edge, lam, 1, ws(((2, 1), 2))) == ws(((2, 1, 1), 4))
+    assert rho_f(double_edge, lam, 2, WordSum.unit(), 1) == ws(((2,), 1))
+    assert rho_f(double_edge, lam, 1, ws(((2,), 1)), 1) == ws(((2, 1), 2))
+    assert rho_f(double_edge, lam, 1, ws(((2, 1), 2)), 1) == ws(((2, 1, 1), 4))
+
+
+def single_lowering(cartan, lam, i, u):
+    """Oracle: f_i inserting one letter i at every position, weighted by the
+    coroot pairing of lam minus the roots of the prefix before it."""
+    out = {}
+    for w, c in u.terms.items():
+        weight = lam[i - 1]
+        for l in range(len(w) + 1):
+            if l:
+                weight -= cartan.c(i, w[l - 1])
+            key = w[:l] + (i,) + w[l:]
+            out[key] = out.get(key, 0) + c * weight
+    return WordSum(out)
+
+
+def iterated_divided_power(cartan, lam, i, u, p, pattern=None):
+    """Oracle: p single insertions, each followed by the pattern pruning,
+    then one exact division by p!."""
+    for _ in range(p):
+        u = single_lowering(cartan, lam, i, u)
+        if pattern is not None:
+            u = WordSum({w: c for w, c in u.terms.items() if splits_into_runs(w, pattern)})
+    fact = math.factorial(p)
+    assert all(c % fact == 0 for c in u.terms.values())
+    return WordSum({w: c // fact for w, c in u.terms.items()})
+
+
+def test_divided_power_by_hand(double_edge):
+    """lam = (3, 0, 0): f_1^(2) of the empty word is h(h - 1) = 6 times (1, 1),
+    and f_1^(1) of (1,) puts weights 3 and 3 - 2 on the two gaps."""
+    lam = (3, 0, 0)
+    assert rho_f(double_edge, lam, 1, WordSum.unit(), 2) == ws(((1, 1), 6))
+    assert rho_f(double_edge, lam, 1, ws(((1,), 1)), 1) == ws(((1, 1), 4))
+    assert rho_f(double_edge, lam, 1, WordSum.unit(), 0) == WordSum.unit()
+    with pytest.raises(ValidationError, match="negative divided power"):
+        rho_f(double_edge, lam, 1, WordSum.unit(), -1)
+
+
+@pytest.mark.parametrize("cartan", CARTAN_POOL, ids=lambda c: f"rank{c.n}")
+@pytest.mark.parametrize("seed", range(3))
+def test_divided_power_matches_iterated_oracle(cartan, seed):
+    """rho_f(..., p) equals p single insertions divided by p!, for weights that
+    are not dominant (zero and negative gap factors), with and without a
+    pattern."""
+    rng = random.Random(seed)
+    letters = range(1, cartan.n + 1)
+    for _ in range(6):
+        lam = tuple(rng.randint(-3, 3) for _ in letters)
+        i = rng.choice(letters)
+        u = WordSum(
+            {
+                tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 4))
+            }
+        )
+        pattern = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
+        for p in range(6):
+            for pat in (None, pattern):
+                assert rho_f(cartan, lam, i, u, p, pat) == iterated_divided_power(
+                    cartan, lam, i, u, p, pat
+                )
+
+
+def test_g_v_lowers_once_per_nonzero_power(monkeypatch, word_gamma7):
+    """Each nonzero entry of the socle multiplicities is one rho_f call."""
+    from weylseed.cartan import b_vector
+
+    calls = []
+
+    def counting_rho_f(cartan, lam, i, u, p, pattern=None):
+        calls.append(p)
+        return rho_f(cartan, lam, i, u, p, pattern)
+
+    monkeypatch.setattr(words, "rho_f", counting_rho_f)
+    for k in [1, 2, 3, 4, 5, 7]:  # k = 6 has 392,206 words; see the content test
+        calls.clear()
+        g_V(word_gamma7, k)
+        prefix = word_gamma7.prefix(k)
+        b = b_vector(prefix, fundamental_weight(3, prefix.letter(k)))
+        assert calls == [x for x in reversed(b) if x]
 
 
 def test_rho_e_strips_trailing_letter(double_edge):
@@ -89,8 +171,8 @@ def test_rho_commutator_weight(double_edge):
     for word in [(2,), (2, 1), (2, 1, 1)]:
         u = ws((word, 1))
         i = 1
-        ef = rho_e(double_edge, i, rho_f(double_edge, lam, i, u))
-        fe = rho_f(double_edge, lam, i, rho_e(double_edge, i, u))
+        ef = rho_e(double_edge, i, rho_f(double_edge, lam, i, u, 1))
+        fe = rho_f(double_edge, lam, i, rho_e(double_edge, i, u), 1)
         content = letter_content(word, 3)
         pairing = lam[i - 1] - sum(
             double_edge.c(i, j + 1) * content[j] for j in range(3)
@@ -123,8 +205,8 @@ def test_g_v_goldens(word_gamma7):
 def test_g_v_content_and_refined_coefficient(word_gamma7):
     from weylseed.cartan import b_vector, dim_V
 
-    # k = 6 is a 24-dimensional module whose sum takes ~30s to build; the
-    # invariant is exercised by the other six positions
+    # k = 6 is a 24-dimensional module whose sum (392,206 words) takes
+    # seconds to build; the invariant is exercised by the other six positions
     for k in [1, 2, 3, 4, 5, 7]:
         g = g_V(word_gamma7, k)
         target = dim_V(word_gamma7, k)
