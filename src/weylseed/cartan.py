@@ -11,10 +11,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
-    HeightBoundExceededError,
     NonDominantError,
     NotReducedError,
     ValidationError,
@@ -102,31 +101,12 @@ class CartanMatrix:
         return {"rank": self.n, "edges": [list(e) for e in self.edges()]}
 
 
-def root_pairing(cartan: CartanMatrix, d: Root, i: int) -> int:
-    """Pairing <d, alpha_i^vee> of a root-lattice vector with a simple coroot."""
-    return sum(dj * cartan.c(j + 1, i) for j, dj in enumerate(d))
-
-
-def reflect_root(cartan: CartanMatrix, i: int, d: Root) -> Root:
-    """Simple reflection s_i acting on the root lattice."""
-    if not 1 <= i <= cartan.n:
-        raise ValidationError(f"letter {i} out of range 1..{cartan.n}")
-    coef = root_pairing(cartan, d, i)
-    out = list(d)
-    out[i - 1] -= coef
-    return tuple(out)
-
-
 def simple_root(n: int, i: int) -> Root:
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
 def is_positive_root_vector(d: Root) -> bool:
     return all(x >= 0 for x in d) and any(x > 0 for x in d)
-
-
-def root_height(d: Root) -> int:
-    return sum(d)
 
 
 def fundamental_weight(n: int, j: int) -> Weight:
@@ -281,71 +261,6 @@ class ReducedWord:
         return doc
 
 
-def positive_roots_upto(cartan: CartanMatrix, height: int) -> frozenset[Root]:
-    """All positive roots of height <= bound, real and imaginary.
-
-    Classical height-by-height construction: gamma + alpha_i is a root iff
-    the alpha_i-string through gamma extends upwards, i.e.
-    p - <gamma, alpha_i^vee> > 0 with p the depth of the string below gamma.
-    Root strings through real directions are unbroken, so p is computable
-    from the lower layers.
-    """
-    n = cartan.n
-    found: set[Root] = {simple_root(n, i) for i in range(1, n + 1)}
-    layer: set[Root] = set(found)
-    for _ in range(1, height):
-        nxt: set[Root] = set()
-        for gamma in layer:
-            for i in range(1, n + 1):
-                p = 0
-                down = gamma
-                while True:
-                    down = tuple(
-                        x - (1 if j == i - 1 else 0) for j, x in enumerate(down)
-                    )
-                    if down in found:
-                        p += 1
-                    else:
-                        break
-                if p - root_pairing(cartan, gamma, i) > 0:
-                    up = tuple(
-                        x + (1 if j == i - 1 else 0) for j, x in enumerate(gamma)
-                    )
-                    if up not in found:
-                        nxt.add(up)
-        if not nxt:
-            break
-        found |= nxt
-        layer = nxt
-    return frozenset(found)
-
-
-def is_bracket_closed(
-    cartan: CartanMatrix, roots: Iterable[Root], height: int = 64
-) -> bool:
-    """Check closure under addition inside the positive roots up to ``height``.
-
-    Sums reaching beyond the bound are an error since membership cannot be
-    decided.
-    """
-    roots = list(roots)
-    for d in roots:
-        if not is_positive_root_vector(d):
-            raise ValidationError(f"{d} is not a positive root vector")
-    table = positive_roots_upto(cartan, height)
-    members = set(roots)
-    for a in roots:
-        for b in roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if root_height(s) > height:
-                raise HeightBoundExceededError(
-                    f"root height {root_height(s)} exceeds bound {height}"
-                )
-            if s in table and s not in members:
-                return False
-    return True
-
-
 def dim_V(word: ReducedWord, k: int) -> Root:
     """w_{i_k} - s_{i_1}...s_{i_k}(w_{i_k}) as a root-lattice vector.
 
@@ -423,14 +338,6 @@ class QuiverOrientation:
             return True
 
         return all(state.get(v) == 2 or visit(v) for v in children)
-
-
-def euler_form(orientation: QuiverOrientation, d: Root, e: Root) -> int:
-    """<d,e> = sum d_i e_i - sum over arrows d_{s(a)} e_{t(a)}."""
-    total = sum(x * y for x, y in zip(d, e))
-    for s, t, m in orientation.arrows:
-        total -= m * d[s - 1] * e[t - 1]
-    return total
 
 
 def sym_form(cartan: CartanMatrix, d: Root, e: Root) -> int:

@@ -41,14 +41,6 @@ class FrozenIndexError(ValidationError):
     pass
 
 
-class StarUndefinedError(ValidationError):
-    pass
-
-
-class HeightBoundExceededError(ValidationError):
-    pass
-
-
 class VarTableMismatchError(ValidationError):
     pass
 
@@ -62,10 +54,6 @@ class NonUnitNegativePowerError(ValidationError):
 
 
 class NotPolynomialAfterSubstitutionError(EngineError):
-    pass
-
-
-class NonIntegralError(EngineError):
     pass
 
 

@@ -1,7 +1,7 @@
 """The explicit mutation pass that reverses every letter chain of a word
 quiver, with interval labels tracked at each vertex, the exchange identities
-it produces, the chain-reversal star involution, and expansion of cluster
-variables in the basis dual to the chain-subquotient modules.
+it produces, and expansion of cluster variables in the basis dual to the
+chain-subquotient modules.
 
 An interval label [b, a] names the subquotient with top index b and bottom
 index a (same letter, a <= b); [a-1-ish, a] degenerate pairs with a > b act
@@ -18,7 +18,6 @@ from .errors import (
     IdentityFailsError,
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
-    StarUndefinedError,
     StepMismatchError,
     ValidationError,
 )
@@ -344,21 +343,6 @@ def verify_identity(
     }
 
 
-def star(word: ReducedWord, k: int) -> int:
-    """Chain-reversal involution: occurrence m goes to t_j - 2 - m."""
-    j = word.letter(k)
-    m = word.occ_index(k)
-    t = word.t(j)
-    if m == t - 1:
-        raise StarUndefinedError(f"position {k} is the final occurrence of {j}")
-    return word.chain(j)[t - 2 - m]
-
-
-def shift_sequence(word: ReducedWord, path: Sequence[int]) -> tuple[int, ...]:
-    """Starred mutation path; conjugates walks through the chain reversal."""
-    return tuple(star(word, k) for k in path)
-
-
 class PBWExpander:
     """Expansion of interval labels in the variables dual to the chain
     subquotients, by downward recursion on interval length.
@@ -394,12 +378,14 @@ class PBWExpander:
         rhs2 = LaurentPoly.product(
             self.table, (expand(lab) ** q for lab, q in factors if not lab.is_unit)
         )
-        try:
-            out = (lhs - rhs2).exact_div(expand(rhs_pair[1]))
-        except NotDivisibleError as exc:
-            raise NotPolynomialAfterSubstitutionError(
-                f"expansion of {label} is not polynomial"
-            ) from exc
+        out = lhs - rhs2
+        if not rhs_pair[1].is_unit:
+            try:
+                out = out.exact_div(expand(rhs_pair[1]))
+            except NotDivisibleError as exc:
+                raise NotPolynomialAfterSubstitutionError(
+                    f"expansion of {label} is not polynomial"
+                ) from exc
         self._cache[label] = out
         return out
 

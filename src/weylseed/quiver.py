@@ -17,14 +17,12 @@ its neighbors, the only pairs whose entries change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
 from .errors import (
     FrozenIndexError,
     LinearAnCaveatError,
-    NonIntegralError,
     NotAcyclicError,
     ValidationError,
 )
@@ -172,9 +170,11 @@ class ExchangeMatrix:
         ins, outs = [], []
         for i, row in enumerate(self.rows, start=1):
             b_ik = row[c]
+            if not b_ik:
+                continue
             if b_ik < 0:
                 ins.append((i, -b_ik))
-            elif b_ik > 0:
+            else:
                 outs.append((i, b_ik))
         return ins, outs
 
@@ -322,38 +322,6 @@ class SeedRegistry:
                 self.collisions.append(den)
             bucket.add(content)
         return True
-
-
-def g_vector_initial(
-    d: Sequence[int], cartan_bi: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """Solve g . C^T = d for the matrix C of projective dimension columns.
-
-    Equivalently g = d . (C^{-1})^T; the solution is asserted integral.
-    """
-    r = len(d)
-    if len(cartan_bi) != r or any(len(row) != r for row in cartan_bi):
-        raise ValidationError("matrix shape mismatch")
-    # solve C g = d treating g, d as column vectors
-    a = [[Fraction(cartan_bi[i][j]) for j in range(r)] + [Fraction(d[i])] for i in range(r)]
-    for col in range(r):
-        pivot = next((i for i in range(col, r) if a[i][col]), None)
-        if pivot is None:
-            raise NonIntegralError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(r):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(r):
-        val = a[i][r]
-        if val.denominator != 1:
-            raise NonIntegralError(f"entry {i + 1} is not integral: {val}")
-        out.append(int(val))
-    return tuple(out)
 
 
 def _is_linear_type_a(orientation: QuiverOrientation) -> bool:

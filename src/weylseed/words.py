@@ -120,22 +120,6 @@ def shuffle(a: WordSum, b: WordSum) -> WordSum:
     return WordSum(out)
 
 
-def rho_e(cartan: CartanMatrix, i: int, u: WordSum) -> WordSum:
-    """Raising operator: strips a trailing letter i (``cartan`` range-checks i)."""
-    if not 1 <= i <= cartan.n:
-        raise ValidationError(f"letter {i} out of range")
-    out: dict[Word, int] = {}
-    for w, c in u.terms.items():
-        if w and w[-1] == i:
-            key = w[:-1]
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return WordSum(out)
-
-
 def rho_f(
     cartan: CartanMatrix,
     lam: Weight,
@@ -306,28 +290,3 @@ def phi_eval(
                 )
             terms[a] = terms.get(a, 0) + coef // denom
     return LaurentPoly(VarTable(var_names), terms)
-
-
-def euler_of_reachable(
-    expr: LaurentPoly,
-    word: ReducedWord,
-    pattern: Sequence[int],
-) -> LaurentPoly:
-    """Evaluate a cluster expression in the initial variables on a product.
-
-    Substitutes the evaluated generating function of each initial cluster
-    variable and asserts the result is polynomial; its coefficients are the
-    Euler characteristics of the corresponding reachable module.
-    """
-    used = {
-        expr.vars.names[i]
-        for exp in expr.terms
-        for i, e in enumerate(exp)
-        if e
-    }
-    images = {
-        f"y{k}": phi_eval(g_V(word, k, pattern), pattern)
-        for k in range(1, word.r + 1)
-        if f"y{k}" in used
-    }
-    return expr.substitute(images)

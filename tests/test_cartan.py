@@ -10,17 +10,29 @@ from weylseed.cartan import (
     ReducedWord,
     b_vector,
     dim_V,
-    euler_form,
     fundamental_weight,
-    is_bracket_closed,
     is_reduced,
-    positive_roots_upto,
-    reflect_root,
     reflect_weight,
     simple_root,
     sym_form,
 )
 from weylseed.errors import NonDominantError, NotReducedError, ValidationError
+
+
+def reflect_root(cartan: CartanMatrix, i: int, d: tuple[int, ...]) -> tuple[int, ...]:
+    """Oracle: the simple reflection s_i(d) = d - <d, alpha_i^vee> alpha_i."""
+    pairing = sum(dj * cartan.c(j + 1, i) for j, dj in enumerate(d))
+    out = list(d)
+    out[i - 1] -= pairing
+    return tuple(out)
+
+
+def euler_form(orientation: QuiverOrientation, d, e) -> int:
+    """Oracle: <d,e> = sum d_i e_i - sum over arrows d_{s(a)} e_{t(a)}."""
+    total = sum(x * y for x, y in zip(d, e))
+    for s, t, m in orientation.arrows:
+        total -= m * d[s - 1] * e[t - 1]
+    return total
 
 
 def test_reflect_root_simple(a2):
@@ -149,42 +161,6 @@ def test_betas_match_reflection_oracle(a4, star4, wild3):
 def test_not_reduced_raises(a2):
     with pytest.raises(NotReducedError):
         ReducedWord(a2, (1, 2, 1, 2))
-
-
-def test_bracket_closed(a2, star4):
-    w = ReducedWord(star4, (3, 4, 2, 1, 4))
-    assert is_bracket_closed(star4, w.betas, height=12)
-    assert is_bracket_closed(a2, [(1, 0)], height=4)
-    assert not is_bracket_closed(a2, [(1, 0), (0, 1)], height=4)
-
-
-def test_bracket_closed_on_random_words():
-    import random
-
-    from weylseed.acceptance import random_reduced_word
-
-    rng = random.Random(7)
-    pool = [
-        CartanMatrix.from_edges(3, [(1, 2, 1), (2, 3, 1)]),
-        CartanMatrix.from_edges(4, [(1, 4, 1), (2, 4, 1), (3, 4, 1)]),
-        CartanMatrix.from_edges(3, [(1, 2, 2), (2, 3, 1)]),
-    ]
-    for _ in range(10):
-        cartan = rng.choice(pool)
-        word = random_reduced_word(rng, cartan, rng.randint(1, 7))
-        assert is_bracket_closed(cartan, word.betas, height=40)
-
-
-def test_positive_roots_a2(a2):
-    assert positive_roots_upto(a2, 8) == {(1, 0), (0, 1), (1, 1)}
-
-
-def test_positive_roots_affine():
-    affine = CartanMatrix.from_edges(2, [(1, 2, 2)])
-    roots = positive_roots_upto(affine, 6)
-    # real roots alpha1+k*delta etc. and imaginary multiples of delta
-    assert (1, 1) in roots and (2, 2) in roots and (2, 1) in roots
-    assert (2, 0) not in roots
 
 
 def test_dim_v(triangle, word_a4_running):

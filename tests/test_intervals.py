@@ -4,7 +4,7 @@ import pytest
 
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V
-from weylseed.errors import StarUndefinedError, ValidationError
+from weylseed.errors import ValidationError
 from weylseed.intervals import (
     UNIT,
     IntervalLabel,
@@ -14,12 +14,20 @@ from weylseed.intervals import (
     identity_step,
     mu_i_plan,
     run_mu_i,
-    shift_sequence,
-    star,
     verify_identity,
 )
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import Seed
+
+
+def star(word: ReducedWord, k: int) -> int:
+    """Oracle: the chain-reversal involution; occurrence m of letter j goes to
+    occurrence t_j - 2 - m, and the final occurrence has no image."""
+    j = word.letter(k)
+    m, t = word.occ_index(k), word.t(j)
+    if m == t - 1:
+        raise ValueError(f"position {k} is the final occurrence of {j}")
+    return word.chain(j)[t - 2 - m]
 
 
 def plan_length(word: ReducedWord) -> int:
@@ -185,8 +193,7 @@ def test_e8_combinatorial_pass():
 def test_star_golden(word_a4_shift):
     assert star(word_a4_shift, 5) == 5
     assert star(word_a4_shift, 6) == 2
-    assert shift_sequence(word_a4_shift, (5, 6)) == (5, 2)
-    with pytest.raises(StarUndefinedError):
+    with pytest.raises(ValueError, match="final occurrence"):
         star(word_a4_shift, 10)
 
 
@@ -213,7 +220,7 @@ def test_shift_walk_dimensions(word_a4_shift):
     assert r5.cluster[4].multidegree(grading) == (1, 1, 1, 0)
     assert r6.cluster[5].multidegree(grading) == (1, 1, 2, 1)
     t_seed = run_mu_i(w).seed
-    starred = shift_sequence(w, (5, 6))
+    starred = tuple(star(w, k) for k in (5, 6))
     assert starred == (5, 2)
     s1 = t_seed.mutate(starred[0])
     s2 = s1.mutate(starred[1])
@@ -257,6 +264,36 @@ def test_pbw_goldens(word_pbw6):
     assert exp.expand_initial(6) == mono(1, (3, 1), (6, 1)) - mono(
         1, (4, 1), (5, 1)
     )
+
+
+def test_pbw_expand_never_divides_by_one(monkeypatch, word_pbw6, word_a4_shift):
+    """An identity whose divisor label is the unit gives lhs - rhs2 as it is,
+    with no division; every expansion still solves its identity exactly."""
+    divisors = []
+    exact_div = LaurentPoly.exact_div
+
+    def counting_exact_div(self, other):
+        divisors.append(other)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting_exact_div)
+    unit_divisor_labels = 0
+    for w in (word_pbw6, word_a4_shift):
+        exp = PBWExpander(w)
+
+        def product(pairs):
+            return LaurentPoly.product(exp.table, (exp.expand(lab) ** q for lab, q in pairs))
+
+        for b in range(1, w.r + 1):
+            for a in w.chain(w.letter(b)):
+                if a < b:
+                    lhs_pair, rhs_pair, factors = identity_sides(w, a, w.k_minus(b))
+                    unit_divisor_labels += rhs_pair[1].is_unit
+                    assert product((lab, 1) for lab in lhs_pair) - product(factors) == (
+                        exp.expand(IntervalLabel(b, a)) * exp.expand(rhs_pair[1])
+                    )
+    assert unit_divisor_labels > 0
+    assert [d for d in divisors if d == LaurentPoly.one(d.vars)] == []
 
 
 def test_pbw_w_modules(word_pbw6):

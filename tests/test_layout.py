@@ -46,7 +46,7 @@ def test_stdlib_only_and_no_unused_imports():
             for module, name in bound:
                 if absolute and module.split(".")[0] not in sys.stdlib_module_names:
                     problems.append(f"{path.name}: imports {module} from outside the standard library")
-                if path.name != "__init__.py" and module != "__future__" and name not in used:
+                if module != "__future__" and name not in used:
                     problems.append(f"{path.name}: imports {name} but never uses it")
     assert problems == []
 
@@ -68,11 +68,13 @@ def test_every_error_class_is_raised():
 
 
 def test_every_module_level_definition_is_referenced():
-    """Each module-level function and class is named somewhere in the package:
-    as a name, an attribute, or an imported name (which covers the
-    ``__init__`` exports)."""
+    """Each module-level function and class is named somewhere in the package
+    outside ``__init__``: as a name, an attribute, or an imported name.
+    ``__init__`` imports nothing, so a re-export never counts as a use."""
     defined, referenced = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [
             (path.stem, node.name)
@@ -87,3 +89,5 @@ def test_every_module_level_definition_is_referenced():
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     assert [f"{m}.{name}" for m, name in defined if name not in referenced] == []
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(init))

@@ -7,11 +7,9 @@ from weylseed.cartan import QuiverOrientation, ReducedWord, dim_V
 from weylseed.errors import (
     FrozenIndexError,
     LinearAnCaveatError,
-    NonIntegralError,
     NotAcyclicError,
     ValidationError,
 )
-from weylseed.homdata import hom_tables
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import (
     ExchangeMatrix,
@@ -22,7 +20,6 @@ from weylseed.quiver import (
     b_matrix,
     coefficient_free_matrix,
     denominator_vector,
-    g_vector_initial,
     gamma_i,
     y_dagger,
 )
@@ -311,28 +308,6 @@ def test_exchange_homogeneous(word_gamma7):
         seed = seed.mutate(k)
         assert seed.cluster[k - 1].multidegree(grading) is not None
         last = k
-
-
-def test_g_vector_initial(word_mut7):
-    tables = hom_tables(word_mut7)
-    cartan_bi = [list(row) for row in tables.VV]
-    r = word_mut7.r
-    for k in range(1, r + 1):
-        d = tuple(zip(*tables.VV))[k - 1]
-        g = g_vector_initial(d, cartan_bi)
-        assert g == tuple(1 if i == k else 0 for i in range(1, r + 1))
-    assert g_vector_initial((0,) * r, cartan_bi) == (0,) * r
-    # brute-force linear solve oracle on a random filtration vector
-    rng = random.Random(5)
-    a = [rng.randint(0, 2) for _ in range(r)]
-    d = tables.dimvec_of_delta(a)
-    g = g_vector_initial(d, cartan_bi)
-    # g . C^T = d
-    assert all(
-        sum(g[i] * cartan_bi[j][i] for i in range(r)) == d[j] for j in range(r)
-    )
-    with pytest.raises(NonIntegralError):
-        g_vector_initial((1, 0, 0, 0, 0, 0, 1), [[2 if i == j else 0 for j in range(7)] for i in range(7)])
 
 
 def test_seed_registry_dedup(word_gamma7):
