@@ -224,15 +224,14 @@ def _positions(doc: dict, word: ReducedWord) -> list[int]:
     return _int_list(doc.get("positions", list(range(1, word.r + 1))), "positions", 1, word.r)
 
 
-def cmd_euler_gen(doc, args) -> dict:
+def cmd_euler_gen(doc, args) -> str:
+    """Writes its canonical text itself: a sum can hold tens of thousands of words."""
     word = _word_from_doc(doc)
     out = []
     for k in _positions(doc, word):
         g = g_V(word, k)
-        out.append(
-            {"k": k, "words": g.word_count(), "sum": g.to_json()}
-        )
-    return {"generating_functions": out}
+        out.append('{"k":%d,"sum":%s,"words":%d}' % (k, g.json_text(), g.word_count()))
+    return '{"generating_functions":[' + ",".join(out) + "]}\n"
 
 
 def cmd_phi_eval(doc, args) -> dict:
@@ -361,7 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = None if args.command == "selftest" else _load_doc(args)
-        text = _dump(COMMANDS[args.command](doc, args))
+        # a command returns a document to dump, or its canonical text as a str
+        result = COMMANDS[args.command](doc, args)
+        text = result if isinstance(result, str) else _dump(result)
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

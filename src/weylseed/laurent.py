@@ -337,7 +337,8 @@ class LaurentPoly:
         cleared by multiplying through with the matching image powers, and
         the value is the exact quotient of the two sides; when there is none
         this raises NotPolynomialAfterSubstitutionError.  The value lives over
-        the images' variable table, also when the polynomial is zero.
+        the images' variable table, also when the polynomial is zero.  An
+        image equal to the constant one is left out of every product.
         """
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
@@ -346,15 +347,19 @@ class LaurentPoly:
         for name, col in zip(self.vars.names, cols):
             if any(col) and name not in images:
                 raise ValidationError(f"no image for variable {name}")
-        img_list = [images.get(name) for name in self.vars.names]
-        shifts = [max(0, -min(col)) for col in cols]
         target = tables.pop() if tables else self.vars
+        # a variable with image one, like one that does not occur, drops out
+        one = LaurentPoly.one(target)
+        img_list = [images.get(name, one) for name in self.vars.names]
+        img_list = [None if img == one else img for img in img_list]
+        shifts = [0 if img is None else max(0, -min(col)) for img, col in zip(img_list, cols)]
         power = cache(lambda i, e: img_list[i] ** e)
         acc: dict[tuple[int, ...], int] = {}
         for exp, coef in self.terms.items():
             shifted = map(add, exp, shifts)
             term = LaurentPoly.product(
-                target, (power(i, e) for i, e in enumerate(shifted) if e)
+                target,
+                (power(i, e) for i, e in enumerate(shifted) if e and img_list[i] is not None),
             )
             for e, c in term.terms.items():
                 acc[e] = acc.get(e, 0) + coef * c

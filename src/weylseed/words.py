@@ -71,12 +71,20 @@ class WordSum:
     def sorted_terms(self) -> list[tuple[Word, int]]:
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"word": list(w), "coef": str(c)} for w, c in self.sorted_terms()
-            ]
-        }
+    def json_text(self) -> str:
+        """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]}.
+
+        The terms come in (length, word) order and each is written with one
+        ``%`` format per word length, so no dict is built per word.
+        """
+        formats: dict[int, str] = {}
+        parts = []
+        for w, c in self.sorted_terms():
+            fmt = formats.get(len(w))
+            if fmt is None:
+                fmt = formats[len(w)] = '{"coef":"%d","word":[' + ",".join(["%d"] * len(w)) + "]}"
+            parts.append(fmt % (c, *w))
+        return '{"terms":[' + ",".join(parts) + "]}"
 
     def __repr__(self) -> str:  # pragma: no cover
         if not self.terms:
@@ -144,6 +152,11 @@ def rho_f(
     factor (weight of the prefix of length l) + s - 1; a running sum over the
     last positions makes a round one scan per word.
 
+    Each state also carries the factor of the gap just after its leftmost
+    last i, so a round starts there and walks right without re-reading the
+    prefix: the factor of gap l + 1 in round s + 1 is the factor of gap l in
+    round s, plus 1 for the round, minus a_ii for the inserted i.
+
     With ``pattern``, only the words that split into runs along it are kept,
     after every round (see ``lowering_monomial``).
     """
@@ -154,19 +167,16 @@ def rho_f(
     if p == 0:
         return WordSum(u.terms)
     row = cartan.rows[i - 1]
-    base = lam[i - 1]
+    carry = 1 - row[i - 1]
     letter = (i,)
-    # word -> {position of its last inserted i: coefficient}; -1 before round 1.
-    # The last round keys by word alone.
-    states: dict = {w: {-1: c} for w, c in u.terms.items()}
+    # word -> (first gap to fill, its factor, {position of a last inserted i:
+    # coefficient}); position -1 before round 1.  The last round keys by word
+    # alone.
+    states: dict = {w: (0, lam[i - 1], {-1: c}) for w, c in u.terms.items()}
     for s in range(p):
         last = s == p - 1
         out: dict = {}
-        for w, ends in states.items():
-            first = min(ends) + 1  # the next i goes after the last one
-            weight = base + s
-            for x in w[:first]:
-                weight -= row[x - 1]
+        for w, (first, weight, ends) in states.items():
             running = 0
             for l in range(first, len(w) + 1):
                 if l > first:
@@ -176,10 +186,14 @@ def rho_f(
                     key = w[:l] + letter + w[l:]
                     if last:
                         out[key] = out.get(key, 0) + weight * running
-                    elif key in out:
-                        out[key][l] = weight * running
+                        continue
+                    state = out.get(key)
+                    if state is None:
+                        out[key] = (l + 1, weight + carry, {l: weight * running})
                     else:
-                        out[key] = {l: weight * running}
+                        state[2][l] = weight * running
+                        if l < state[0] - 1:
+                            out[key] = (l + 1, weight + carry, state[2])
         if pattern is not None:
             out = {w: v for w, v in out.items() if splits_into_runs(w, pattern)}
         states = out

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from weylseed.cli import main
+from weylseed.cartan import CartanMatrix, ReducedWord
+from weylseed.cli import _dump, main
+from weylseed.words import g_V
 
 GAMMA7 = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [3, 1, 2, 3, 1, 2, 1]}
 A4 = {
@@ -230,6 +232,30 @@ def test_euler_gen_and_phi(capsys):
     assert len(val["terms"]) == 2
 
 
+def euler_gen_oracle(doc: dict) -> dict:
+    """Oracle: the euler-gen document built as dicts, each sum in the
+    ``WordSum`` JSON form."""
+    word = ReducedWord(CartanMatrix.from_edges(doc["rank"], doc["edges"]), doc["word"])
+    out = []
+    for k in doc.get("positions", range(1, word.r + 1)):
+        g = g_V(word, k)
+        ordered = sorted(g.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        terms = [{"word": list(w), "coef": str(c)} for w, c in ordered]
+        out.append({"k": k, "words": g.word_count(), "sum": {"terms": terms}})
+    return {"generating_functions": out}
+
+
+@pytest.mark.parametrize("positions", [[], [4, 4], None], ids=["none", "repeated", "default"])
+def test_euler_gen_writes_the_dump_of_the_oracle(capsys, tmp_path, positions):
+    doc = A4 if positions is None else dict(A4, positions=positions)
+    code, out = run(capsys, "euler-gen", "--inline", json.dumps(doc))
+    assert code == 0 and out == _dump(euler_gen_oracle(doc))
+    path = tmp_path / "out.json"
+    assert main(["euler-gen", "--inline", json.dumps(doc), "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_minor_check_command(capsys):
     code, out = run(capsys, "minor-check", "--inline", json.dumps(A4))
     assert code == 0
@@ -382,6 +408,10 @@ REPEATED_EXPONENT = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "1"}, {"exp"
         ["gamma", "--inline", json.dumps(A2_WORD), "--output", "{tmp}/missing/out.json"],
         ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["laurent", REPEATED_EXPONENT]]))],
         ["acyclic", "--inline", json.dumps({"rank": 2, "arrows": [[1, 2, 1], [2, 1, 1]]})],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=2))],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[0]))],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[1.0]))],
+        ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[True]))],
     ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, argv):

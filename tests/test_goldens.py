@@ -1,6 +1,8 @@
 """Replays every seed-1 document of the benchmark workloads through the CLI
 and checks each output against the benchmark's recorded sha256 goldens, so a
-change to canonical JSON fails here as well as in the benchmark."""
+change to canonical JSON fails here as well as in the benchmark.  Two more
+``cli-small`` seeds, which have no goldens, are held to their exit class and
+to canonical JSON."""
 import importlib
 import json
 import pathlib
@@ -32,3 +34,20 @@ def test_workload_outputs_match_goldens(bench, workload):
         if reason is not None:
             failures.append((doc.label, reason))
     assert failures == []
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_unrecorded_cli_small_outputs_are_canonical(bench, seed):
+    """``euler-gen`` writes its text itself; on documents without a golden,
+    ``worker.check`` compares that text with the canonical dump of its parse."""
+    worker, workloads, goldens = bench
+    failures, unrecorded = [], set()
+    for doc in workloads["cli-small"](seed):
+        outcome, stdout, _, _ = worker.execute(weylseed.cli, doc.argv)
+        if outcome == 0 and worker.doc_key(doc.argv) not in goldens:
+            unrecorded.add(doc.argv[0])
+        reason = worker.check(doc, outcome, stdout, goldens)
+        if reason is not None:
+            failures.append((doc.label, reason))
+    assert failures == []
+    assert {"euler-gen", "phi-eval"} <= unrecorded

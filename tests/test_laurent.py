@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylseed.cartan import ReducedWord
+from weylseed.cli import main
 from weylseed.errors import (
     NonUnitNegativePowerError,
     NotDivisibleError,
@@ -164,6 +165,25 @@ def test_mu_i_mutations_never_multiply_by_one(mutate_products, a3):
     report = run_mu_i(ReducedWord(a3, (2, 3, 1, 2, 3, 1)))
     assert report.seed is not None and mutate_products
     assert [pair for pair in mutate_products if is_one(pair[0]) or is_one(pair[1])] == []
+
+
+def test_specialized_mutate_never_multiplies_by_one(monkeypatch, capsys):
+    """``mutate --mode specialized`` sets the frozen variables to one, and
+    ``substitute`` leaves images equal to one out of every product."""
+    operands = []
+    mul = LaurentPoly.__mul__
+
+    def recording_mul(a, b):
+        operands.extend((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+    pbw6 = {"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
+    a4 = {"rank": 4, "edges": [[1, 2, 1], [2, 3, 1], [3, 4, 1]], "word": [3, 4, 2, 1, 3, 4, 2, 1]}
+    for doc in (dict(pbw6, path=[3, 2]), dict(a4, path=[1, 2, 3, 1]), pbw6):
+        assert main(["mutate", "--inline", json.dumps(doc), "--mode", "specialized"]) == 0
+    capsys.readouterr()
+    assert operands and [x for x in operands if is_one(x)] == []
 
 
 def long_division(a, b):
@@ -360,7 +380,9 @@ def _outcome(fn, *args):
 unit_monomials = st.tuples(
     st.tuples(*([st.integers(-2, 2)] * 3)), st.sampled_from([1, -1])
 ).map(lambda ec: LaurentPoly(T3, {ec[0]: ec[1]}))
-images_t3 = st.one_of(small_polys(T3, -1, 2, 2), monomials(T3, -2, 2), unit_monomials)
+images_t3 = st.one_of(
+    small_polys(T3, -1, 2, 2), monomials(T3, -2, 2), unit_monomials, st.just(LaurentPoly.one(T3))
+)
 
 
 @settings(max_examples=150, deadline=None)

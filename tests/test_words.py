@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -25,8 +26,15 @@ def ws(*pairs):
     return WordSum({tuple(w): c for w, c in pairs})
 
 
-def wordsum_from_json(doc) -> WordSum:
-    """The inverse of ``WordSum.to_json``."""
+def wordsum_json(u: WordSum) -> dict:
+    """Oracle: the JSON document that ``WordSum.json_text`` writes."""
+    ordered = sorted(u.terms.items(), key=lambda t: (len(t[0]), t[0]))
+    return {"terms": [{"word": list(w), "coef": str(c)} for w, c in ordered]}
+
+
+def wordsum_from_json(text: str) -> WordSum:
+    """The inverse of ``WordSum.json_text``."""
+    doc = json.loads(text)
     return WordSum({tuple(t["word"]): int(t["coef"]) for t in doc["terms"]})
 
 
@@ -139,20 +147,23 @@ def test_divided_power_by_hand(double_edge):
 def test_divided_power_matches_iterated_oracle(cartan, seed):
     """rho_f(..., p) equals p single insertions divided by p!, for weights that
     are not dominant (zero and negative gap factors), with and without a
-    pattern."""
+    pattern.  The input words are rearrangements of one content of up to 6
+    letters, about half of them i: carried gap factors cross several rounds,
+    and a word is reached from several last positions, also out of order."""
     rng = random.Random(seed)
     letters = range(1, cartan.n + 1)
     for _ in range(6):
         lam = tuple(rng.randint(-3, 3) for _ in letters)
         i = rng.choice(letters)
+        content = [rng.choice((i, rng.choice(letters))) for _ in range(rng.randint(0, 6))]
         u = WordSum(
             {
-                tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))): rng.randint(-3, 3)
+                tuple(rng.sample(content, len(content))): rng.randint(-3, 3)
                 for _ in range(rng.randint(1, 4))
             }
         )
         pattern = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
-        for p in range(6):
+        for p in range(7):
             for pat in (None, pattern):
                 assert rho_f(cartan, lam, i, u, p, pat) == iterated_divided_power(
                     cartan, lam, i, u, p, pat
@@ -349,8 +360,28 @@ def test_euler_cross_check_against_dual_basis(word_pbw6):
 
 
 def test_wordsum_serialization_roundtrip():
-    u = ws(((1, 2, 1), 4), ((2,), -1))
-    assert wordsum_from_json(u.to_json()) == u
+    u = ws(((1, 2, 1), 4), ((2,), -1), ((), 3), ((12, 10), 10**20))
+    assert wordsum_from_json(u.json_text()) == u
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.integers(1, 12), max_size=6).map(tuple),
+        st.integers(-(10**20), 10**20) | st.integers(-3, 3),
+        max_size=12,
+    )
+)
+def test_json_text_is_canonical_json_of_the_oracle(terms):
+    """Two-digit letters, negative and 20-digit coefficients, words of mixed
+    lengths, the empty word and the zero sum."""
+    u = WordSum(terms)
+    assert u.json_text() == json.dumps(wordsum_json(u), sort_keys=True, separators=(",", ":"))
+
+
+def test_json_text_of_the_zero_sum_and_the_unit():
+    assert WordSum().json_text() == '{"terms":[]}'
+    assert WordSum.unit().json_text() == '{"terms":[{"coef":"1","word":[]}]}'
 
 
 def has_decomposition(u, pattern) -> bool:
