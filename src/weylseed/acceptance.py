@@ -81,7 +81,7 @@ def random_matrix(rng: random.Random, r: int, n_frozen: int) -> ExchangeMatrix:
     return ExchangeMatrix(r, mutable, rows)
 
 
-def check_matrix_involution(seed: int = 0, trials: int = 1000) -> bool:
+def check_matrix_involution(seed: int, trials: int) -> bool:
     rng = random.Random(seed)
     for _ in range(trials):
         r = rng.randint(2, 6)
@@ -109,19 +109,14 @@ def _word_grading(word: ReducedWord) -> dict[str, tuple[int, ...]]:
     return {f"y{k}": dim_V(word, k) for k in range(1, word.r + 1)}
 
 
-def check_seed_walks(
-    seed: int = 0,
-    words: int = 6,
-    max_length: int = 8,
-    depth: int = 8,
-) -> bool:
+def check_seed_walks(seed: int, words: int, depth: int) -> bool:
     """Random walks from word seeds: exactness, involutivity, homogeneity,
     and dominance of the parallel label mutations."""
     rng = random.Random(seed)
     for trial in range(words):
         wild = trial % 3 == 2
         cartan = CARTAN_POOL[3] if wild else rng.choice(TAME_POOL)
-        word = random_reduced_word(rng, cartan, rng.randint(2, max_length))
+        word = random_reduced_word(rng, cartan, rng.randint(2, 8))
         if not word.r:
             continue
         grading = _word_grading(word)
@@ -152,18 +147,18 @@ def check_seed_walks(
     return True
 
 
-def random_word_sum(rng: random.Random, n: int, words: int = 3) -> WordSum:
+def random_word_sum(rng: random.Random, n: int) -> WordSum:
     terms = {}
-    for _ in range(words):
+    for _ in range(3):
         length = rng.randint(0, 4)
         w = tuple(rng.randint(1, n) for _ in range(length))
         terms[w] = rng.randint(-4, 4)
     return WordSum(terms)
 
 
-def check_shuffle_axioms(seed: int = 0, trials: int = 40) -> bool:
+def check_shuffle_axioms(seed: int) -> bool:
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(40):
         n = rng.randint(1, 3)
         a = random_word_sum(rng, n)
         b = random_word_sum(rng, n)
@@ -177,7 +172,7 @@ def check_shuffle_axioms(seed: int = 0, trials: int = 40) -> bool:
     return True
 
 
-def check_phi_multiplicative(seed: int = 0, trials: int = 6) -> bool:
+def check_phi_multiplicative(seed: int, trials: int) -> bool:
     rng = random.Random(seed)
     for _ in range(trials):
         cartan = rng.choice(CARTAN_POOL[:3])
@@ -195,10 +190,10 @@ def check_phi_multiplicative(seed: int = 0, trials: int = 6) -> bool:
     return True
 
 
-def check_ringel_expansion(seed: int = 0, trials: int = 8) -> bool:
+def check_ringel_expansion(seed: int) -> bool:
     """<f,f> over a filtration expansion equals <d,d> on the root lattice."""
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(8):
         cartan = rng.choice(CARTAN_POOL)
         word = random_reduced_word(rng, cartan, rng.randint(2, 6))
         if not word.r:
@@ -218,11 +213,11 @@ def check_ringel_expansion(seed: int = 0, trials: int = 8) -> bool:
     return True
 
 
-def check_mu_i_small(seed: int = 0, trials: int = 4, max_length: int = 7) -> bool:
+def check_mu_i_small(seed: int) -> bool:
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(3):
         cartan = rng.choice(CARTAN_POOL[:3])
-        word = random_reduced_word(rng, cartan, rng.randint(2, max_length))
+        word = random_reduced_word(rng, cartan, rng.randint(2, 6))
         if not word.r:
             continue
         report = run_mu_i(word)
@@ -234,7 +229,7 @@ def check_mu_i_small(seed: int = 0, trials: int = 4, max_length: int = 7) -> boo
     return True
 
 
-def quick_selftest(seed: int = 20240801) -> dict[str, bool]:
+def quick_selftest(seed: int) -> dict[str, bool]:
     return {
         "matrix_involution": check_matrix_involution(seed, trials=300),
         "a2_pentagon": check_a2_pentagon(),
@@ -242,5 +237,5 @@ def quick_selftest(seed: int = 20240801) -> dict[str, bool]:
         "shuffle_axioms": check_shuffle_axioms(seed),
         "phi_multiplicative": check_phi_multiplicative(seed, trials=4),
         "ringel_expansion": check_ringel_expansion(seed),
-        "mu_i_small": check_mu_i_small(seed, trials=3, max_length=6),
+        "mu_i_small": check_mu_i_small(seed),
     }

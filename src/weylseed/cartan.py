@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    NonDominantError,
-    NotReducedError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 Root = tuple[int, ...]
 # A weight lam as its coroot pairings (lam(alpha_1^vee), ..., lam(alpha_n^vee)).
@@ -97,9 +93,6 @@ class CartanMatrix:
         """True for the standard path labeling 1 - 2 - ... - n."""
         return self.edges() == [(i, i + 1, 1) for i in range(1, self.n)]
 
-    def to_json(self) -> dict:
-        return {"rank": self.n, "edges": [list(e) for e in self.edges()]}
-
 
 def simple_root(n: int, i: int) -> Root:
     return tuple(1 if j == i - 1 else 0 for j in range(n))
@@ -174,7 +167,7 @@ class ReducedWord:
         self._pos = tuple(reversed(self.printed))  # _pos[k-1] = i_k
         self.betas: tuple[Root, ...] = tuple(_beta_list(cartan, self._pos))
         if not all(is_positive_root_vector(d) for d in self.betas):
-            raise NotReducedError(f"word {list(printed)} is not reduced")
+            raise ValidationError(f"word {list(printed)} is not reduced")
         chains: dict[int, list[int]] = {}
         occ = []  # occ[k-1] = k[i_k], the index of k in its chain
         for k, letter in enumerate(self._pos, start=1):
@@ -255,11 +248,6 @@ class ReducedWord:
         """The subword (i_k, ..., i_1)."""
         return ReducedWord(self.cartan, self.printed[self.r - k:])
 
-    def to_json(self) -> dict:
-        doc = self.cartan.to_json()
-        doc["word"] = list(self.printed)
-        return doc
-
 
 def dim_V(word: ReducedWord, k: int) -> Root:
     """w_{i_k} - s_{i_1}...s_{i_k}(w_{i_k}) as a root-lattice vector.
@@ -284,7 +272,7 @@ def b_vector(word: ReducedWord, lam: Weight) -> tuple[int, ...]:
     """
     cartan = word.cartan
     if any(h < 0 for h in lam):
-        raise NonDominantError(f"{lam} is not dominant")
+        raise ValidationError(f"{lam} is not dominant")
     out = [0] * word.r
     current = lam  # s_{i_{k+1}} ... s_{i_r}(lam), from k = r down to 1
     for k in range(word.r, 0, -1):

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-ValidationError covers bad user input (CLI exit code 2); EngineError covers
-violated internal contracts such as failed exact divisions (exit code 3).
+Every bad user input raises ValidationError itself (CLI exit code 2, which
+prints only the message).  Violated internal contracts such as failed exact
+divisions raise a subclass of EngineError (exit code 3), whose diagnostic
+names the class.
 """
 
 
@@ -17,39 +19,7 @@ class EngineError(WeylseedError):
     pass
 
 
-class NotReducedError(ValidationError):
-    pass
-
-
-class NonDominantError(ValidationError):
-    pass
-
-
-class NotTypeAError(ValidationError):
-    pass
-
-
-class NotAcyclicError(ValidationError):
-    pass
-
-
-class LinearAnCaveatError(ValidationError):
-    """The double Coxeter word is not reduced for linearly oriented type A."""
-
-
-class FrozenIndexError(ValidationError):
-    pass
-
-
-class VarTableMismatchError(ValidationError):
-    pass
-
-
 class NotDivisibleError(EngineError):
-    pass
-
-
-class NonUnitNegativePowerError(ValidationError):
     pass
 
 

@@ -177,7 +177,6 @@ class MuIReport:
     plan: MutationPlan
     final_labels: tuple[IntervalLabel, ...]
     label_values: dict[IntervalLabel, LaurentPoly]
-    seed: Seed | None
     final_matrix: ExchangeMatrix
     steps_checked: int
 
@@ -249,7 +248,7 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
     tables = hom_tables(word)
     delta_labels = initial_delta_labels(word)
-    seed: Seed | None = Seed.initial(matrix)
+    seed = Seed.initial(matrix)
     label_values = dict(zip(labels, seed.cluster))
     for step in plan.steps:
         v = step.vertex
@@ -275,14 +274,12 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
             matrix = seed.matrix
             label_values[step.after] = seed.cluster[v - 1]
         else:
-            seed = None
             matrix = matrix.mutate(v)
         labels[v - 1] = step.after
     return MuIReport(
         plan=plan,
         final_labels=tuple(labels),
         label_values=label_values,
-        seed=seed,
         final_matrix=matrix,
         steps_checked=plan.length,
     )

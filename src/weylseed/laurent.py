@@ -35,13 +35,7 @@ from operator import add, lshift, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import _is_int
-from .errors import (
-    NonUnitNegativePowerError,
-    NotDivisibleError,
-    NotPolynomialAfterSubstitutionError,
-    ValidationError,
-    VarTableMismatchError,
-)
+from .errors import NotDivisibleError, NotPolynomialAfterSubstitutionError, ValidationError
 
 
 class VarTable:
@@ -63,9 +57,6 @@ class VarTable:
 
     def __hash__(self) -> int:
         return hash(self.names)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"VarTable{self.names}"
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -157,13 +148,13 @@ class LaurentPoly:
         return reduce(mul, factors, first)
 
     @staticmethod
-    def var(table: VarTable, name: str, power: int = 1) -> "LaurentPoly":
+    def var(table: VarTable, name: str) -> "LaurentPoly":
         exp = [0] * len(table)
-        exp[table.index(name)] = power
+        exp[table.index(name)] = 1
         return LaurentPoly(table, {tuple(exp): 1})
 
     @staticmethod
-    def monomial(table: VarTable, exp: Sequence[int], coef: int = 1) -> "LaurentPoly":
+    def monomial(table: VarTable, exp: Sequence[int], coef: int) -> "LaurentPoly":
         return LaurentPoly(table, {tuple(exp): coef})
 
     # -- basic structure ------------------------------------------------
@@ -189,7 +180,7 @@ class LaurentPoly:
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
-            raise VarTableMismatchError("operands use different variable tables")
+            raise ValidationError("operands use different variable tables")
 
     # -- arithmetic -----------------------------------------------------
 
@@ -235,18 +226,13 @@ class LaurentPoly:
                 out[key] = get(key, 0) + c1 * c2
         return LaurentPoly._of(self.vars, _unpack(out, tuple(map(add, mb, ms)), bits))
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             if not self.is_monomial():
-                raise NonUnitNegativePowerError(
-                    "negative powers only of single-term polynomials"
-                )
+                raise ValidationError("negative powers only of single-term polynomials")
             ((exp, coef),) = self.terms.items()
             if coef * coef != 1:
-                raise NonUnitNegativePowerError("coefficient is not a unit")
+                raise ValidationError("coefficient is not a unit")
             return LaurentPoly.monomial(
                 self.vars, tuple(k * e for e in exp), coef if k % 2 else 1
             )
@@ -342,7 +328,7 @@ class LaurentPoly:
         """
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
-            raise VarTableMismatchError("images use different variable tables")
+            raise ValidationError("images use different variable tables")
         cols = list(zip(*self.terms))
         for name, col in zip(self.vars.names, cols):
             if any(col) and name not in images:

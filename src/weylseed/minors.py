@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cartan import ReducedWord
-from .errors import MismatchError, NotTypeAError, ValidationError
+from .errors import MismatchError, ValidationError
 from .laurent import LaurentPoly, VarTable
 from .words import g_V, phi_eval
 
@@ -29,7 +29,7 @@ def x_product(
     result = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for letter, name in zip(letters, var_names):
         if not 1 <= letter <= rank:
-            raise NotTypeAError(f"letter {letter} out of range 1..{rank}")
+            raise ValidationError(f"letter {letter} out of range 1..{rank}")
         t = LaurentPoly.var(table, name)
         # right-multiply by (I + t E_{letter, letter+1}): col letter+1 += t * col letter
         a, b = letter - 1, letter
@@ -91,7 +91,7 @@ def minor_spec_for_Vk(word: ReducedWord, k: int) -> tuple[tuple[int, ...], tuple
     Letters act as adjacent transpositions, rightmost letter applied first.
     """
     if not word.cartan.is_type_a():
-        raise NotTypeAError("minor specifications require the standard path labels")
+        raise ValidationError("minor specifications require the standard path labels")
     i_k = word.letter(k)
     rows = tuple(range(1, i_k + 1))
     cols = set(rows)

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
-from .errors import (
-    FrozenIndexError,
-    LinearAnCaveatError,
-    NotAcyclicError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .laurent import LaurentPoly, VarTable
 
 
@@ -134,7 +129,7 @@ class ExchangeMatrix:
         try:
             return self._col_of[k]
         except KeyError:
-            raise FrozenIndexError(f"vertex {k} is frozen or absent") from None
+            raise ValidationError(f"vertex {k} is frozen or absent") from None
 
     def entry(self, i: int, k: int) -> int:
         """b_ik = #(k -> i) - #(i -> k); k must be mutable."""
@@ -355,12 +350,12 @@ def acyclic_double(orientation: QuiverOrientation) -> tuple[ReducedWord, Seed]:
     construction is refused.
     """
     if not orientation.is_acyclic():
-        raise NotAcyclicError("quiver has an oriented cycle")
+        raise ValidationError("quiver has an oriented cycle")
     for s, t, _ in orientation.arrows:
         if s >= t:
             raise ValidationError("arrows must go i -> j with i < j")
     if _is_linear_type_a(orientation):
-        raise LinearAnCaveatError(
+        raise ValidationError(
             "squared Coxeter word is not reduced for linearly oriented type A"
         )
     n = orientation.cartan.n

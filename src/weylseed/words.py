@@ -23,73 +23,36 @@ class WordSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, int] | None = None):
-        clean: dict[Word, int] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
+        self.terms = {w: c for w, c in (terms or {}).items() if c}
 
     @staticmethod
     def unit() -> "WordSum":
         return WordSum({(): 1})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, WordSum) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return WordSum(out)
-
-    def __neg__(self) -> "WordSum":
-        return WordSum({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "WordSum") -> "WordSum":
-        return self + (-other)
-
-    def scale(self, c: int) -> "WordSum":
-        return WordSum({w: c * v for w, v in self.terms.items()})
-
-    def coefficient(self, word: Sequence[int]) -> int:
-        return self.terms.get(tuple(word), 0)
 
     def word_count(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Word, int]]:
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-
     def json_text(self) -> str:
         """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]}.
 
-        The terms come in (length, word) order and each is written with one
-        ``%`` format per word length, so no dict is built per word.
+        The terms come in (length, word) order: the words are sorted plainly,
+        then stably by length.  Each is written with one ``%`` format per word
+        length, so no dict is built per word.
         """
+        terms = self.terms
+        words = sorted(terms)
+        words.sort(key=len)
         formats: dict[int, str] = {}
         parts = []
-        for w, c in self.sorted_terms():
+        for w in words:
             fmt = formats.get(len(w))
             if fmt is None:
                 fmt = formats[len(w)] = '{"coef":"%d","word":[' + ",".join(["%d"] * len(w)) + "]}"
-            parts.append(fmt % (c, *w))
+            parts.append(fmt % (terms[w], *w))
         return '{"terms":[' + ",".join(parts) + "]}"
-
-    def __repr__(self) -> str:  # pragma: no cover
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*w{list(w)}" for w, c in self.sorted_terms())
 
 
 def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
@@ -217,7 +180,7 @@ def lowering_monomial(
     cartan: CartanMatrix,
     lam: Weight,
     letters_with_powers: Sequence[tuple[int, int]],
-    pattern: Sequence[int] | None = None,
+    pattern: Sequence[int] | None,
 ) -> WordSum:
     """Apply a product of divided powers of lowering operators to the empty word.
 

@@ -219,7 +219,7 @@ def test_shift_walk_dimensions(word_a4_shift):
     r6 = r5.mutate(6)
     assert r5.cluster[4].multidegree(grading) == (1, 1, 1, 0)
     assert r6.cluster[5].multidegree(grading) == (1, 1, 2, 1)
-    t_seed = run_mu_i(w).seed
+    t_seed = Seed.from_word(w).mutate_path(step.vertex for step in mu_i_plan(w).steps)
     starred = tuple(star(w, k) for k in (5, 6))
     assert starred == (5, 2)
     s1 = t_seed.mutate(starred[0])

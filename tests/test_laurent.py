@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from weylseed.cartan import ReducedWord
 from weylseed.cli import main
 from weylseed.errors import (
-    NonUnitNegativePowerError,
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
     ValidationError,
-    VarTableMismatchError,
 )
 from weylseed.intervals import run_mu_i
 from weylseed.laurent import LaurentPoly, VarTable
@@ -22,6 +20,10 @@ T3 = VarTable(("y1", "y2", "y3"))
 
 def poly(table, terms):
     return LaurentPoly(table, terms)
+
+
+def scale(p, c):
+    return LaurentPoly(p.vars, {e: c * v for e, v in p.terms.items()})
 
 
 def small_polys(table=T2, min_exp=-2, max_exp=3, max_size=4):
@@ -42,7 +44,7 @@ wide_polys = small_polys(T3, -40, 90, max_size=5)
 
 def test_mul_unit_inverse():
     y1 = LaurentPoly.var(T2, "y1")
-    y1_inv = LaurentPoly.var(T2, "y1", -1)
+    y1_inv = LaurentPoly.var(T2, "y1") ** -1
     assert y1 * y1_inv == LaurentPoly.one(T2)
 
 
@@ -53,7 +55,7 @@ def test_square_of_sum():
 
 
 def test_table_mismatch():
-    with pytest.raises(VarTableMismatchError):
+    with pytest.raises(ValidationError, match="operands use different variable tables"):
         LaurentPoly.var(T2, "y1") + LaurentPoly.var(T3, "y1")
 
 
@@ -110,7 +112,7 @@ def test_product_against_one_seeded_loop(case):
 
 def test_product_of_no_factors_and_of_one():
     assert LaurentPoly.product(T3, []) == LaurentPoly.one(T3)
-    x = LaurentPoly.var(T2, "y1") + LaurentPoly.var(T2, "y2", -1)
+    x = LaurentPoly.var(T2, "y1") + LaurentPoly.var(T2, "y2") ** -1
     one = LaurentPoly.one(T2)
     assert LaurentPoly.product(T2, [x]) is x
     assert LaurentPoly.product(T2, [one, x]) == x == LaurentPoly.product(T2, [x, one])
@@ -163,7 +165,7 @@ def test_pentagon_mutations_multiply_nothing(mutate_products):
 
 def test_mu_i_mutations_never_multiply_by_one(mutate_products, a3):
     report = run_mu_i(ReducedWord(a3, (2, 3, 1, 2, 3, 1)))
-    assert report.seed is not None and mutate_products
+    assert mutate_products
     assert [pair for pair in mutate_products if is_one(pair[0]) or is_one(pair[1])] == []
 
 
@@ -258,7 +260,7 @@ def test_exact_div_roundtrip(a, b):
         # divisible up to the content: the coefficient test decides
         st.tuples(
             small_polys(), small_polys(), st.integers(1, 4), st.integers(2, 4)
-        ).map(lambda t: (t[0] * t[1].scale(t[2]), t[1].scale(t[3]))),
+        ).map(lambda t: (t[0] * scale(t[1], t[2]), scale(t[1], t[3]))),
     ).filter(lambda t: bool(t[1]))
 )
 def test_exact_div_against_long_division_oracle(pair):
@@ -285,13 +287,13 @@ def test_exact_div_goldens():
     with pytest.raises(NotDivisibleError):
         (y1 + one).exact_div(y1 * y1 + y2)
     with pytest.raises(NotDivisibleError):
-        (y1.scale(3) + one).exact_div(y1.scale(2) + one)
+        (scale(y1, 3) + one).exact_div(scale(y1, 2) + one)
     # single-term divisors with non-unit coefficients
-    assert (y1.scale(4) + y2.scale(-6)).exact_div(y1.scale(2)) == LaurentPoly(
+    assert (scale(y1, 4) + scale(y2, -6)).exact_div(scale(y1, 2)) == LaurentPoly(
         T2, {(0, 0): 2, (-1, 1): -3}
     )
     with pytest.raises(NotDivisibleError):
-        (y1.scale(4) + y2.scale(3)).exact_div(y1.scale(2))
+        (scale(y1, 4) + scale(y2, 3)).exact_div(scale(y1, 2))
 
 
 def test_substitute_identity_and_units():
@@ -323,7 +325,7 @@ def test_substitute_nonunit_requires_rational_mode():
     assert out == y2 + y2 + y2
     q = LaurentPoly(T2, {(-1, 0): 1}) * ((y1 + y2) ** 2)  # (y1 + y2)^2 / y1
     res = q.substitute({"y1": (y1 + y2) ** 2, "y2": y2 * (y1 + y2)})
-    assert res == (y1 + y2) ** 2 + y2.scale(2) * (y1 + y2) + y2 * y2
+    assert res == (y1 + y2) ** 2 + scale(y2, 2) * (y1 + y2) + y2 * y2
 
 
 def test_substitute_rational_failure():
@@ -423,6 +425,6 @@ def test_from_json_rejects_repeated_exponent():
 
 def test_negative_power_of_sum_rejected():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
-    with pytest.raises(NonUnitNegativePowerError):
+    with pytest.raises(ValidationError, match="negative powers only of single-term polynomials"):
         (y1 + y2) ** -1
     assert (y1 ** -3) * (y1 ** 3) == LaurentPoly.one(T2)

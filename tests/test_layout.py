@@ -1,7 +1,7 @@
 """Guards on the package as a whole: every name the benchmark rebinds exists,
 the modules import only the standard library and only what they use, every
-specific error class is still raised somewhere, and no module-level definition
-is dead."""
+specific error class is an EngineError that is still raised somewhere, and no
+module-level definition or class member is dead."""
 import ast
 import importlib
 import pathlib
@@ -11,6 +11,7 @@ from weylseed.intervals import MuIReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weylseed"
+ERROR_BASES = {"WeylseedError", "ValidationError", "EngineError"}
 
 
 def test_benchmark_rebinding_targets_exist(monkeypatch):
@@ -63,8 +64,20 @@ def test_every_error_class_is_raised():
                 func = node.exc.func
                 if isinstance(func, ast.Name):
                     raised.add(func.id)
-    bases = {"WeylseedError", "ValidationError", "EngineError"}
-    assert sorted(classes - bases - raised) == []
+    assert sorted(classes - ERROR_BASES - raised) == []
+
+
+def test_every_specific_error_is_an_engine_error():
+    """Exit 2 prints only the message, so no ValidationError subclass could
+    be told apart: bad input raises ValidationError itself."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+        and node.name not in ERROR_BASES
+        and [ast.unparse(base) for base in node.bases] != ["EngineError"]
+    ] == []
 
 
 def test_every_module_level_definition_is_referenced():
@@ -91,3 +104,26 @@ def test_every_module_level_definition_is_referenced():
     assert [f"{m}.{name}" for m, name in defined if name not in referenced] == []
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(init))
+
+
+def test_every_class_member_is_referenced():
+    """Each non-dunder method or property of a package class is named as an
+    attribute somewhere in the package outside its own body."""
+    members, attributes = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members += [
+                    (cls.name, node)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
+    dead = []
+    for cls_name, member in members:
+        own = {id(node) for node in ast.walk(member)}
+        if not any(a.attr == member.name and id(a) not in own for a in attributes):
+            dead.append(f"{cls_name}.{member.name}")
+    assert dead == []

@@ -4,7 +4,7 @@ import pytest
 
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord
-from weylseed.errors import NotTypeAError
+from weylseed.errors import ValidationError
 from weylseed.laurent import LaurentPoly, VarTable
 from weylseed.minors import (
     _det_cofactor,
@@ -116,7 +116,7 @@ def test_minor_spec_table():
 
 def test_minor_spec_requires_type_a(double_edge):
     w = ReducedWord(double_edge, (1, 2, 1))
-    with pytest.raises(NotTypeAError):
+    with pytest.raises(ValidationError, match="minor specifications require the standard path labels"):
         minor_spec_for_Vk(w, 1)
 
 

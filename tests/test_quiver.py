@@ -4,12 +4,7 @@ import pytest
 
 from weylseed.acceptance import random_matrix
 from weylseed.cartan import QuiverOrientation, ReducedWord, dim_V
-from weylseed.errors import (
-    FrozenIndexError,
-    LinearAnCaveatError,
-    NotAcyclicError,
-    ValidationError,
-)
+from weylseed.errors import ValidationError
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import (
     ExchangeMatrix,
@@ -177,7 +172,7 @@ def test_neighbors_against_two_scan_oracle():
         m = random_matrix(rng, r, rng.randint(1, r - 2))
         for k in m.mutable:
             assert m.neighbors(k) == (in_neighbors(m, k), out_neighbors(m, k))
-    with pytest.raises(FrozenIndexError):
+    with pytest.raises(ValidationError, match=f"vertex {r} is frozen or absent"):
         m.neighbors(r)
 
 
@@ -230,7 +225,7 @@ def test_matrix_from_json_rejects_malformed_documents():
 
 def test_matrix_mutate_frozen_rejected(word_gamma7):
     m = b_matrix(gamma_i(word_gamma7))
-    with pytest.raises(FrozenIndexError):
+    with pytest.raises(ValidationError, match="vertex 5 is frozen or absent"):
         m.mutate(5)
 
 
@@ -346,7 +341,9 @@ def test_acyclic_double_and_dagger():
 
 def test_acyclic_a2_dagger_distinct():
     ori = QuiverOrientation.from_arrows(2, [(1, 2, 1)])
-    with pytest.raises(LinearAnCaveatError):
+    with pytest.raises(
+        ValidationError, match="squared Coxeter word is not reduced for linearly oriented type A"
+    ):
         acyclic_double(ori)
     matrix = coefficient_free_matrix(ori)
     initial = Seed.initial(matrix)
@@ -389,7 +386,7 @@ def test_coefficient_free_matrix_against_oracle():
 
 
 def test_acyclic_rejects_cycles():
-    with pytest.raises(NotAcyclicError):
+    with pytest.raises(ValidationError, match="quiver has an oriented cycle"):
         acyclic_double(
             QuiverOrientation.from_arrows(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
         )
