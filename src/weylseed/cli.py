@@ -184,19 +184,21 @@ def cmd_mu_i(doc, args) -> dict:
 
 def cmd_identities(doc, args) -> dict:
     word = _word_from_doc(doc)
-    if "pairs" in doc:
+    if "pairs" not in doc:
+        # every step of the pass, checked against the values of that one pass
+        report = run_mu_i(word)
+        pairs = [(step.group, step.before.b) for step in report.plan.steps]
+    else:
         pairs = doc["pairs"]
         if not isinstance(pairs, list) or any(
             len(_int_list(pair, "pair", 1, word.r)) != 2 for pair in pairs
         ):
             raise ValidationError(f"pairs must be a list of [k, s] pairs, got {pairs!r}")
-    else:
-        pairs = [[step.group, step.before.b] for step in mu_i_plan(word).steps]
-    if not pairs:
-        return {"identities": []}
-    cutoff = max(identity_step(word, k, s) for k, s in pairs)
-    values = run_mu_i(word, max_seed_steps=cutoff).label_values
-    return {"identities": [verify_identity(word, k, s, values) for k, s in pairs]}
+        if not pairs:
+            return {"identities": []}
+        cutoff = max(identity_step(word, k, s) for k, s in pairs)
+        report = run_mu_i(word, max_seed_steps=cutoff)
+    return {"identities": [verify_identity(word, k, s, report.label_values) for k, s in pairs]}
 
 
 def cmd_pbw(doc, args) -> dict:
@@ -278,8 +280,7 @@ def cmd_acyclic(doc, args) -> dict:
         "dagger_cluster": [x.to_json() for x in dagger.cluster],
     }
     try:
-        word, _ = acyclic_double(orientation)
-        result["double_word"] = list(word.printed)
+        result["double_word"] = list(acyclic_double(orientation).printed)
     except WeylseedError as exc:
         result["double_word"] = None
         result["caveat"] = str(exc)

@@ -124,16 +124,12 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def const(table: VarTable, c: int) -> "LaurentPoly":
-        return LaurentPoly(table, {(0,) * len(table): c} if c else {})
-
-    @staticmethod
     def zero(table: VarTable) -> "LaurentPoly":
         return LaurentPoly(table, {})
 
     @staticmethod
     def one(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly.const(table, 1)
+        return LaurentPoly(table, {(0,) * len(table): 1})
 
     @staticmethod
     def product(table: VarTable, factors: Iterable["LaurentPoly"]) -> "LaurentPoly":
@@ -153,10 +149,6 @@ class LaurentPoly:
         exp[table.index(name)] = 1
         return LaurentPoly(table, {tuple(exp): 1})
 
-    @staticmethod
-    def monomial(table: VarTable, exp: Sequence[int], coef: int) -> "LaurentPoly":
-        return LaurentPoly(table, {tuple(exp): coef})
-
     # -- basic structure ------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -174,9 +166,6 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
@@ -227,15 +216,9 @@ class LaurentPoly:
         return LaurentPoly._of(self.vars, _unpack(out, tuple(map(add, mb, ms)), bits))
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """Non-negative powers only; ``x ** 0`` is one."""
         if k < 0:
-            if not self.is_monomial():
-                raise ValidationError("negative powers only of single-term polynomials")
-            ((exp, coef),) = self.terms.items()
-            if coef * coef != 1:
-                raise ValidationError("coefficient is not a unit")
-            return LaurentPoly.monomial(
-                self.vars, tuple(k * e for e in exp), coef if k % 2 else 1
-            )
+            raise ValidationError(f"negative power {k}")
         if k == 0:
             return LaurentPoly.one(self.vars)
         base = self
@@ -265,7 +248,7 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly.zero(self.vars)
-        if other.is_monomial():
+        if len(other.terms) == 1:
             # monomials are units up to their coefficient: shift every term
             ((e0, c0),) = other.terms.items()
             if any(c % c0 for c in self.terms.values()):
@@ -323,8 +306,7 @@ class LaurentPoly:
         cleared by multiplying through with the matching image powers, and
         the value is the exact quotient of the two sides; when there is none
         this raises NotPolynomialAfterSubstitutionError.  The value lives over
-        the images' variable table, also when the polynomial is zero.  An
-        image equal to the constant one is left out of every product.
+        the images' variable table, also when the polynomial is zero.
         """
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
@@ -334,18 +316,15 @@ class LaurentPoly:
             if any(col) and name not in images:
                 raise ValidationError(f"no image for variable {name}")
         target = tables.pop() if tables else self.vars
-        # a variable with image one, like one that does not occur, drops out
-        one = LaurentPoly.one(target)
-        img_list = [images.get(name, one) for name in self.vars.names]
-        img_list = [None if img == one else img for img in img_list]
-        shifts = [0 if img is None else max(0, -min(col)) for img, col in zip(img_list, cols)]
+        # a variable without an image does not occur: its exponents are all 0
+        img_list = [images.get(name) for name in self.vars.names]
+        shifts = [max(0, -min(col)) for col in cols]
         power = cache(lambda i, e: img_list[i] ** e)
         acc: dict[tuple[int, ...], int] = {}
         for exp, coef in self.terms.items():
             shifted = map(add, exp, shifts)
             term = LaurentPoly.product(
-                target,
-                (power(i, e) for i, e in enumerate(shifted) if e and img_list[i] is not None),
+                target, (power(i, e) for i, e in enumerate(shifted) if e)
             )
             for e, c in term.terms.items():
                 acc[e] = acc.get(e, 0) + coef * c

@@ -76,12 +76,9 @@ def minor(
     row_set: Sequence[int],
     col_set: Sequence[int],
 ) -> LaurentPoly:
-    """Exact determinant of the (row_set, col_set) submatrix (1-based sets)."""
-    if len(row_set) != len(col_set):
-        raise ValidationError("row and column sets must have equal size")
+    """Exact determinant of the (row_set, col_set) submatrix (1-based,
+    non-empty sets of equal size)."""
     rows = [[matrix[i - 1][j - 1] for j in sorted(col_set)] for i in sorted(row_set)]
-    if len(rows) == 0:
-        return LaurentPoly.one(matrix[0][0].vars)
     return _det_cofactor(rows)
 
 

@@ -272,17 +272,21 @@ class Seed:
         return seed
 
     def specialize_frozen(self) -> tuple[LaurentPoly, ...]:
-        """Cluster with the frozen initial variables set to 1."""
-        if not self.cluster:
-            return ()
-        table = self.table
-        one = LaurentPoly.one(table)
+        """Cluster with the frozen initial variables set to 1.
+
+        That projects every exponent onto the mutable vertices; terms that
+        then coincide add up.
+        """
         frozen = self.matrix.frozen
-        images = {
-            name: one if v in frozen else LaurentPoly.var(table, name)
-            for v, name in enumerate(table.names, start=1)
-        }
-        return tuple(x.substitute(images) for x in self.cluster)
+        keep = [v not in frozen for v in range(1, self.matrix.r + 1)]
+        out = []
+        for x in self.cluster:
+            terms: dict[tuple[int, ...], int] = {}
+            for exp, coef in x.terms.items():
+                key = tuple([e if k else 0 for e, k in zip(exp, keep)])
+                terms[key] = terms.get(key, 0) + coef
+            out.append(LaurentPoly(x.vars, terms))
+        return tuple(out)
 
 
 def denominator_vector(seed: Seed, position: int) -> tuple[int, ...]:
@@ -300,7 +304,7 @@ class SeedRegistry:
     """
 
     def __init__(self) -> None:
-        self.seen: dict[tuple, int] = {}
+        self.seen: set[tuple] = set()
         self.by_denominator: dict[tuple, set] = {}
         self.collisions: list[tuple] = []
 
@@ -308,7 +312,7 @@ class SeedRegistry:
         key = (seed.matrix, seed.cluster)
         if key in self.seen:
             return False
-        self.seen[key] = len(self.seen)
+        self.seen.add(key)
         for pos in seed.matrix.mutable:
             den = denominator_vector(seed, pos)
             content = seed.cluster[pos - 1]
@@ -342,8 +346,8 @@ def coefficient_free_matrix(orientation: QuiverOrientation) -> ExchangeMatrix:
     return b_matrix(Quiver(orientation.cartan.n, frozenset(), arrows))
 
 
-def acyclic_double(orientation: QuiverOrientation) -> tuple[ReducedWord, Seed]:
-    """The squared Coxeter word of an acyclic quiver with its initial seed.
+def acyclic_double(orientation: QuiverOrientation) -> ReducedWord:
+    """The squared Coxeter word of an acyclic quiver.
 
     Vertices must be numbered so arrows go i -> j with i < j.  For a linearly
     oriented type A quiver the squared word is not reduced and the
@@ -360,8 +364,7 @@ def acyclic_double(orientation: QuiverOrientation) -> tuple[ReducedWord, Seed]:
         )
     n = orientation.cartan.n
     printed = tuple(range(n, 0, -1)) * 2
-    word = ReducedWord(orientation.cartan, printed)
-    return word, Seed.from_word(word)
+    return ReducedWord(orientation.cartan, printed)
 
 
 def y_dagger(seed: Seed) -> Seed:

@@ -205,14 +205,14 @@ def g_V(word: ReducedWord, k: int, pattern: Sequence[int] | None = None) -> Word
     """Generating function of Euler characteristics of composition flags.
 
     Computed by acting with the divided-power lowering monomial prescribed by
-    the socle-series multiplicities of the length-k prefix word.  With
-    ``pattern``, only the words ``phi_eval`` reads for that pattern are built.
+    the socle-series multiplicities of the length-k prefix word
+    (i_k, ..., i_1); 1 <= k <= r.  With ``pattern``, only the words
+    ``phi_eval`` reads for that pattern are built.
     """
-    prefix = word.prefix(k)
     cartan = word.cartan
-    lam = fundamental_weight(cartan.n, prefix.letter(k))
-    b = b_vector(prefix, lam)
-    ops = [(prefix.letter(j), b[j - 1]) for j in range(1, k + 1)]
+    letters = word.positions[:k]
+    lam = fundamental_weight(cartan.n, letters[-1])
+    ops = list(zip(letters, b_vector(cartan, letters, lam)))
     return lowering_monomial(cartan, lam, ops, pattern)
 
 

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from weylseed import cli, intervals
 from weylseed.cartan import CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
+from weylseed.laurent import LaurentPoly
+from weylseed.quiver import Seed
 from weylseed.words import g_V
 
 GAMMA7 = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [3, 1, 2, 3, 1, 2, 1]}
@@ -104,6 +107,17 @@ def test_mutate_specialized_empty_word(capsys):
     assert code == 0 and json.loads(out)["cluster"] == []
 
 
+def test_mutate_specialized_never_substitutes(monkeypatch, capsys):
+    """Setting the frozen variables to one is a projection of exponents."""
+    calls = []
+    monkeypatch.setattr(LaurentPoly, "substitute", lambda *args: calls.append(args))
+    frozen_row = {"vertices": 3, "mutable": [1, 2], "rows": [[0, 1], [-1, 0], [1, -1]]}
+    for doc in (dict(PBW6, path=[3, 2]), {"matrix": frozen_row, "path": [1, 2, 1]}):
+        code, out = run(capsys, "mutate", "--inline", json.dumps(doc), "--mode", "specialized")
+        assert code == 0 and json.loads(out)["cluster"]
+    assert calls == []
+
+
 def test_walk_reproducible(capsys):
     doc = dict(GAMMA7)
     code, out1 = run(
@@ -184,6 +198,29 @@ def test_identities_empty_plan(capsys):
     assert (code, json.loads(out)) == (0, {"identities": []})
     code, out = run(capsys, "identities", "--inline", json.dumps(dict(PBW6, pairs=[])))
     assert (code, json.loads(out)) == (0, {"identities": []})
+
+
+def test_identities_without_pairs_plans_once(monkeypatch, capsys):
+    """The pairs are the steps of the one pass that also yields the values."""
+    plans, steps = [], []
+    plan, step = intervals.mu_i_plan, intervals.identity_step
+
+    def counting_plan(word):
+        plans.append(word)
+        return plan(word)
+
+    def counting_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    for module in (cli, intervals):
+        monkeypatch.setattr(module, "mu_i_plan", counting_plan)
+        monkeypatch.setattr(module, "identity_step", counting_step)
+    code, out = run(capsys, "identities", "--inline", json.dumps(PBW6))
+    assert code == 0
+    identities = json.loads(out)["identities"]
+    assert len(plans) == 1 and steps == []
+    assert len(identities) == plan(plans[0]).length and all(x["ok"] for x in identities)
 
 
 def test_walk_too_few_mutable_vertices(capsys):
@@ -270,6 +307,15 @@ def test_acyclic_command(capsys):
     parsed = json.loads(out)
     assert parsed["matrix_returns"] and parsed["disjoint"]
     assert parsed["double_word"] == [3, 2, 1, 3, 2, 1]
+
+
+def test_acyclic_builds_no_seed_of_the_double_word(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(Seed, "from_word", staticmethod(lambda word: calls.append(word)))
+    doc = {"rank": 3, "arrows": [[1, 3, 1], [2, 3, 1]]}
+    code, out = run(capsys, "acyclic", "--inline", json.dumps(doc))
+    assert code == 0 and json.loads(out)["double_word"] == [3, 2, 1, 3, 2, 1]
+    assert calls == []
 
 
 def test_validation_error_exit_code(capsys):

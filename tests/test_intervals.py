@@ -6,7 +6,6 @@ from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V
 from weylseed.errors import ValidationError
 from weylseed.intervals import (
-    UNIT,
     IntervalLabel,
     PBWExpander,
     expected_final_label,
@@ -121,7 +120,8 @@ def test_final_label_layout(word_a4_shift):
     report = run_mu_i(word_a4_shift, max_seed_steps=0)
     as_pairs = {(lab.b, lab.a) for lab in report.final_labels}
     expected = {
-        (word_a4_shift.k_max(k), k) for k in range(1, word_a4_shift.r + 1)
+        (word_a4_shift.chain(word_a4_shift.letter(k))[-1], k)
+        for k in range(1, word_a4_shift.r + 1)
     }
     assert as_pairs == expected
     for v, lab in enumerate(report.final_labels, start=1):
@@ -257,7 +257,7 @@ def test_pbw_goldens(word_pbw6):
         return LaurentPoly(t, {tuple(e): coef})
 
     assert exp.expand(IntervalLabel(3, 3)) == mono(1, (3, 1))
-    unit = exp.expand(UNIT)
+    unit = exp.expand(IntervalLabel(0, 1))
     assert unit == LaurentPoly.one(unit.vars)
     assert exp.expand_initial(4) == mono(1, (1, 1), (4, 1)) - mono(1, (3, 1))
     assert exp.expand_initial(5) == mono(1, (2, 1), (5, 1)) - mono(1, (3, 1))

@@ -1,12 +1,16 @@
 """Guards on the package as a whole: every name the benchmark rebinds exists,
 the modules import only the standard library and only what they use, every
 specific error class is an EngineError that is still raised somewhere, and no
-module-level definition or class member is dead."""
+module-level definition, class member or function is dead."""
 import ast
+import contextlib
 import importlib
+import io
+import json
 import pathlib
 import sys
 
+from weylseed.cli import main
 from weylseed.intervals import MuIReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -127,3 +131,56 @@ def test_every_class_member_is_referenced():
         if not any(a.attr == member.name and id(a) not in own for a in attributes):
             dead.append(f"{cls_name}.{member.name}")
     assert dead == []
+
+
+def _reachability_documents(monkeypatch) -> list[list[str]]:
+    """Every cli-small document of seed 1, plus the inputs it leaves out."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    workloads = importlib.import_module("workloads")
+    a3 = {"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
+    target = {"vars": ["y1", "y4"], "terms": [{"exp": [2, -1], "coef": "3"}]}
+    matrix = {"vertices": 3, "mutable": [1, 2], "rows": [[0, 1], [-1, 0], [1, -1]]}
+    extra = [
+        ("mutate", {"matrix": matrix, "path": [1, 2]}, "--mode", "specialized"),
+        ("pbw", dict(a3, targets=[["V", 4], ["M", 5, 2], ["laurent", target]])),
+        ("identities", dict(a3, pairs=[[1, 1], [2, 2]])),
+        ("phi-eval", dict(a3, pattern=[1, 2, 3], vars=["a", "b", "c"], positions=[4])),
+    ]
+    docs = [list(doc.argv) for doc in workloads.cli_small(1)]
+    docs += [[cmd, "--inline", json.dumps(body), *flags] for cmd, body, *flags in extra]
+    return docs + [["selftest", "--seed", "7"]]
+
+
+def test_every_function_runs_for_some_command(monkeypatch):
+    """Each non-dunder function or method in the package, nested ones
+    included, is entered while ``cli.main`` runs the reachability documents.
+    A code object is matched by its file and first line, which is the line
+    of its first decorator when it has one."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    docs = _reachability_documents(monkeypatch)
+    sink = io.StringIO()
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        sys.setprofile(profile)
+        try:
+            for argv in docs:
+                main(argv)
+        finally:
+            sys.setprofile(previous)
+    lines = {(pathlib.Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if (path.resolve(), first) not in lines:
+                never.append(f"{path.stem}.{node.name}")
+    assert never == []

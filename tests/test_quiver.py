@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from weylseed.acceptance import random_matrix
+from weylseed.acceptance import (
+    CARTAN_POOL,
+    TAME_POOL,
+    WILD_DEPTH_CAP,
+    random_matrix,
+    random_reduced_word,
+)
 from weylseed.cartan import QuiverOrientation, ReducedWord, dim_V
 from weylseed.errors import ValidationError
 from weylseed.laurent import LaurentPoly
@@ -330,7 +336,7 @@ def test_seed_registry_ignores_term_order(word_gamma7):
 
 def test_acyclic_double_and_dagger():
     ori = QuiverOrientation.from_arrows(3, [(1, 3, 1), (2, 3, 1)])
-    word, seed = acyclic_double(ori)
+    word = acyclic_double(ori)
     assert word.printed == (3, 2, 1, 3, 2, 1)
     matrix = coefficient_free_matrix(ori)
     initial = Seed.initial(matrix)
@@ -398,6 +404,40 @@ def test_specialize_frozen(word_gamma7):
     for poly in specialized:
         for exp in poly.terms:
             assert all(exp[v - 1] == 0 for v in seed.matrix.frozen)
+
+
+def specialize_by_substitution(seed):
+    """Oracle: the cluster with the image one substituted for every frozen
+    initial variable and each mutable one mapped to itself."""
+    if not seed.cluster:
+        return ()
+    table = seed.table
+    one = LaurentPoly.one(table)
+    frozen = seed.matrix.frozen
+    images = {
+        name: one if v in frozen else LaurentPoly.var(table, name)
+        for v, name in enumerate(table.names, start=1)
+    }
+    return tuple(x.substitute(images) for x in seed.cluster)
+
+
+def test_specialize_frozen_against_substitution():
+    """Random tame and wild words along random mutation paths, so that
+    negative exponents occur."""
+    rng = random.Random(20241018)
+    negative = 0
+    for trial in range(30):
+        wild = trial % 3 == 2
+        cartan = CARTAN_POOL[3] if wild else rng.choice(TAME_POOL)
+        seed = Seed.from_word(random_reduced_word(rng, cartan, rng.randint(2, 7)))
+        assert seed.specialize_frozen() == specialize_by_substitution(seed)
+        for _ in range(WILD_DEPTH_CAP if wild else 6):
+            if not seed.matrix.mutable:
+                break
+            seed = seed.mutate(rng.choice(seed.matrix.mutable))
+            assert seed.specialize_frozen() == specialize_by_substitution(seed)
+            negative += any(min(exp) < 0 for x in seed.cluster for exp in x.terms)
+    assert negative
 
 
 def test_matrix_json_roundtrip(word_gamma7):

@@ -195,8 +195,8 @@ def test_g_v_lowers_once_per_nonzero_power(monkeypatch, word_gamma7):
     for k in [1, 2, 3, 4, 5, 7]:  # k = 6 has 392,206 words; see the content test
         calls.clear()
         g_V(word_gamma7, k)
-        prefix = word_gamma7.prefix(k)
-        b = b_vector(prefix, fundamental_weight(3, prefix.letter(k)))
+        prefix = ReducedWord(word_gamma7.cartan, word_gamma7.printed[word_gamma7.r - k:])
+        b = b_vector(prefix.cartan, prefix.positions, fundamental_weight(3, prefix.letter(k)))
         assert calls == [x for x in reversed(b) if x]
 
 
@@ -218,6 +218,37 @@ def test_rho_commutator_weight(double_edge):
             double_edge.c(i, j + 1) * content[j] for j in range(3)
         )
         assert combination((1, ef), (-1, fe)) == ws((word, pairing))
+
+
+def test_g_v_builds_no_word(monkeypatch, word_gamma7):
+    """g_V reads the first k letters of the word it is given; it builds and
+    validates no prefix word."""
+    inits = []
+    init = ReducedWord.__init__
+
+    def counting_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ReducedWord, "__init__", counting_init)
+    for k in (1, 2, 3, 4, 7):
+        g_V(word_gamma7, k)
+    assert inits == []
+
+
+def test_g_v_equals_g_v_of_the_prefix_word():
+    """g_V(word, k) is the last generating function of the length-k prefix
+    (i_k, ..., i_1), built here as a word of its own."""
+    rng = random.Random(20241018)
+    for trial in range(40):
+        cartan = CARTAN_POOL[trial % len(CARTAN_POOL)]
+        word = random_reduced_word(rng, cartan, rng.randint(1, 5))
+        for k in range(1, word.r + 1):
+            prefix = ReducedWord(cartan, word.printed[word.r - k:])
+            pattern = list(word.printed)
+            assert g_V(word, k, pattern) == g_V(prefix, k, pattern)
+            if k <= 4:
+                assert g_V(word, k) == g_V(prefix, k)
 
 
 def test_g_v_goldens(word_gamma7):
@@ -261,9 +292,9 @@ def test_g_v_content_and_refined_coefficient(word_gamma7):
         target = dim_V(word_gamma7, k)
         for w in g.terms:
             assert letter_content(w, 3) == target
-        prefix = word_gamma7.prefix(k)
+        prefix = ReducedWord(word_gamma7.cartan, word_gamma7.printed[word_gamma7.r - k:])
         lam = fundamental_weight(3, prefix.letter(k))
-        b = b_vector(prefix, lam)
+        b = b_vector(prefix.cartan, prefix.positions, lam)
         fact = 1
         for x in b:
             for m in range(2, x + 1):
