@@ -10,12 +10,15 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
 
 Root = tuple[int, ...]
+# Largest accepted rank: the Cartan matrix is dense, so its size grows as rank^2.
+MAX_RANK = 500
 # A weight lam as its coroot pairings (lam(alpha_1^vee), ..., lam(alpha_n^vee)).
 Weight = tuple[int, ...]
 
@@ -55,11 +58,17 @@ class CartanMatrix:
         """Number of edges between vertices i != j of the Dynkin graph."""
         return -self.c(i, j)
 
+    def adjacent(self, i: int) -> list[tuple[int, int]]:
+        """(j, q_ij) for each vertex j joined to i in the Dynkin graph."""
+        return [(j, -c) for j, c in enumerate(self.rows[i - 1], start=1) if c < 0]
+
     @staticmethod
     def from_edges(rank: int, edges: Sequence[Sequence[int]]) -> "CartanMatrix":
         """Build from a graph given as (i, j, multiplicity) triples."""
         if not _is_int(rank) or rank < 0:
             raise ValidationError(f"rank must be a non-negative integer, got {rank!r}")
+        if rank > MAX_RANK:
+            raise ValidationError(f"rank {rank} exceeds the limit of {MAX_RANK}")
         if not isinstance(edges, (list, tuple)):
             raise ValidationError("edges must be a list")
         rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -162,6 +171,11 @@ class ReducedWord:
             chain.append(k)
         self._chains = {j: tuple(c) for j, c in chains.items()}
         self._occ = tuple(occ)
+        k_minus, k_plus = [0] * self.r, [self.r + 1] * self.r
+        for chain in chains.values():
+            for low, high in zip(chain, chain[1:]):
+                k_plus[low - 1], k_minus[high - 1] = high, low
+        self._k_minus, self._k_plus = tuple(k_minus), tuple(k_plus)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ReducedWord({list(self.printed)})"
@@ -194,15 +208,23 @@ class ReducedWord:
 
     def count_before(self, k: int, j: int) -> int:
         """k[j]: occurrences of letter j strictly before position k."""
-        return sum(1 for s in self.chain(j) if s < k)
+        return bisect_left(self.chain(j), k)
+
+    def last_below(self, p: int, j: int) -> int:
+        """The last position below p carrying letter j; 0 when there is none."""
+        chain = self.chain(j)
+        i = bisect_left(chain, p)
+        return chain[i - 1] if i else 0
 
     def k_minus(self, k: int) -> int:
-        c, i = self._place(k)
-        return c[i - 1] if i > 0 else 0
+        """The previous position on the chain of k; 0 at its start."""
+        self.letter(k)  # range check
+        return self._k_minus[k - 1]
 
     def k_plus(self, k: int) -> int:
-        c, i = self._place(k)
-        return c[i + 1] if i + 1 < len(c) else self.r + 1
+        """The next position on the chain of k; r + 1 at its end."""
+        self.letter(k)  # range check
+        return self._k_plus[k - 1]
 
     def k_min(self, k: int) -> int:
         return self.chain(self.letter(k))[0]

@@ -8,6 +8,9 @@ dimension vectors it must dominate the other sum, or MismatchError is raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add, ge, mul, sub
 from typing import Sequence
 
 from .cartan import ReducedWord, sym_form
@@ -23,24 +26,54 @@ class HomTables:
 
     Column s of VM is the dimension vector of the standard module attached
     to position s; VV columns are its partial chain sums.  d_delta holds the
-    total dimensions of the standards (column sums of VM).
+    total dimensions of the standards (column sums of VM).  VM and VV are
+    built on first read, so a caller that needs only d_delta never builds
+    an r x r table.
     """
 
-    word_printed: tuple[int, ...]
-    VM: tuple[Vec, ...]
-    VV: tuple[Vec, ...]
+    word: ReducedWord
+    c_betas: tuple[Vec, ...]  # C beta_s for each position s
     d_delta: Vec
+
+    @cached_property
+    def VM(self) -> tuple[Vec, ...]:
+        """dim Hom(V_k, M_s) is 0 for k < s, 1 for k = s, and for k > s the
+        chain sum of (beta_k', beta_s) over k' = k, k-, k--, ... while k' > s,
+        plus 1 when the letters agree.  As k- carries the letter of k, this
+        is VM[k][s] = (beta_k, beta_s) + VM[k-][s] when k- > s, and each form
+        value is one dot product with C beta_s."""
+        word, c_betas = self.word, self.c_betas
+        r, letters = word.r, word.positions
+        vm = [[0] * r for _ in range(r)]
+        for k in range(1, r + 1):
+            beta_k, km, letter = word.betas[k - 1], word.k_minus(k), letters[k - 1]
+            row, prev = vm[k - 1], vm[km - 1]  # prev is read only when km > s >= 1
+            for s in range(1, k):
+                form = sum(map(mul, beta_k, c_betas[s - 1]))
+                row[s - 1] = form + (prev[s - 1] if km > s else letter == letters[s - 1])
+            row[k - 1] = 1
+        return tuple(map(tuple, vm))
+
+    @cached_property
+    def VV(self) -> tuple[Vec, ...]:
+        """VV[k][s] = VM[k][s] + VV[k][s-], summing VM over the chain of s."""
+        k_minus = [self.word.k_minus(s) for s in range(1, self.word.r + 1)]
+        vv = []
+        for vm_row in self.VM:
+            vv_row = list(vm_row)
+            for s, sm in enumerate(k_minus):
+                if sm:
+                    vv_row[s] += vv_row[sm - 1]
+            vv.append(tuple(vv_row))
+        return tuple(vv)
 
     def dimvec_of_delta(self, a: Sequence[int]) -> Vec:
         """Image of a filtration-multiplicity vector under the VM columns."""
-        r = len(self.VM)
-        return tuple(
-            sum(self.VM[k][s] * a[s] for s in range(r)) for k in range(r)
-        )
+        return tuple(sum(map(mul, row, a)) for row in self.VM)
 
     def to_json(self) -> dict:
         return {
-            "word": list(self.word_printed),
+            "word": list(self.word.printed),
             "VM": [list(row) for row in self.VM],
             "VV": [list(row) for row in self.VV],
             "d_delta": list(self.d_delta),
@@ -50,42 +83,22 @@ class HomTables:
 def hom_tables(word: ReducedWord) -> HomTables:
     """Tables computed from the root sequence and the symmetrized form.
 
-    dim Hom(V_k, M_s) is 0 for k < s, 1 for k = s, and for k > s the chain
-    sum of (beta_k', beta_s) over k' = k, k-, k--, ... while k' > s, plus 1
-    when the letters agree.  As k- carries the letter of k, this is
-    VM[k][s] = (beta_k, beta_s) + VM[k-][s] when k- > s, and each form value
-    is one dot product with the precomputed vector C beta_s.  VV sums VM
-    over the chain of s up to s, so VV[k][s] = VM[k][s] + VV[k][s-].
+    Only d_delta is computed here, in O(r n^2) and without VM.  Let w_k be
+    the number of chain positions at or above k, t_{i_k} - k[i_k].  Summing
+    VM[k][s] over k, the form (beta_k', beta_s) of a position k' > s enters
+    once for each of the w_k' positions k of its chain at or above k', and
+    the diagonal 1 with the agreeing letters above s give w_s.  So
+    d_delta[s] = w_s + (C beta_s) . sum over k' > s of w_k' beta_k'.
     """
-    cartan = word.cartan
-    r = word.r
-    n = cartan.n
-    betas = word.betas
-    letters = word.positions
-    c_betas = [
-        tuple(sum(cartan.rows[i][j] * beta[j] for j in range(n)) for i in range(n))
-        for beta in betas
-    ]
-    k_minus = [word.k_minus(k) for k in range(1, r + 1)]
-    vm = [[0] * r for _ in range(r)]
-    for k in range(1, r + 1):
-        beta_k, km, letter = betas[k - 1], k_minus[k - 1], letters[k - 1]
-        row, prev = vm[k - 1], vm[km - 1]  # prev is read only when km > s >= 1
-        for s in range(1, k):
-            form = sum(x * y for x, y in zip(beta_k, c_betas[s - 1]))
-            row[s - 1] = form + (prev[s - 1] if km > s else letter == letters[s - 1])
-        row[k - 1] = 1
-    vv = [[0] * r for _ in range(r)]
-    for vm_row, vv_row in zip(vm, vv):
-        for s, sm in enumerate(k_minus):
-            vv_row[s] = vm_row[s] + (vv_row[sm - 1] if sm else 0)
-    d_delta = tuple(sum(vm[k][s] for k in range(r)) for s in range(r))
-    return HomTables(
-        word.printed,
-        tuple(tuple(row) for row in vm),
-        tuple(tuple(row) for row in vv),
-        d_delta,
-    )
+    rows = word.cartan.rows
+    c_betas = tuple(tuple(sum(map(mul, row, beta)) for row in rows) for beta in word.betas)
+    d_delta = [0] * word.r
+    above = (0,) * word.cartan.n  # sum of w_k' beta_k' over k' > s
+    for s in range(word.r, 0, -1):
+        w = word.t(word.letter(s)) - word.occ_index(s)
+        d_delta[s - 1] = w + sum(map(mul, c_betas[s - 1], above))
+        above = tuple(map(add, above, map(mul, repeat(w), word.betas[s - 1])))
+    return HomTables(word, c_betas, tuple(d_delta))
 
 
 def ringel_form_delta(word: ReducedWord, k: int, s: int) -> int:
@@ -121,17 +134,19 @@ def initial_delta_labels(word: ReducedWord) -> tuple[Vec, ...]:
     return tuple(interval_indicator(word, k, word.k_min(k)) for k in range(1, word.r + 1))
 
 
+def _vec_add(a: Vec, b: Vec) -> Vec:
+    return tuple(map(add, a, b))
+
+
 def _side_sums(matrix: ExchangeMatrix, labels: Sequence[Vec], k: int) -> list[Vec]:
     """Arrow-weighted sums of the neighbor labels: into k, then out of k."""
-    r = matrix.r
     sums = []
     for pairs in matrix.neighbors(k):
-        acc = [0] * r
-        for vertex, mult in pairs:
-            lab = labels[vertex - 1]
-            for i in range(r):
-                acc[i] += mult * lab[i]
-        sums.append(tuple(acc))
+        terms = [
+            labels[v - 1] if mult == 1 else tuple(map(mul, repeat(mult), labels[v - 1]))
+            for v, mult in pairs
+        ]
+        sums.append(reduce(_vec_add, terms) if terms else (0,) * matrix.r)
     return sums
 
 
@@ -152,13 +167,11 @@ def _mutate_labels(
     if len(labels) != matrix.r:
         raise ValidationError("label count must match vertex count")
     in_sum, out_sum = _side_sums(matrix, labels, k)
-    in_total = sum(x * w for x, w in zip(in_sum, weights))
-    out_total = sum(x * w for x, w in zip(out_sum, weights))
-    picked_in = in_total > out_total
+    picked_in = sum(map(mul, in_sum, weights)) > sum(map(mul, out_sum, weights))
     picked, other = (in_sum, out_sum) if picked_in else (out_sum, in_sum)
-    dominated = all(p >= o for p, o in zip(picked, other))
-    new_label = tuple(p - d for p, d in zip(picked, labels[k - 1]))
-    if any(x < 0 for x in new_label):
+    dominated = all(map(ge, picked, other))
+    new_label = tuple(map(sub, picked, labels[k - 1]))
+    if min(new_label) < 0:
         raise NegativeEntryError(
             f"mutation at {k} left the reachable component: {new_label}"
         )

@@ -9,9 +9,8 @@ as the unit and are dropped from products.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cartan import ReducedWord
 from .errors import (
@@ -28,11 +27,10 @@ from .homdata import (
     mutate_delta_dimvec,
 )
 from .laurent import LaurentPoly, VarTable
-from .quiver import ExchangeMatrix, Seed, b_matrix, gamma_i
+from .quiver import ExchangeMatrix, Seed, b_matrix, crossing_links, gamma_i
 
 
-@dataclass(frozen=True)
-class IntervalLabel:
+class IntervalLabel(NamedTuple):
     """Positions b >= a carrying the same letter; a > b encodes the unit."""
 
     b: int
@@ -134,30 +132,24 @@ def identity_sides(
     """
     if word.letter(k) != word.letter(s):
         raise ValidationError("positions must carry the same letter")
-    if word.k_plus(s) == word.r + 1:
+    sp = word.k_plus(s)
+    if sp == word.r + 1:
         raise ValidationError(f"position {s} is a final occurrence, never exchanged")
     if word.occ_index(s) < word.occ_index(k):
         raise ValidationError(f"position {s} sits below {k} on the chain")
-    c = word.occ_index(k)
-    a_bottom = word.shift(word.k_min(s), c)  # equals s_min^(k[i_s]) = position k
-    lhs = (
-        IntervalLabel(s, a_bottom),
-        IntervalLabel(word.k_plus(s), word.shift(word.k_min(s), c + 1)),
-    )
-    rhs_pair = (
-        IntervalLabel(word.k_plus(s), a_bottom),
-        IntervalLabel(s, word.shift(word.k_min(s), c + 1)),
-    )
-    factors: list[tuple[IntervalLabel, int]] = []
-    sp = word.k_plus(s)
-    for t in itertools.chain(range(s + 1, sp), range(word.k_min(s) + 1, s)):
-        if word.k_plus(t) >= sp:
-            q = word.cartan.q(word.letter(s), word.letter(t))
-            if q:
-                bottom = word.shift(
-                    word.k_min(t), word.count_before(k, word.letter(t))
-                )
-                factors.append((IntervalLabel(t, bottom), q))
+    # k is s_min^(k[i_s]) and its successor k+ is s_min^(k[i_s] + 1)
+    kp = word.k_plus(k)
+    lhs = (IntervalLabel(s, k), IntervalLabel(sp, kp))
+    rhs_pair = (IntervalLabel(sp, k), IntervalLabel(s, kp))
+    # factors at k_min(s) < t < s+ with t+ >= s+: those above s, then below
+    k_min = word.k_min(s)
+    links = crossing_links(word, s)
+    above = [(t, q) for t, q in links if t > s]
+    below = [(t, q) for t, q in links if k_min < t < s]
+    factors = []
+    for t, q in above + below:
+        bottom = word.shift(word.k_min(t), word.count_before(k, word.letter(t)))
+        factors.append((IntervalLabel(t, bottom), q))
     return lhs, rhs_pair, tuple(factors)
 
 

@@ -7,6 +7,9 @@ column's vertex.  Arrows between two frozen vertices are intentionally not
 representable: they are not needed for seed mutation and are not controlled
 by it.
 
+Each matrix scans a column for its neighbors at most once: the exchange
+check, the label exchange and the mutation at k all read the one scan.
+
 Matrix mutation at k (Fomin-Zelevinsky) rewrites only row k, column k and
 the entries b_ij with b_ik and b_kj both nonzero, so it touches O(deg(k)^2)
 entries besides copying the rows of k's neighbors.  Skew-symmetry of the
@@ -17,6 +20,8 @@ its neighbors, the only pairs whose entries change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
@@ -60,6 +65,24 @@ class Quiver:
         }
 
 
+def crossing_links(word: ReducedWord, s: int) -> list[tuple[int, int]]:
+    """(t, q_{i_s, i_t}) for the positions t with t+ >= s+ > t, t != s and
+    q nonzero, in increasing t.
+
+    Such a t is the last occurrence of its letter below s+, so each letter
+    joined to i_s gives at most one t, found by one bisection of its chain.
+    On the chain of s itself only t = s qualifies.
+    """
+    sp = word.k_plus(s)
+    links = []
+    for j, q in word.cartan.adjacent(word.letter(s)):
+        t = word.last_below(sp, j)
+        if t:
+            links.append((t, q))
+    links.sort()
+    return links
+
+
 def gamma_i(word: ReducedWord) -> Quiver:
     """The quiver attached to a reduced word.
 
@@ -67,30 +90,19 @@ def gamma_i(word: ReducedWord) -> Quiver:
     Horizontal arrows: s -> s- whenever s- > 0.  Frozen vertices are the
     final occurrences of each letter.
     """
-    cartan = word.cartan
-    r = word.r
-    arrows: dict[tuple[int, int], int] = {}
-    for s in range(1, r + 1):
+    arrows = []
+    for s in range(1, word.r + 1):
         sm = word.k_minus(s)
         if sm > 0:
-            arrows[(s, sm)] = arrows.get((s, sm), 0) + 1
-        sp = word.k_plus(s)
-        for t in range(s + 1, sp):
-            if word.k_plus(t) >= sp:
-                q = cartan.q(word.letter(s), word.letter(t))
-                if q:
-                    arrows[(s, t)] = arrows.get((s, t), 0) + q
-    return Quiver(
-        r,
-        word.frozen_positions(),
-        tuple((s, t, m) for (s, t), m in sorted(arrows.items())),
-    )
+            arrows.append((s, sm, 1))
+        arrows += [(s, t, q) for t, q in crossing_links(word, s) if t > s]
+    return Quiver(word.r, word.frozen_positions(), tuple(sorted(arrows)))
 
 
 class ExchangeMatrix:
     """Integer matrix with one column per mutable vertex, rows over all vertices."""
 
-    __slots__ = ("r", "mutable", "rows", "_col_of")
+    __slots__ = ("r", "mutable", "rows", "_col_of", "_sides")
 
     def __init__(
         self,
@@ -109,6 +121,7 @@ class ExchangeMatrix:
         self._col_of = {v: c for c, v in enumerate(self.mutable)}
         if len(self._col_of) != len(self.mutable):
             raise ValidationError("mutable vertices must be distinct")
+        self._sides: dict[int, tuple[list, list]] = {}
         self._check_skew(self.mutable)
 
     def _check_skew(self, vertices: Iterable[int]) -> None:
@@ -141,7 +154,7 @@ class ExchangeMatrix:
         rows = list(self.rows)
         row_k = rows[k - 1]
         # columns j with b_kj != 0: the only ones a neighbor row changes in
-        hits = [(j, b_kj, abs(b_kj)) for j, b_kj in enumerate(row_k) if b_kj]
+        hits = [(j, row_k[j], abs(row_k[j])) for j in compress(range(len(row_k)), row_k)]
         neighbors = [i for side in self.neighbors(k) for i, _ in side]
         for i in neighbors:
             row = list(rows[i - 1])
@@ -151,16 +164,23 @@ class ExchangeMatrix:
                     row[j] += b_ik * abs_kj
             row[c] = -b_ik
             rows[i - 1] = tuple(row)
-        rows[k - 1] = tuple(-x for x in row_k)
+        rows[k - 1] = tuple(map(neg, row_k))
         # built without __init__: only the changed pairs are re-checked
         out = object.__new__(ExchangeMatrix)
         out.r, out.mutable, out._col_of = self.r, self.mutable, self._col_of
-        out.rows = tuple(rows)
+        out.rows, out._sides = tuple(rows), {}
         out._check_skew([k] + [i for i in neighbors if i in self._col_of])
         return out
 
     def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(vertex, multiplicity) pairs with arrows vertex -> k, then with k -> vertex."""
+        """(vertex, multiplicity) pairs with arrows vertex -> k, then with k -> vertex.
+
+        Column k is scanned on the first call only; later calls return the
+        same two lists, which callers must not change.
+        """
+        sides = self._sides.get(k)
+        if sides is not None:
+            return sides
         c = self.col(k)
         ins, outs = [], []
         for i, row in enumerate(self.rows, start=1):
@@ -171,7 +191,8 @@ class ExchangeMatrix:
                 ins.append((i, -b_ik))
             else:
                 outs.append((i, b_ik))
-        return ins, outs
+        sides = self._sides[k] = (ins, outs)
+        return sides
 
     def __eq__(self, other) -> bool:
         return (
@@ -209,14 +230,19 @@ class ExchangeMatrix:
 
 
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
-    """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices."""
-    mult = {(s, t): m for s, t, m in quiver.arrows}
+    """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices.
+
+    Filled from the arrow list: an arrow s -> t of multiplicity m sets
+    b_ts = m and b_st = -m wherever the column is mutable.
+    """
     mutable = quiver.mutable
-    rows = []
-    for i in range(1, quiver.r + 1):
-        rows.append(
-            [mult.get((j, i), 0) - mult.get((i, j), 0) for j in mutable]
-        )
+    col_of = {v: c for c, v in enumerate(mutable)}
+    rows = [[0] * len(mutable) for _ in range(quiver.r)]
+    for s, t, m in quiver.arrows:
+        if s in col_of:
+            rows[t - 1][col_of[s]] = m
+        if t in col_of:
+            rows[s - 1][col_of[t]] = -m
     return ExchangeMatrix(quiver.r, mutable, rows)
 
 

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylseed.acceptance import CARTAN_POOL, random_reduced_word
 from weylseed.cartan import (
+    MAX_RANK,
     CartanMatrix,
     QuiverOrientation,
     ReducedWord,
@@ -256,3 +258,41 @@ def test_word_index_maps(word_gamma7):
     for k in range(1, 8):
         if w.k_minus(k):
             assert w.k_plus(w.k_minus(k)) == k
+
+
+def test_word_index_tables_against_scans(wild3):
+    """k+, k-, shift, count_before and last_below read tables and chain
+    bisections built once per word; each is compared with a scan of the
+    word's letters."""
+    rng = random.Random(15)
+    e8 = CartanMatrix.from_edges(
+        8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+    )
+    words = [ReducedWord(e8, tuple(range(8, 0, -1)) * 15)]
+    words += [ReducedWord(wild3, (2, 3, 2, 1, 2, 1, 3, 1, 2, 1))]
+    words += [
+        random_reduced_word(rng, cartan, rng.randint(1, 9))
+        for cartan in CARTAN_POOL
+        for _ in range(4)
+    ]
+    for w in words:
+        pos, r = w.positions, w.r
+        for k in range(1, r + 1):
+            up = [k] + [t for t in range(k + 1, r + 1) if pos[t - 1] == pos[k - 1]]
+            down = [t for t in range(1, k) if pos[t - 1] == pos[k - 1]]
+            assert w.k_plus(k) == (up[1] if len(up) > 1 else r + 1)
+            assert w.k_minus(k) == (down[-1] if down else 0)
+            for m in range(len(up) + 2):
+                assert w.shift(k, m) == (up[m] if m < len(up) else r + 1)
+        for p in range(1, r + 2):
+            for j in range(1, w.cartan.n + 1):
+                below = [t for t in range(1, p) if pos[t - 1] == j]
+                assert w.count_before(p, j) == len(below)
+                assert w.last_below(p, j) == (below[-1] if below else 0)
+
+
+def test_rank_limit():
+    assert CartanMatrix.from_edges(MAX_RANK, []).n == MAX_RANK
+    for rank in (MAX_RANK + 1, 10**9):
+        with pytest.raises(ValidationError, match=f"rank {rank} exceeds the limit of {MAX_RANK}"):
+            CartanMatrix.from_edges(rank, [])

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weylseed import cli, intervals
-from weylseed.cartan import CartanMatrix, ReducedWord
+from weylseed.cartan import MAX_RANK, CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import Seed
@@ -403,6 +403,19 @@ def test_non_integer_input_exits_2(capsys, command, doc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10**9])
+def test_rank_above_the_limit_exits_2(capsys, rank):
+    """The rank is checked before any row of the dense Cartan matrix exists."""
+    for command, doc in (
+        ("gamma", {"rank": rank, "edges": [], "word": [1]}),
+        ("acyclic", {"rank": rank, "arrows": []}),
+    ):
+        code = main([command, "--inline", json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: rank {rank} exceeds the limit of {MAX_RANK}")
 
 
 A2_WORD = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2, 1]}

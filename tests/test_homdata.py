@@ -1,11 +1,16 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
-from weylseed.acceptance import random_reduced_word
+from weylseed.acceptance import CARTAN_POOL, random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, sym_form
 from weylseed.errors import MismatchError, NegativeEntryError
+from weylseed.cli import main
 from weylseed.homdata import (
+    HomTables,
     hom_tables,
     initial_delta_labels,
     initial_dimvec_labels,
@@ -245,3 +250,45 @@ def test_non_dominating_exchange_raises():
         mutate_dimvec(matrix, labels, 1)
     move = mutate_delta_dimvec(matrix, labels, 1, (1, 1, 1))
     assert move.new_label == (5, 0, 0) and not move.dominated
+
+
+def test_d_delta_closed_form_is_the_vm_column_sum():
+    """d_delta comes from a suffix sum of roots, not from VM; the two must
+    agree on the full E8 word and on random tame and wild words."""
+    rng = random.Random(29)
+    wild = CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)])
+    words = [ReducedWord(E8, tuple(range(8, 0, -1)) * 15)]
+    words += [
+        random_reduced_word(rng, rng.choice((*CARTAN_POOL, wild)), rng.randint(0, 16))
+        for _ in range(60)
+    ]
+    for word in words:
+        tables = hom_tables(word)
+        assert tables.d_delta == tuple(map(sum, zip(*tables.VM)))
+
+
+def test_only_dimvec_builds_the_vm_and_vv_tables(monkeypatch):
+    """``mu-i``, ``identities`` and ``delta-dimvec`` read only ``d_delta``;
+    the r x r VM and VV tables are built on the ``dimvec`` path alone."""
+    built = []
+    for name in ("VM", "VV"):
+        table = getattr(HomTables, name).func
+
+        def counting(self, name=name, table=table):
+            built.append(name)
+            return table(self)
+
+        monkeypatch.setattr(HomTables, name, property(counting))
+    doc = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [1, 3, 2, 1, 3, 2, 1]}
+    walk = json.dumps(dict(doc, path=[1, 2, 1]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["mu-i", "--inline", json.dumps(doc), "--depth", "0"],
+            ["mu-i", "--inline", json.dumps(doc)],
+            ["identities", "--inline", json.dumps(doc)],
+            ["delta-dimvec", "--inline", walk],
+        ):
+            assert main(argv) == 0
+        assert built == []
+        assert main(["dimvec", "--inline", walk]) == 0
+    assert {"VM", "VV"} <= set(built)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from weylseed.acceptance import random_reduced_word
+from weylseed.acceptance import CARTAN_POOL, TAME_POOL, random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V
 from weylseed.errors import ValidationError
 from weylseed.intervals import (
@@ -27,6 +28,26 @@ def star(word: ReducedWord, k: int) -> int:
     if m == t - 1:
         raise ValueError(f"position {k} is the final occurrence of {j}")
     return word.chain(j)[t - 2 - m]
+
+
+def identity_sides_by_scan(word: ReducedWord, k: int, s: int):
+    """Oracle: the identity labels with the factors found by walking every
+    position t of s+1..s+-1 and then of k_min(s)+1..s-1, keeping those with
+    t+ >= s+ and q_{i_s, i_t} != 0."""
+    c = word.occ_index(k)
+    a_bottom = word.shift(word.k_min(s), c)
+    a_next = word.shift(word.k_min(s), c + 1)
+    sp = word.k_plus(s)
+    lhs = (IntervalLabel(s, a_bottom), IntervalLabel(sp, a_next))
+    rhs_pair = (IntervalLabel(sp, a_bottom), IntervalLabel(s, a_next))
+    factors = []
+    for t in itertools.chain(range(s + 1, sp), range(word.k_min(s) + 1, s)):
+        if word.k_plus(t) >= sp:
+            q = word.cartan.q(word.letter(s), word.letter(t))
+            if q:
+                bottom = word.shift(word.k_min(t), word.count_before(k, word.letter(t)))
+                factors.append((IntervalLabel(t, bottom), q))
+    return lhs, rhs_pair, tuple(factors)
 
 
 def plan_length(word: ReducedWord) -> int:
@@ -145,6 +166,27 @@ def test_identity_sides_wild(word_wild10):
         ((4, 4), 2),
         ((5, 3), 3),
     ]
+
+
+def test_identity_sides_against_two_range_scan(word_wild10):
+    """Every plan step of the E8 word, the wild ten-letter word and random
+    tame and wild words: lhs, rhs pair and the factors in their order."""
+    rng = random.Random(2026)
+    edges = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+    words = [
+        ReducedWord(CartanMatrix.from_edges(8, edges), tuple(range(8, 0, -1)) * 15),
+        word_wild10,
+    ]
+    for trial in range(40):
+        cartan = CARTAN_POOL[3] if trial % 3 == 2 else rng.choice(TAME_POOL)
+        words.append(random_reduced_word(rng, cartan, rng.randint(2, 12)))
+    factors_seen = 0
+    for w in words:
+        for step in mu_i_plan(w).steps:
+            expected = identity_sides_by_scan(w, step.group, step.before.b)
+            assert identity_sides(w, step.group, step.before.b) == expected
+            factors_seen += len(expected[2])
+    assert factors_seen > 1000
 
 
 def test_verify_identities_a4(word_a4_shift):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -9,8 +12,10 @@ from weylseed.acceptance import (
     random_matrix,
     random_reduced_word,
 )
-from weylseed.cartan import QuiverOrientation, ReducedWord, dim_V
+from weylseed.cartan import CartanMatrix, QuiverOrientation, ReducedWord, dim_V
+from weylseed.cli import main
 from weylseed.errors import ValidationError
+from weylseed.intervals import mu_i_plan, run_mu_i
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import (
     ExchangeMatrix,
@@ -25,6 +30,8 @@ from weylseed.quiver import (
     y_dagger,
 )
 
+E8_EDGES = [[5, 6, 1], [6, 8, 1], [7, 8, 1], [8, 4, 1], [4, 3, 1], [3, 2, 1], [2, 1, 1]]
+E8_WORD = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
 GAMMA7_ARROWS = [
     (1, 2, 2),
     (2, 3, 2),
@@ -65,6 +72,42 @@ def test_gamma_mutation_example(word_mut7):
     q = gamma_i(word_mut7)
     assert q.frozen == frozenset({5, 6, 7})
     assert sorted(q.arrows) == sorted(MUT7_ARROWS)
+
+
+def gamma_arrows_by_scan(word: ReducedWord) -> list[tuple[int, int, int]]:
+    """Oracle: every pair s < t < s+ walked; q_{i_s, i_t} arrows s -> t when
+    t+ >= s+, and one arrow s -> s- when s- > 0."""
+    arrows = []
+    for s in range(1, word.r + 1):
+        if word.k_minus(s):
+            arrows.append((s, word.k_minus(s), 1))
+        for t in range(s + 1, word.k_plus(s)):
+            q = word.cartan.q(word.letter(s), word.letter(t))
+            if word.k_plus(t) >= word.k_plus(s) and q:
+                arrows.append((s, t, q))
+    return sorted(arrows)
+
+
+def b_matrix_by_pairs(quiver: Quiver) -> list[list[int]]:
+    """Oracle: b_ij = #(j -> i) - #(i -> j) looked up for every pair."""
+    mult = {(s, t): m for s, t, m in quiver.arrows}
+    return [
+        [mult.get((j, i), 0) - mult.get((i, j), 0) for j in quiver.mutable]
+        for i in range(1, quiver.r + 1)
+    ]
+
+
+def test_gamma_and_b_matrix_against_pair_scans(word_wild10):
+    rng = random.Random(11)
+    words = [E8_WORD, word_wild10]
+    words += [random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(1, 12)) for _ in range(30)]
+    for w in words:
+        quiver = gamma_i(w)
+        assert list(quiver.arrows) == gamma_arrows_by_scan(w)
+        assert [list(row) for row in b_matrix(quiver).rows] == b_matrix_by_pairs(quiver)
+    # arrows both ways between two frozen vertices are not representable
+    quiver = Quiver(4, frozenset({3, 4}), ((1, 3, 2), (3, 4, 1), (4, 3, 1), (4, 2, 3), (2, 1, 1)))
+    assert [list(row) for row in b_matrix(quiver).rows] == b_matrix_by_pairs(quiver)
 
 
 def test_gamma_distinct_letters(a4):
@@ -443,3 +486,34 @@ def test_specialize_frozen_against_substitution():
 def test_matrix_json_roundtrip(word_gamma7):
     m = b_matrix(gamma_i(word_gamma7))
     assert ExchangeMatrix.from_json(m.to_json()) == m
+
+
+def test_each_matrix_scans_a_column_once(monkeypatch, word_gamma7):
+    """A scan of column k builds new neighbor lists; every later
+    ``neighbors(k)`` on the same matrix must hand back the lists of that
+    scan.  The exchange check, the label exchange and the mutation at k all
+    read them: in the combinatorial E8 pass, a full pass on a wild word,
+    ``Seed.mutate`` and the ``dimvec`` walk."""
+    scans: dict[tuple[int, int], list] = {}
+    matrices, calls = [], [0]
+    neighbors = ExchangeMatrix.neighbors
+
+    def recording(self, k):
+        sides = neighbors(self, k)
+        matrices.append(self)  # keeps every id distinct
+        seen = scans.setdefault((id(self), k), [])
+        if not any(sides is old for old in seen):
+            seen.append(sides)
+        calls[0] += 1
+        return sides
+
+    monkeypatch.setattr(ExchangeMatrix, "neighbors", recording)
+    run_mu_i(E8_WORD, max_seed_steps=0)
+    run_mu_i(word_gamma7)
+    Seed.from_word(word_gamma7).mutate_path([1, 2, 4, 1, 3])
+    path = [step.vertex for step in mu_i_plan(E8_WORD).steps[:60]]
+    doc = {"rank": 8, "edges": E8_EDGES, "word": list(E8_WORD.printed), "path": path}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dimvec", "--inline", json.dumps(doc)]) == 0
+    assert calls[0] > 2 * len(scans) > 0
+    assert [key for key, seen in scans.items() if len(seen) > 1] == []
