@@ -27,6 +27,10 @@ class NotPolynomialAfterSubstitutionError(EngineError):
     pass
 
 
+class TermLimitError(EngineError):
+    pass
+
+
 class NonIntegralCoefficientError(EngineError):
     pass
 

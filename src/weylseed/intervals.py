@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cartan import ReducedWord
 from .errors import (
+    EngineError,
     IdentityFailsError,
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
@@ -228,7 +229,10 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     Each step mutates the exchange matrix once: inside the seed while it is
     tracked, directly after the cut-off.  Exchange supports blow up quickly
     on wild Cartan data, so callers verifying specific identities should
-    cut the symbolic part at the step they need.
+    cut the symbolic part at the step they need.  An engine error raised
+    while mutating the seed, such as a product over ``MAX_TERM_PAIRS``, is
+    re-raised as the same class with the step and the vertex before its
+    detail.
     """
     plan = mu_i_plan(word)
     matrix = b_matrix(gamma_i(word))
@@ -257,7 +261,10 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
             )
         delta_labels = move.labels
         if max_seed_steps is None or step.index <= max_seed_steps:
-            seed = seed.mutate(v)
+            try:
+                seed = seed.mutate(v)
+            except EngineError as exc:
+                raise type(exc)(f"step {step.index}, vertex {v}: {exc}") from exc
             matrix = seed.matrix
             label_values[step.after] = seed.cluster[v - 1]
         else:

@@ -1,31 +1,45 @@
 """Exact multivariate Laurent polynomials over arbitrary-precision integers.
 
-Terms are kept in a dict keyed by exponent tuples; canonical (serialization
-and comparison) order is graded lexicographic.  Operations never modify
-their operands; a result may be an operand itself (``x ** 1`` is ``x``).
+Canonical (serialization and comparison) order is graded lexicographic.
+Operations never modify their operands; a result may be an operand itself
+(``x ** 1`` is ``x``) or share an operand's term dict.
 
-Packed monomials.  ``__mul__`` and ``exact_div`` work on monomials packed
-into single ints (Kronecker substitution).  Each operation first shifts its
-operands by their per-variable minimum exponents, so every shifted exponent
-``d_i`` is >= 0, and packs ``(D, d_1, ..., d_n)`` with ``D = d_1 + ... + d_n``
-as the base-``2**bits`` digits of one int, ``D`` most significant.  ``bits``
-is chosen per call so that every digit the operation can reach is below
-``2**(bits - 1)``:
+Packed exponent vectors are the stored form (after Monagan and Pearce).  A
+value holds a ``base``, a per-variable lower bound on its exponents, one
+digit width ``bits`` and ``{key: coef}``: ``key`` holds the shifted
+exponents ``d_i = e_i - base_i >= 0`` as the base-``2**bits`` digits
+``(D, d_1, ..., d_n)`` of one int, with ``D = d_1 + ... + d_n`` most
+significant.  Every digit is at most ``D``, and the top digit stays below
+``2**(bits - 1)``, so the top bit of each digit is free.  ``bits`` is a
+multiple of 8, at least 8, so a wider width is rarely needed.  A flag
+records whether ``base`` is the exact per-variable minimum.
 
-* a product's digits are bounded by its total degree, at most the sum of the
-  operands' shifted total degrees;
-* every term of a long-division remainder has total degree at most the
-  shifted numerator's, because quotient terms are only emitted for
-  ``lead(rem) / lead(den)`` and ``lead(den)`` has the divisor's top degree;
-  a divisor of higher degree than the numerator is rejected up front.
+While no digit overflows, adding keys adds exponent vectors, and comparing
+keys compares ``D`` first and then ``d_1, ..., d_n`` lexicographically,
+which is grlex order.  So:
 
-While no digit overflows, adding two packed ints adds the exponent vectors,
-and comparing packed ints compares ``D`` first and then ``d_1, ..., d_n``
-lexicographically, which is exactly the grlex order of ``_grlex_key``.  The
-top bit of each digit is a guard: ``(r | guard) - l`` borrows into no guard
-bit exactly when every digit of ``l`` is at most that of ``r``, which is the
-monomial divisibility test of long division.  Packing stays inside
-``_pack``/``_unpack``; ``terms`` is always keyed by exponent tuples.
+* a product adds the bases and adds keys.  Its top digit is the sum of the
+  operands' top digits, so checking that one sum against the width covers
+  every digit.  In an integral domain the minima add, so exact bases stay
+  exact.  ``x * x`` forms each unordered pair of terms once;
+* a single-term value is key 0 over its exact base, so multiplying or
+  dividing by it moves the base and scales the coefficients;
+* a sum re-bases each operand to the componentwise minimum of the bases by
+  adding one packed offset to each key; a key that cancels leaves the
+  result's base inexact;
+* exact division moves the divisor to its exact base.  Then the shifted
+  numerator and the quotient are honest polynomials, so grlex long division
+  applies, and the quotient's base is the numerator's minus the divisor's.
+  Every remainder term has total degree at most the numerator's top digit,
+  because quotient terms are only emitted for ``lead(rem) / lead(den)`` and
+  ``lead(den)`` has the divisor's top degree; a divisor of higher degree is
+  rejected up front.  ``(r | guard) - l`` borrows into no guard bit exactly
+  when every digit of ``l`` is at most that of ``r``, which is the monomial
+  divisibility test.
+
+Exponent tuples are built only where they are read: the constructor packs
+them once (``_pack``), ``terms`` and ``sorted_terms`` unpack on each read
+(``_unpack``), and a value moving to a wider width goes through both.
 """
 from __future__ import annotations
 
@@ -35,7 +49,16 @@ from operator import add, lshift, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import _is_int
-from .errors import NotDivisibleError, NotPolynomialAfterSubstitutionError, ValidationError
+from .errors import (
+    NotDivisibleError,
+    NotPolynomialAfterSubstitutionError,
+    TermLimitError,
+    ValidationError,
+)
+
+# Most term pairs one product may form; at about 0.4 us a pair that is a few
+# seconds of work.  Checked before the first pair is formed.
+MAX_TERM_PAIRS = 10**7
 
 
 class VarTable:
@@ -66,44 +89,43 @@ class VarTable:
         return VarTable(tuple(f"{prefix}{i}" for i in range(1, count + 1)))
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
+def _width(top: int) -> int:
+    """Digit width for a top digit ``top``: one free bit, a multiple of 8."""
+    return (top.bit_length() + 8) & -8
+
+
+def _key(digits: Sequence[int], bits: int) -> int:
+    """The packed key of the shifted exponents ``digits`` (all >= 0)."""
+    n = len(digits)
+    shifts = range((n - 1) * bits, -1, -bits)
+    return sum(map(lshift, digits, shifts), sum(digits) << n * bits)
 
 
 def _pack(
     terms: Mapping[tuple[int, ...], int], base: Sequence[int], bits: int
 ) -> dict[int, int]:
-    """``{exp: coef}`` keyed by the packed digits ``(D, exp - base)``."""
-    width = len(base)
-    shifts = range((width - 1) * bits, -1, -bits)
-    total_shift = width * bits
-    out: dict[int, int] = {}
-    for exp, coef in terms.items():
-        d = list(map(sub, exp, base))
-        out[sum(map(lshift, d, shifts), sum(d) << total_shift)] = coef
-    return out
+    """``{exp: coef}`` keyed by the packed digits of ``exp - base``."""
+    return {_key(list(map(sub, exp, base)), bits): coef for exp, coef in terms.items()}
 
 
 def _unpack(
-    packed: Mapping[int, int], base: Sequence[int], bits: int
-) -> dict[tuple[int, ...], int]:
-    """Inverse of ``_pack`` (``D`` is dropped), without zero coefficients."""
+    items: Iterable[tuple[int, int]], base: Sequence[int], bits: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """``(exp, coef)`` for each ``(key, coef)`` of ``items``, in their order."""
     shifts = range((len(base) - 1) * bits, -1, -bits)
     mask = (1 << bits) - 1
-    return {
-        tuple([(key >> s & mask) + b for s, b in zip(shifts, base)]): coef
-        for key, coef in packed.items()
-        if coef
-    }
+    return [
+        (tuple([(key >> s & mask) + b for s, b in zip(shifts, base)]), coef)
+        for key, coef in items
+    ]
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial; no zero coefficients are stored."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_base", "_bits", "_packed", "_exact")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int]):
-        self.vars = table
         width = len(table)
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in terms.items():
@@ -111,25 +133,41 @@ class LaurentPoly:
                 raise ValidationError("exponent tuple width mismatch")
             if coef:
                 clean[tuple(exp)] = coef
-        self.terms = clean
+        base = tuple(map(min, zip(*clean))) if clean else (0,) * width
+        top = max(map(sum, clean)) - sum(base) if clean else 0
+        self.vars = table
+        self._base = base
+        self._bits = _width(top)
+        self._packed = _pack(clean, base, self._bits)
+        self._exact = True
 
     @staticmethod
-    def _of(table: VarTable, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
-        """Wrap ``terms`` as is: tuple keys of the table's width, no zeros."""
+    def _make(
+        table: VarTable,
+        base: tuple[int, ...],
+        bits: int,
+        packed: dict[int, int],
+        exact: bool,
+    ) -> "LaurentPoly":
+        """Wrap packed terms as is: no zero coefficient, top digit below
+        ``2**(bits - 1)``, and an empty dict only as ``zero`` builds it."""
         out = object.__new__(LaurentPoly)
         out.vars = table
-        out.terms = terms
+        out._base = base
+        out._bits = bits
+        out._packed = packed
+        out._exact = exact
         return out
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly(table, {})
+        return LaurentPoly._make(table, (0,) * len(table), 8, {}, True)
 
     @staticmethod
     def one(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly(table, {(0,) * len(table): 1})
+        return LaurentPoly._make(table, (0,) * len(table), 8, {0: 1}, True)
 
     @staticmethod
     def product(table: VarTable, factors: Iterable["LaurentPoly"]) -> "LaurentPoly":
@@ -147,73 +185,167 @@ class LaurentPoly:
     def var(table: VarTable, name: str) -> "LaurentPoly":
         exp = [0] * len(table)
         exp[table.index(name)] = 1
-        return LaurentPoly(table, {tuple(exp): 1})
+        return LaurentPoly._make(table, tuple(exp), 8, {0: 1}, True)
 
     # -- basic structure ------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """``{exponent tuple: coef}``, unpacked on each read."""
+        return dict(_unpack(self._packed.items(), self._base, self._bits))
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, LaurentPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
-        )
+            and len(self._packed) == len(other._packed)
+        ):
+            return False
+        a, b = self._exact_form(), other._exact_form()
+        if a._bits != b._bits:
+            return a.terms == b.terms
+        return a._base == b._base and a._packed == b._packed
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        # equal values have one exact base and, at the narrowest width, one dict
+        x = self._exact_form()
+        bits = _width(x._top()) if x._packed else x._bits
+        packed = x._packed if bits == x._bits else _pack(x.terms, x._base, bits)
+        return hash((self.vars, x._base, frozenset(packed.items())))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
+        # key order is grlex order
+        return _unpack(sorted(self._packed.items()), self._base, self._bits)
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
             raise ValidationError("operands use different variable tables")
 
+    def _exact_form(self) -> "LaurentPoly":
+        """This value over its exact base, the per-variable minimum exponent."""
+        if self._exact:
+            return self
+        packed, bits = self._packed, self._bits
+        mask = (1 << bits) - 1
+        shifts = range((len(self.vars) - 1) * bits, -1, -bits)
+        mins = [min(key >> s & mask for key in packed) for s in shifts]
+        offset = _key(mins, bits)
+        if offset:
+            packed = {key - offset: coef for key, coef in packed.items()}
+        return LaurentPoly._make(
+            self.vars, tuple(map(add, self._base, mins)), bits, packed, True
+        )
+
+    def _rebased(self, base: tuple[int, ...], bits: int) -> dict[int, int]:
+        """The keys over ``base``, at most ``self._base`` everywhere, and ``bits``.
+
+        The result is ``self._packed`` itself when nothing moves.  A wider
+        width, which is rare, goes through the exponent tuples.
+        """
+        if bits != self._bits:
+            return _pack(self.terms, base, bits)
+        if base == self._base:
+            return self._packed
+        offset = _key(list(map(sub, self._base, base)), bits)
+        return {key + offset: coef for key, coef in self._packed.items()}
+
+    def _top(self) -> int:
+        """The largest shifted total degree ``D`` over the terms."""
+        return max(self._packed) >> len(self.vars) * self._bits
+
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """``self + sign * other`` over the componentwise minimum of the bases."""
         self._check(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp, 0) + coef
+        if not other._packed:
+            return self
+        if not self._packed:
+            return other if sign == 1 else -other
+        base = tuple(map(min, self._base, other._base))
+        top = max(self._top() + sum(self._base), other._top() + sum(other._base)) - sum(base)
+        bits = max(self._bits, other._bits, _width(top))
+        out = self._rebased(base, bits)
+        if out is self._packed:
+            out = dict(out)
+        exact = self._exact and other._exact
+        get = out.get
+        for key, coef in other._rebased(base, bits).items():
+            s = get(key, 0) + sign * coef
             if s:
-                out[exp] = s
+                out[key] = s
             else:
-                out.pop(exp, None)
-        return LaurentPoly(self.vars, out)
+                del out[key]
+                exact = False
+        if not out:
+            return LaurentPoly.zero(self.vars)
+        return LaurentPoly._make(self.vars, base, bits, out, exact)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(
+            self.vars,
+            self._base,
+            self._bits,
+            {key: -coef for key, coef in self._packed.items()},
+            self._exact,
+        )
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         big, small = self, other
-        if len(big.terms) < len(small.terms):
+        if len(big._packed) < len(small._packed):
             big, small = small, big
-        if not small.terms:
+        if not small._packed:
             return LaurentPoly.zero(self.vars)
-        if len(small.terms) == 1:
-            ((e0, c0),) = small.terms.items()
-            return LaurentPoly._of(
-                self.vars,
-                {tuple(map(add, e, e0)): c * c0 for e, c in big.terms.items()},
+        if len(small._packed) == 1:
+            mono = small._exact_form()
+            c0 = mono._packed[0]
+            packed = big._packed
+            if c0 != 1:
+                packed = {key: coef * c0 for key, coef in packed.items()}
+            base = tuple(map(add, big._base, mono._base))
+            return LaurentPoly._make(self.vars, base, big._bits, packed, big._exact)
+        n, m = len(big._packed), len(small._packed)
+        square = big is small
+        pairs = n * (n + 1) // 2 if square else n * m
+        if pairs > MAX_TERM_PAIRS:
+            raise TermLimitError(
+                f"product of {n} by {m} terms forms {pairs} term pairs, "
+                f"over the limit of {MAX_TERM_PAIRS}"
             )
-        mb, ms = big.min_exponents(), small.min_exponents()
-        top = max(map(sum, big.terms)) - sum(mb) + max(map(sum, small.terms)) - sum(ms)
-        bits = top.bit_length() + 1
-        packed_small = list(_pack(small.terms, ms, bits).items())
+        base = tuple(map(add, big._base, small._base))
+        bits = max(big._bits, small._bits, _width(big._top() + small._top()))
+        items = list(big._rebased(big._base, bits).items())
         out: dict[int, int] = {}
         get = out.get
-        for k1, c1 in _pack(big.terms, mb, bits).items():
-            for k2, c2 in packed_small:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
-        return LaurentPoly._of(self.vars, _unpack(out, tuple(map(add, mb, ms)), bits))
+        if square:
+            # the pair (i, j) and its mirror (j, i) at once
+            for i, (k1, c1) in enumerate(items):
+                key = k1 << 1
+                out[key] = get(key, 0) + c1 * c1
+                c1 <<= 1
+                for k2, c2 in items[i + 1 :]:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            for k1, c1 in small._rebased(small._base, bits).items():
+                for k2, c2 in items:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        if not all(out.values()):
+            out = {key: coef for key, coef in out.items() if coef}
+        return LaurentPoly._make(
+            self.vars, base, bits, out, big._exact and small._exact
+        )
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """Non-negative powers only; ``x ** 0`` is one."""
@@ -236,10 +368,7 @@ class LaurentPoly:
 
     def min_exponents(self) -> tuple[int, ...]:
         """Per-variable minimum exponent over all terms (0 for the zero poly)."""
-        if not self.terms:
-            return (0,) * len(self.vars)
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return self._exact_form()._base
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NotDivisibleError when no Laurent quotient exists."""
@@ -248,29 +377,32 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly.zero(self.vars)
-        if len(other.terms) == 1:
-            # monomials are units up to their coefficient: shift every term
-            ((e0, c0),) = other.terms.items()
-            if any(c % c0 for c in self.terms.values()):
-                raise NotDivisibleError("no exact Laurent quotient")
-            return LaurentPoly._of(
-                self.vars,
-                {tuple(map(sub, e, e0)): c // c0 for e, c in self.terms.items()},
-            )
-        # Shifted by their minimum exponents both sides are honest polynomials
-        # and so is the quotient, so grlex long division applies.
-        sa, sb = self.min_exponents(), other.min_exponents()
-        top = max(map(sum, self.terms)) - sum(sa)
-        if max(map(sum, other.terms)) - sum(sb) > top:
+        den = other._exact_form()
+        base = tuple(map(sub, self._base, den._base))
+        if len(den._packed) == 1:
+            # monomials are units up to their coefficient: move the base
+            c0 = den._packed[0]
+            packed = self._packed
+            if c0 != 1:
+                if any(c % c0 for c in packed.values()):
+                    raise NotDivisibleError("no exact Laurent quotient")
+                packed = {key: c // c0 for key, c in packed.items()}
+            return LaurentPoly._make(self.vars, base, self._bits, packed, self._exact)
+        # Over the exact divisor base both sides are honest polynomials and so
+        # is the quotient, so grlex long division applies.
+        bits = max(self._bits, den._bits)
+        shift = len(self.vars) * bits
+        rem = self._rebased(self._base, bits)
+        if rem is self._packed:
+            rem = dict(rem)
+        den_keys = sorted(den._rebased(den._base, bits).items(), reverse=True)
+        if den_keys[0][0] >> shift > max(rem) >> shift:
             raise NotDivisibleError("no exact Laurent quotient")
-        bits = top.bit_length() + 1
-        guard = sum(1 << (s + bits - 1) for s in range(0, (len(sa) + 1) * bits, bits))
-        den = sorted(_pack(other.terms, sb, bits).items(), reverse=True)
-        lead, lead_coef = den[0]
-        tail = [(k, -c) for k, c in den[1:]]
+        guard = sum(1 << (s + bits - 1) for s in range(0, shift + bits, bits))
+        lead, lead_coef = den_keys[0]
+        tail = [(k, -c) for k, c in den_keys[1:]]
         # max-heap of the remainder's keys; a key leaves the heap and ``rem``
         # together, and a coefficient that cancels to 0 stays until popped
-        rem = _pack(self.terms, sa, bits)
         heap = [-k for k in rem]
         heapify(heap)
         quot: dict[int, int] = {}
@@ -295,7 +427,7 @@ class LaurentPoly:
                     heappush(heap, -k)
                 else:
                     rem[k] = old + q_coef * c
-        return LaurentPoly._of(self.vars, _unpack(quot, tuple(map(sub, sa, sb)), bits))
+        return LaurentPoly._make(self.vars, base, bits, quot, self._exact)
 
     # -- substitution and grading ---------------------------------------
 
@@ -311,7 +443,8 @@ class LaurentPoly:
         tables = {img.vars for img in images.values()}
         if len(tables) > 1:
             raise ValidationError("images use different variable tables")
-        cols = list(zip(*self.terms))
+        terms = self.terms
+        cols = list(zip(*terms))
         for name, col in zip(self.vars.names, cols):
             if any(col) and name not in images:
                 raise ValidationError(f"no image for variable {name}")
@@ -321,7 +454,7 @@ class LaurentPoly:
         shifts = [max(0, -min(col)) for col in cols]
         power = cache(lambda i, e: img_list[i] ** e)
         acc: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
+        for exp, coef in terms.items():
             shifted = map(add, exp, shifts)
             term = LaurentPoly.product(
                 target, (power(i, e) for i, e in enumerate(shifted) if e)
@@ -349,7 +482,7 @@ class LaurentPoly:
         self, grading: Mapping[str, Sequence[int]]
     ) -> tuple[int, ...] | None:
         """Common graded degree of all terms, or None when inhomogeneous."""
-        if not self.terms:
+        if not self._packed:
             return None
         degs = [tuple(grading[name]) for name in self.vars.names]
         width = len(next(iter(degs)))
@@ -407,7 +540,7 @@ class LaurentPoly:
         return LaurentPoly(table, terms)
 
     def __repr__(self) -> str:  # pragma: no cover
-        if not self.terms:
+        if not self._packed:
             return "0"
         bits = []
         for exp, coef in self.sorted_terms():

@@ -3,6 +3,7 @@ tolerance, one printed pass line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from weylseed.cartan import (
     ReducedWord,
     dim_V,
 )
+from weylseed.cli import main
 from weylseed.homdata import (
     hom_tables,
     initial_delta_labels,
@@ -62,6 +64,18 @@ def wild_report(wild_word):
     # symbolic tracking through step 11 covers every printed identity;
     # the later steps only blow the supports up
     return run_mu_i(wild_word, max_seed_steps=11)
+
+
+def test_uncut_wild_pass_stops_at_the_term_pair_limit(wild_word, capsys):
+    """Plan step 12 squares a 9,581-term variable, 45.9M term pairs: the
+    uncut pass exits 3 before forming one, naming the step, vertex and sizes."""
+    doc = {"rank": 3, "edges": [[1, 2, 3], [1, 3, 2], [2, 3, 2]], "word": list(wild_word.printed)}
+    assert main(["mu-i", "--inline", json.dumps(doc)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "TermLimitError",
+        "detail": "step 12, vertex 6: product of 9581 by 9581 terms forms 45902571 "
+        "term pairs, over the limit of 10000000",
+    }
 
 
 def test_criterion_1_gamma_goldens():

@@ -1,13 +1,17 @@
 import json
+from heapq import heapify, heappop, heappush
+from operator import add, lshift, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylseed import laurent
 from weylseed.cartan import ReducedWord
 from weylseed.cli import main
 from weylseed.errors import (
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
+    TermLimitError,
     ValidationError,
 )
 from weylseed.intervals import run_mu_i
@@ -40,6 +44,10 @@ def monomials(table=T2, min_exp=-2, max_exp=3):
 
 # degrees in the hundreds: packed digits several bits wide
 wide_polys = small_polys(T3, -40, 90, max_size=5)
+# powers whose top degree passes 127, so products on the way widen 8-bit digits
+grown_polys = st.tuples(small_polys(T2, -3, 4, 3), st.integers(4, 12)).map(
+    lambda t: t[0] ** t[1]
+)
 
 
 def test_mul_unit_inverse():
@@ -437,3 +445,203 @@ def test_negative_power_of_sum_rejected():
         y1 ** -1
     with pytest.raises(ValidationError, match="negative power -1"):
         (y1 + y2) ** -1
+
+
+# -- the tuple-dict kernel: every operation packs its operands' exponent
+# tuples, works on the packed ints and unpacks the result.  Kept as the
+# oracle of the packed representation.
+
+
+def tuple_pack(terms, base, bits):
+    width = len(base)
+    shifts = range((width - 1) * bits, -1, -bits)
+    total_shift = width * bits
+    out = {}
+    for exp, coef in terms.items():
+        d = list(map(sub, exp, base))
+        out[sum(map(lshift, d, shifts), sum(d) << total_shift)] = coef
+    return out
+
+
+def tuple_unpack(packed, base, bits):
+    shifts = range((len(base) - 1) * bits, -1, -bits)
+    mask = (1 << bits) - 1
+    return {
+        tuple([(key >> s & mask) + b for s, b in zip(shifts, base)]): coef
+        for key, coef in packed.items()
+        if coef
+    }
+
+
+def tuple_min_exponents(terms, width):
+    return tuple(map(min, zip(*terms))) if terms else (0,) * width
+
+
+def tuple_mul(a, b):
+    a_terms, b_terms = a.terms, b.terms
+    if len(a_terms) < len(b_terms):
+        a_terms, b_terms = b_terms, a_terms
+    if not b_terms:
+        return LaurentPoly.zero(a.vars)
+    if len(b_terms) == 1:
+        ((e0, c0),) = b_terms.items()
+        return LaurentPoly(a.vars, {tuple(map(add, e, e0)): c * c0 for e, c in a_terms.items()})
+    width = len(a.vars)
+    mb, ms = tuple_min_exponents(a_terms, width), tuple_min_exponents(b_terms, width)
+    top = max(map(sum, a_terms)) - sum(mb) + max(map(sum, b_terms)) - sum(ms)
+    bits = top.bit_length() + 1
+    packed_small = list(tuple_pack(b_terms, ms, bits).items())
+    out = {}
+    for k1, c1 in tuple_pack(a_terms, mb, bits).items():
+        for k2, c2 in packed_small:
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return LaurentPoly(a.vars, tuple_unpack(out, tuple(map(add, mb, ms)), bits))
+
+
+def tuple_exact_div(a, b):
+    a_terms, b_terms = a.terms, b.terms
+    if not a_terms:
+        return LaurentPoly.zero(a.vars)
+    if len(b_terms) == 1:
+        ((e0, c0),) = b_terms.items()
+        if any(c % c0 for c in a_terms.values()):
+            raise NotDivisibleError("no exact Laurent quotient")
+        return LaurentPoly(a.vars, {tuple(map(sub, e, e0)): c // c0 for e, c in a_terms.items()})
+    width = len(a.vars)
+    sa, sb = tuple_min_exponents(a_terms, width), tuple_min_exponents(b_terms, width)
+    top = max(map(sum, a_terms)) - sum(sa)
+    if max(map(sum, b_terms)) - sum(sb) > top:
+        raise NotDivisibleError("no exact Laurent quotient")
+    bits = top.bit_length() + 1
+    guard = sum(1 << (s + bits - 1) for s in range(0, (width + 1) * bits, bits))
+    den = sorted(tuple_pack(b_terms, sb, bits).items(), reverse=True)
+    lead, lead_coef = den[0]
+    tail = [(k, -c) for k, c in den[1:]]
+    rem = tuple_pack(a_terms, sa, bits)
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        r_key = -heappop(heap)
+        r_coef = rem.pop(r_key)
+        if not r_coef:
+            continue
+        q_key = (r_key | guard) - lead
+        if q_key & guard != guard:
+            raise NotDivisibleError("no exact Laurent quotient")
+        q_coef, r = divmod(r_coef, lead_coef)
+        if r:
+            raise NotDivisibleError("no exact Laurent quotient")
+        q_key ^= guard
+        quot[q_key] = q_coef
+        for k, c in tail:
+            k += q_key
+            old = rem.get(k)
+            if old is None:
+                rem[k] = q_coef * c
+                heappush(heap, -k)
+            else:
+                rem[k] = old + q_coef * c
+    return LaurentPoly(a.vars, tuple_unpack(quot, tuple(map(sub, sa, sb)), bits))
+
+
+def terms_or_error(divide, a, b):
+    """The quotient's exponent-tuple terms, or NotDivisibleError."""
+    try:
+        return divide(a, b).terms
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+def copy_of(x):
+    """An equal value that is a different object."""
+    return LaurentPoly(x.vars, x.terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(small_polys(), small_polys()),
+        st.tuples(wide_polys, wide_polys),
+        st.tuples(grown_polys, small_polys()),
+        st.tuples(grown_polys, grown_polys),
+    )
+)
+def test_packed_kernel_against_tuple_kernel(pair):
+    a, b = pair
+    product = a * b
+    assert product.terms == tuple_mul(a, b).terms
+    if b:
+        assert terms_or_error(LaurentPoly.exact_div, product, b) == a.terms
+        for num in (a, a + b, product + a):
+            assert terms_or_error(LaurentPoly.exact_div, num, b) == terms_or_error(
+                tuple_exact_div, num, b
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_polys(), wide_polys, grown_polys))
+def test_square_and_cube_against_tuple_kernel(x):
+    square = tuple_mul(x, x).terms
+    assert (x * x).terms == (x * copy_of(x)).terms == square
+    assert (x**2).terms == square
+    assert (x**3).terms == tuple_mul(tuple_mul(x, x), x).terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_polys(), small_polys(), small_polys(T2, -9, 9, 3).filter(bool))
+def test_cancelled_sums_as_numerator_and_divisor(a, b, c):
+    """``(a + c) - c`` is ``a`` over a base that may lie below a's minimum."""
+    s = (a + c) - c
+    assert s.terms == a.terms
+    assert s == a and a == s and hash(s) == hash(a)
+    assert s.min_exponents() == tuple_min_exponents(a.terms, 2)
+    assert (s * b).terms == tuple_mul(a, b).terms
+    if b:
+        assert terms_or_error(LaurentPoly.exact_div, s, b) == terms_or_error(tuple_exact_div, a, b)
+        assert terms_or_error(LaurentPoly.exact_div, s * b, b) == a.terms
+    if a:
+        assert terms_or_error(LaurentPoly.exact_div, b * a, s) == b.terms
+        assert terms_or_error(LaurentPoly.exact_div, b + c, s) == terms_or_error(
+            tuple_exact_div, b + c, a
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), grown_polys.filter(bool))
+def test_equal_values_of_different_widths(a, g):
+    """A quotient keeps its numerator's digit width, so it can equal a value
+    packed with narrower digits."""
+    q = (a * g).exact_div(g)
+    assert q == a and a == q and hash(q) == hash(a)
+    assert (q + g) - g == a
+    assert q != a + LaurentPoly.one(T2)
+
+
+def test_term_pair_limit_counts_unordered_pairs_of_a_square(monkeypatch):
+    x = LaurentPoly(T2, {(0, 0): 1, (1, 0): 2, (0, 1): 3})
+    monkeypatch.setattr(laurent, "MAX_TERM_PAIRS", 6)
+    assert (x * x).terms == tuple_mul(x, x).terms
+    with pytest.raises(TermLimitError, match="product of 3 by 3 terms forms 9 term pairs"):
+        x * copy_of(x)
+    monkeypatch.setattr(laurent, "MAX_TERM_PAIRS", 5)
+    with pytest.raises(TermLimitError, match="forms 6 term pairs, over the limit of 5"):
+        x**2
+
+
+def test_mu_i_pass_keeps_values_packed(monkeypatch, wild3):
+    """A chain pass unpacks nothing and packs at most the initial variables:
+    no operation converts its operands or its result."""
+    calls = {"_pack": 0, "_unpack": 0}
+    for name in calls:
+
+        def counting(*args, name=name, original=getattr(laurent, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(laurent, name, counting)
+    word = ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3))
+    report = run_mu_i(word)
+    assert report.steps_checked == len(report.plan.steps)
+    assert calls["_unpack"] == 0
+    assert calls["_pack"] <= word.r
