@@ -126,7 +126,10 @@ def cmd_walk(doc, args) -> dict:
                 f"(mutable vertices: {len(mutable)})"
             )
         k = rng.choice(choices)
-        seed = seed.mutate(k)
+        try:
+            seed = seed.mutate(k)
+        except EngineError as exc:
+            raise type(exc)(f"step {step}, vertex {k}: {exc}") from exc
         registry.insert_if_absent(seed)
         last = k
     return {

@@ -150,7 +150,8 @@ class LaurentPoly:
         exact: bool,
     ) -> "LaurentPoly":
         """Wrap packed terms as is: no zero coefficient, top digit below
-        ``2**(bits - 1)``, and an empty dict only as ``zero`` builds it."""
+        ``2**(bits - 1)``, and an empty dict only over base 0 at width 8, as
+        the constructor builds zero."""
         out = object.__new__(LaurentPoly)
         out.vars = table
         out._base = base
@@ -160,10 +161,6 @@ class LaurentPoly:
         return out
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly._make(table, (0,) * len(table), 8, {}, True)
 
     @staticmethod
     def one(table: VarTable) -> "LaurentPoly":
@@ -281,7 +278,7 @@ class LaurentPoly:
                 del out[key]
                 exact = False
         if not out:
-            return LaurentPoly.zero(self.vars)
+            return LaurentPoly(self.vars, {})
         return LaurentPoly._make(self.vars, base, bits, out, exact)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -305,7 +302,7 @@ class LaurentPoly:
         if len(big._packed) < len(small._packed):
             big, small = small, big
         if not small._packed:
-            return LaurentPoly.zero(self.vars)
+            return LaurentPoly(self.vars, {})
         if len(small._packed) == 1:
             mono = small._exact_form()
             c0 = mono._packed[0]
@@ -376,7 +373,7 @@ class LaurentPoly:
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return LaurentPoly.zero(self.vars)
+            return LaurentPoly(self.vars, {})
         den = other._exact_form()
         base = tuple(map(sub, self._base, den._base))
         if len(den._packed) == 1:

@@ -25,7 +25,7 @@ from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
-from .errors import ValidationError
+from .errors import EngineError, ValidationError
 from .laurent import LaurentPoly, VarTable
 
 
@@ -292,9 +292,13 @@ class Seed:
         return Seed(self.matrix.mutate(k), cluster, self.provenance + (k,))
 
     def mutate_path(self, path: Iterable[int]) -> "Seed":
+        """Mutate along ``path``; an engine error names the step and vertex."""
         seed = self
-        for k in path:
-            seed = seed.mutate(k)
+        for step, k in enumerate(path, start=1):
+            try:
+                seed = seed.mutate(k)
+            except EngineError as exc:
+                raise type(exc)(f"step {step}, vertex {k}: {exc}") from exc
         return seed
 
     def specialize_frozen(self) -> tuple[LaurentPoly, ...]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weylseed import cli, intervals
+from weylseed import cli, intervals, laurent
 from weylseed.cartan import MAX_RANK, CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
 from weylseed.laurent import LaurentPoly
@@ -232,6 +232,28 @@ def test_walk_too_few_mutable_vertices(capsys):
     assert "walk step 2" in captured.err and "mutable vertices: 1" in captured.err
     code, out = run(capsys, "walk", "--inline", json.dumps(doc), "--depth", "1")
     assert code == 0 and json.loads(out)["final_provenance"] == [1]
+
+
+def test_walk_engine_error_names_step_and_vertex(monkeypatch, capsys):
+    monkeypatch.setattr(laurent, "MAX_TERM_PAIRS", 4)
+    argv = ["walk", "--inline", json.dumps(PBW6), "--depth", "8", "--seed", "1"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "TermLimitError",
+        "detail": "step 8, vertex 2: product of 3 by 3 terms forms 9 term pairs, "
+        "over the limit of 4",
+    }
+
+
+def test_mutate_engine_error_names_step_and_vertex(monkeypatch, capsys):
+    monkeypatch.setattr(laurent, "MAX_TERM_PAIRS", 4)
+    doc = dict(PBW6, path=[3, 2, 1, 3])
+    assert main(["mutate", "--inline", json.dumps(doc)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "TermLimitError",
+        "detail": "step 4, vertex 3: product of 3 by 3 terms forms 9 term pairs, "
+        "over the limit of 4",
+    }
 
 
 def test_pbw_command(capsys):

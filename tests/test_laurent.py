@@ -318,9 +318,9 @@ def test_substitute_identity_and_units():
 
 
 def test_substitute_zero_lands_over_the_images_table():
-    zero = LaurentPoly.zero(T2)
+    zero = LaurentPoly(T2, {})
     image = LaurentPoly.var(T3, "y3")
-    assert zero.substitute({"y1": image, "y2": image}) == LaurentPoly.zero(T3)
+    assert zero.substitute({"y1": image, "y2": image}) == LaurentPoly(T3, {})
     assert zero.substitute({"y1": image}).vars == T3
     assert zero.substitute({}) == zero
 
@@ -359,7 +359,7 @@ def substitute_oracle(p, images):
     """
     (target,) = {img.vars for img in images.values()}
     if not p.terms:
-        return LaurentPoly.zero(target)
+        return LaurentPoly(target, {})
     img_list = [images[name] for name in p.vars.names]
     shifts = [0] * len(p.vars)
     for i, mn in enumerate(p.min_exponents()):
@@ -367,7 +367,7 @@ def substitute_oracle(p, images):
         unit = len(img.terms) == 1 and next(iter(img.terms.values())) in (1, -1)
         if mn < 0 and not unit:
             shifts[i] = -mn
-    numerator = LaurentPoly.zero(target)
+    numerator = LaurentPoly(target, {})
     for exp, coef in p.terms.items():
         term = LaurentPoly(target, {(0,) * len(target): coef})
         for img, e, s in zip(img_list, exp, shifts):
@@ -482,7 +482,7 @@ def tuple_mul(a, b):
     if len(a_terms) < len(b_terms):
         a_terms, b_terms = b_terms, a_terms
     if not b_terms:
-        return LaurentPoly.zero(a.vars)
+        return LaurentPoly(a.vars, {})
     if len(b_terms) == 1:
         ((e0, c0),) = b_terms.items()
         return LaurentPoly(a.vars, {tuple(map(add, e, e0)): c * c0 for e, c in a_terms.items()})
@@ -501,7 +501,7 @@ def tuple_mul(a, b):
 def tuple_exact_div(a, b):
     a_terms, b_terms = a.terms, b.terms
     if not a_terms:
-        return LaurentPoly.zero(a.vars)
+        return LaurentPoly(a.vars, {})
     if len(b_terms) == 1:
         ((e0, c0),) = b_terms.items()
         if any(c % c0 for c in a_terms.values()):

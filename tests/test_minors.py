@@ -1,18 +1,16 @@
+import itertools
+import json
 import random
 
 import pytest
 
+from weylseed import minors
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord
+from weylseed.cli import main
 from weylseed.errors import ValidationError
 from weylseed.laurent import LaurentPoly, VarTable
-from weylseed.minors import (
-    _det_cofactor,
-    cross_validate,
-    minor,
-    minor_spec_for_Vk,
-    x_product,
-)
+from weylseed.minors import cross_validate, minor, minor_spec_for_Vk, x_product
 
 
 def a4_word():
@@ -20,7 +18,62 @@ def a4_word():
     return ReducedWord(c, (3, 4, 2, 1, 3, 4, 2, 1))
 
 
-A6_LONGEST = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 1)
+def type_a(n):
+    return CartanMatrix.from_edges(n, [(i, i + 1, 1) for i in range(1, n)])
+
+
+def longest(n):
+    """The longest word of A_n as (1, 2, 1, 3, 2, 1, ..., n, ..., 1)."""
+    return tuple(j for i in range(1, n + 1) for j in range(i, 0, -1))
+
+
+A6_LONGEST = longest(6)
+
+
+# -- oracle: the product as a matrix, and two determinant routines ---------
+
+
+def matrix_product(rank, letters, var_names):
+    """Product of elementary unitriangular factors, leftmost factor first.
+
+    Factor q is the identity plus the q-th variable in position
+    (letters[q], letters[q] + 1); the matrix size is rank + 1.
+    """
+    m = rank + 1
+    table = VarTable(var_names)
+    one, zero = LaurentPoly.one(table), LaurentPoly(table, {})
+    result = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    for letter, name in zip(letters, var_names):
+        t = LaurentPoly.var(table, name)
+        # right-multiply by (I + t E_{letter, letter+1}): col letter+1 += t * col letter
+        a, b = letter - 1, letter
+        for i in range(m):
+            entry = result[i][a]
+            if entry:
+                result[i][b] = result[i][b] + entry * t
+    return result
+
+
+def submatrix(mat, rows, cols):
+    return [[mat[i - 1][j - 1] for j in cols] for i in rows]
+
+
+def det_cofactor(rows):
+    """Laplace expansion along the first row, skipping zero entries."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    acc = LaurentPoly(rows[0][0].vars, {})
+    for j in range(size):
+        entry = rows[0][j]
+        if not entry:
+            continue
+        cofactor = det_cofactor(
+            [[row[c] for c in range(size) if c != j] for row in rows[1:]]
+        )
+        term = entry * cofactor
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def det_bareiss(rows):
@@ -34,13 +87,13 @@ def det_bareiss(rows):
         if not a[k][k]:
             pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
             if pivot is None:
-                return LaurentPoly.zero(table)
+                return LaurentPoly(table, {})
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = LaurentPoly.zero(table)
+            a[i][k] = LaurentPoly(table, {})
         prev = a[k][k]
     det = a[size - 1][size - 1]
     return det if sign == 1 else -det
@@ -57,45 +110,58 @@ def mono(table, coef, *pairs):
     return LaurentPoly(table, {tuple(exp): coef})
 
 
+# -- the propagation against hand-written values -------------------------
+
+
 def test_x_product_single_factor():
     table = VarTable(("t1",))
-    m = x_product(2, (1,), ("t1",))
-    assert m[0][1] == LaurentPoly.var(table, "t1")
-    assert m[0][0] == LaurentPoly.one(table) and m[1][2].terms.get((0,), 0) == 0
+    one, t1 = LaurentPoly.one(table), LaurentPoly.var(table, "t1")
+    row1 = {(1,): one}
+    x_product(row1, 1, t1)
+    assert row1 == {(1,): one, (2,): t1}
+    # row 2 has no entry in column 1 to add to column 2
+    row2 = {(2,): one}
+    x_product(row2, 1, t1)
+    assert row2 == {(2,): one}
+    # a column set holding both 1 and 2 keeps its minor
+    both = {(1, 2): one}
+    x_product(both, 1, t1)
+    assert both == {(1, 2): one}
+    # a second factor x_1(t1) adds to the minor the first one made
+    x_product(row1, 1, t1)
+    assert row1 == {(1,): one, (2,): t1 + t1}
 
 
 def test_x_product_entries_match_printed():
     w = a4_word()
     table = t_table(8)
-    m = x_product(4, w.printed, table.names)
-    assert m[1][4] == mono(table, 1, ("t6", 1), ("t4", 1), ("t3", 1))
-    expected_25 = (
+    assert minor(w.printed, table.names, (2,))[(5,)] == mono(
+        table, 1, ("t6", 1), ("t4", 1), ("t3", 1)
+    )
+    expected_35 = (
         mono(table, 1, ("t8", 1), ("t7", 1))
         + mono(table, 1, ("t8", 1), ("t3", 1))
         + mono(table, 1, ("t4", 1), ("t3", 1))
     )
-    assert m[2][4] == expected_25
+    assert minor(w.printed, table.names, (3,))[(5,)] == expected_35
 
 
 def test_minor_identity_matrix():
-    ident = x_product(3, (), ())
-    det = minor(ident, (1, 3), (1, 3))
-    assert det == LaurentPoly.one(det.vars)
+    assert minor((), (), (1, 3)) == {(1, 3): LaurentPoly.one(VarTable(()))}
 
 
 def test_minor_printed_values():
     w = a4_word()
     table = t_table(8)
-    m = x_product(4, w.printed, table.names)
-    d12 = minor(m, (1,), (2,))
-    assert d12 == mono(table, 1, ("t5", 1)) + mono(table, 1, ("t1", 1))
-    d = minor(m, (1, 2), (2, 3))
+    assert minor(w.printed, table.names, (1,))[(2,)] == mono(table, 1, ("t5", 1)) + mono(
+        table, 1, ("t1", 1)
+    )
     expected = (
         mono(table, 1, ("t6", 1), ("t5", 1))
         + mono(table, 1, ("t6", 1), ("t1", 1))
         + mono(table, 1, ("t2", 1), ("t1", 1))
     )
-    assert d == expected
+    assert minor(w.printed, table.names, (1, 2))[(2, 3)] == expected
 
 
 def test_minor_spec_table():
@@ -127,14 +193,64 @@ def test_cross_validate_a4_all():
 
 def test_cross_validate_random_type_a():
     rng = random.Random(17)
-    pool = [
-        CartanMatrix.from_edges(2, [(1, 2, 1)]),
-        CartanMatrix.from_edges(3, [(1, 2, 1), (2, 3, 1)]),
-        CartanMatrix.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]),
-    ]
+    pool = [type_a(2), type_a(3), type_a(4)]
     for _ in range(8):
         w = random_reduced_word(rng, rng.choice(pool), rng.randint(1, 6))
         assert len(cross_validate(w)) == w.r
+
+
+def test_unitriangular_degree_bound():
+    # the rows of the product are its 1 x 1 minors
+    w = a4_word()
+    table = t_table(8)
+    for i in range(1, 6):
+        row = minor(w.printed, table.names, (i,))
+        assert row[(i,)] == LaurentPoly.one(table)
+        assert all(j >= i for (j,) in row)
+        for (j,), entry in row.items():
+            if j > i:
+                assert all(sum(exp) <= 8 for exp in entry.terms)
+
+
+# -- the propagation against the oracle -----------------------------------
+
+
+def assert_matches_oracle(word):
+    """Every minor of every row set equals the cofactor and Bareiss minors
+    of the matrix product, zero included; returns how many were compared."""
+    n = word.cartan.n
+    names = t_table(word.r).names
+    mat = matrix_product(n, word.printed, names)
+    zero = LaurentPoly(VarTable(names), {})
+    checked = 0
+    for size in range(1, n + 2):
+        col_sets = list(itertools.combinations(range(1, n + 2), size))
+        for rows in col_sets:
+            got = minor(word.printed, names, rows)
+            assert all(got.values())
+            assert set(got) <= set(col_sets)
+            for cols in col_sets:
+                sub = submatrix(mat, rows, cols)
+                expected = det_cofactor(sub)
+                assert got.get(cols, zero) == expected == det_bareiss(sub), (rows, cols)
+                checked += 1
+    return checked
+
+
+def test_minor_matches_oracle_on_random_type_a_words():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        w = random_reduced_word(rng, type_a(n), rng.randint(1, n * (n + 1) // 2))
+        checked += assert_matches_oracle(w)
+    assert checked > 1000
+
+
+def test_minor_matches_oracle_on_the_a6_longest_word():
+    w = ReducedWord(type_a(6), A6_LONGEST)
+    # sum over i of binomial(7, i) ** 2 is binomial(14, 7) - 1
+    assert assert_matches_oracle(w) == 3431
 
 
 def test_bareiss_agrees_with_cofactor():
@@ -154,33 +270,35 @@ def test_bareiss_agrees_with_cofactor():
             ]
             for _ in range(size)
         ]
-        assert det_bareiss(rows) == _det_cofactor(rows)
-    # the A6 minors of sizes 5 and 6 on the longest word
-    a6 = ReducedWord(
-        CartanMatrix.from_edges(6, [(i, i + 1, 1) for i in range(1, 6)]), A6_LONGEST
-    )
-    table = t_table(a6.r)
-    mat = x_product(6, a6.printed, table.names)
-    sizes = set()
-    for k in range(1, a6.r + 1):
-        rows, cols = minor_spec_for_Vk(a6, k)
-        if len(rows) >= 5:
-            sub = [[mat[i - 1][j - 1] for j in cols] for i in rows]
-            assert det_bareiss(sub) == _det_cofactor(sub) == minor(mat, rows, cols)
-            sizes.add(len(rows))
-    assert sizes == {5, 6}
+        assert det_bareiss(rows) == det_cofactor(rows)
 
 
-def test_unitriangular_degree_bound():
-    w = a4_word()
-    table = t_table(8)
-    m = x_product(4, w.printed, table.names)
-    for i in range(5):
-        for j in range(5):
-            if i > j:
-                assert not m[i][j]
-            elif i == j:
-                assert m[i][j] == LaurentPoly.one(m[i][j].vars)
-            else:
-                for exp in m[i][j].terms:
-                    assert sum(exp) <= 8
+# -- minor-check through the command line ---------------------------------
+
+
+def a_doc(n, word):
+    return {"rank": n, "edges": [[i, i + 1, 1] for i in range(1, n)], "word": list(word)}
+
+
+def test_minor_check_a7_longest_word(capsys):
+    assert main(["minor-check", "--inline", json.dumps(a_doc(7, longest(7)))]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 28 and all(c["ok"] for c in checks)
+    assert [c["k"] for c in checks] == list(range(1, 29))
+
+
+def test_minor_check_mismatch_names_sizes_not_values(monkeypatch, capsys):
+    real = minors.phi_eval
+
+    def perturbed(sum_, pattern, names):
+        value = real(sum_, pattern, names)
+        return value + LaurentPoly.one(value.vars)
+
+    monkeypatch.setattr(minors, "phi_eval", perturbed)
+    assert main(["minor-check", "--inline", json.dumps(a_doc(6, A6_LONGEST))]) == 3
+    err = capsys.readouterr().err
+    assert json.loads(err) == {
+        "error": "MismatchError",
+        "detail": "position 1: minor with rows [1] and columns [2] (6 terms) "
+        "differs from its evaluation (7 terms)",
+    }
