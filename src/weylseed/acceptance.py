@@ -25,7 +25,7 @@ from .homdata import (
 )
 from .intervals import run_mu_i
 from .quiver import ExchangeMatrix, Seed
-from .words import WordSum, g_V, phi_eval, shuffle
+from .words import WordSum, g_V, phi_eval, shuffle, to_word
 
 CARTAN_POOL: tuple[CartanMatrix, ...] = (
     CartanMatrix.from_edges(2, [(1, 2, 1)]),
@@ -151,7 +151,7 @@ def random_word_sum(rng: random.Random, n: int) -> WordSum:
     terms = {}
     for _ in range(3):
         length = rng.randint(0, 4)
-        w = tuple(rng.randint(1, n) for _ in range(length))
+        w = to_word(rng.randint(1, n) for _ in range(length))
         terms[w] = rng.randint(-4, 4)
     return WordSum(terms)
 
@@ -179,7 +179,7 @@ def check_phi_multiplicative(seed: int, trials: int) -> bool:
         word = random_reduced_word(rng, cartan, rng.randint(2, 5))
         if word.r < 2:
             continue
-        pattern = list(word.printed)
+        pattern = to_word(word.printed)
         j = rng.randint(1, word.r)
         k = rng.randint(1, word.r)
         gj, gk = g_V(word, j), g_V(word, k)

@@ -43,7 +43,7 @@ from .quiver import (
     gamma_i,
     y_dagger,
 )
-from .words import g_V, phi_eval
+from .words import g_V, phi_eval, to_word
 
 
 def _dump(doc: Any) -> str:
@@ -234,7 +234,10 @@ def cmd_euler_gen(doc, args) -> str:
     word = _word_from_doc(doc)
     out = []
     for k in _positions(doc, word):
-        g = g_V(word, k)
+        try:
+            g = g_V(word, k)
+        except EngineError as exc:
+            raise type(exc)(f"position {k}: {exc}") from exc
         out.append('{"k":%d,"sum":%s,"words":%d}' % (k, g.json_text(), g.word_count()))
     return '{"generating_functions":[' + ",".join(out) + "]}\n"
 
@@ -252,9 +255,13 @@ def cmd_phi_eval(doc, args) -> dict:
         raise ValidationError(
             f"vars must be {len(pattern)} distinct names, one per pattern letter, got {names!r}"
         )
+    letters = to_word(pattern)
     out = []
     for k in _positions(doc, word):
-        val = phi_eval(g_V(word, k, pattern), pattern, names)
+        try:
+            val = phi_eval(g_V(word, k, letters), letters, names)
+        except EngineError as exc:
+            raise type(exc)(f"position {k}: {exc}") from exc
         out.append({"k": k, "value": val.to_json()})
     return {"pattern": pattern, "values": out}
 

@@ -18,7 +18,7 @@ from typing import Sequence
 from .cartan import ReducedWord
 from .errors import MismatchError, ValidationError
 from .laurent import LaurentPoly, VarTable
-from .words import g_V, phi_eval
+from .words import g_V, phi_eval, to_word
 
 
 def x_product(
@@ -73,11 +73,11 @@ def cross_validate(
     variable t_r down to i_1 with t_1; the minors are propagated once per
     distinct row set.  Returns (rows, cols, common polynomial) for k = 1..r.
     """
-    pattern = list(word.printed)
+    pattern = to_word(word.printed)
     var_names = [f"t{q}" for q in range(word.r, 0, -1)]
     specs = [minor_spec_for_Vk(word, k) for k in range(1, word.r + 1)]
     row_sets = {rows for rows, _ in specs}
-    passes = {rows: minor(pattern, var_names, rows) for rows in row_sets}
+    passes = {rows: minor(word.printed, var_names, rows) for rows in row_sets}
     out = []
     for k, (rows, cols) in enumerate(specs, start=1):
         lhs = passes[rows].get(cols)

@@ -1,20 +1,38 @@
 """Word sums, the shuffle product, lowering/raising operators, and the
 generating functions of Euler characteristics they compute.
 
-A Word is a tuple of letters in 1..n; a WordSum is a finite integer
-combination of words.  The empty word is the multiplicative unit of the
-shuffle product.
+A Word is a str with one code point per letter: letter j of 1..n is chr(j).
+A WordSum is a finite integer combination of words.  The empty word is the
+multiplicative unit of the shuffle product.
+
+Letters are at most ``cartan.MAX_RANK``, far below the surrogate range, and
+code-point order is letter order, so words sort as the letter tuples would.
+A str caches its hash and compares with memcmp; a tuple re-hashes and compares
+element by element on every dict probe and sort.  Letters become words once,
+where they come in (``to_word``), and digits again only in ``json_text``.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cartan import CartanMatrix, ReducedWord, Weight, b_vector, fundamental_weight
-from .errors import NonIntegralCoefficientError, ValidationError
+from .cartan import MAX_RANK, CartanMatrix, ReducedWord, Weight, b_vector, fundamental_weight
+from .errors import NonIntegralCoefficientError, TermLimitError, ValidationError
 from .laurent import LaurentPoly, VarTable
 
-Word = tuple[int, ...]
+Word = str
+
+# Most words one lowering round may hold, checked after each input word's
+# extensions.  The README document's largest sum has 392,206 words.
+MAX_WORDS = 10**6
+
+# letter j -> ",j": one str.translate per word writes its JSON digits
+_DIGITS = {j: ",%d" % j for j in range(1, MAX_RANK + 1)}
+
+
+def to_word(letters: Iterable[int]) -> Word:
+    """The word of a sequence of letters."""
+    return "".join(map(chr, letters))
 
 
 class WordSum:
@@ -27,7 +45,7 @@ class WordSum:
 
     @staticmethod
     def unit() -> "WordSum":
-        return WordSum({(): 1})
+        return WordSum({"": 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WordSum) and self.terms == other.terms
@@ -39,27 +57,22 @@ class WordSum:
         """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]}.
 
         The terms come in (length, word) order: the words are sorted plainly,
-        then stably by length.  Each is written with one ``%`` format per word
-        length, so no dict is built per word.
+        then stably by length.  Each word's letters are written by one
+        ``str.translate``, so no dict is built per word.
         """
         terms = self.terms
         words = sorted(terms)
         words.sort(key=len)
-        formats: dict[int, str] = {}
-        parts = []
-        for w in words:
-            fmt = formats.get(len(w))
-            if fmt is None:
-                fmt = formats[len(w)] = '{"coef":"%d","word":[' + ",".join(["%d"] * len(w)) + "]}"
-            parts.append(fmt % (terms[w], *w))
+        parts = [
+            '{"coef":"%d","word":[%s]}' % (terms[w], w.translate(_DIGITS)[1:]) for w in words
+        ]
         return '{"terms":[' + ",".join(parts) + "]}"
 
 
 def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     """Multiset of interleavings of two words, with multiplicities."""
-    out: dict[Word, int] = {}
     # iterative DP over prefixes: table[(i, j)] = dict of interleavings
-    table: dict[tuple[int, int], dict[Word, int]] = {(0, 0): {(): 1}}
+    table: dict[tuple[int, int], dict[Word, int]] = {(0, 0): {"": 1}}
     for i in range(len(u) + 1):
         for j in range(len(v) + 1):
             if (i, j) == (0, 0):
@@ -67,11 +80,11 @@ def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:
             acc: dict[Word, int] = {}
             if i > 0:
                 for w, c in table[(i - 1, j)].items():
-                    key = w + (u[i - 1],)
+                    key = w + u[i - 1]
                     acc[key] = acc.get(key, 0) + c
             if j > 0:
                 for w, c in table[(i, j - 1)].items():
-                    key = w + (v[j - 1],)
+                    key = w + v[j - 1]
                     acc[key] = acc.get(key, 0) + c
             table[(i, j)] = acc
     return table[(len(u), len(v))]
@@ -97,7 +110,7 @@ def rho_f(
     i: int,
     u: WordSum,
     p: int,
-    pattern: Sequence[int] | None = None,
+    pattern: Word | None = None,
 ) -> WordSum:
     """Divided power f_i^(p) of the lowering operator, in one pass.
 
@@ -121,7 +134,8 @@ def rho_f(
     round s, plus 1 for the round, minus a_ii for the inserted i.
 
     With ``pattern``, only the words that split into runs along it are kept,
-    after every round (see ``lowering_monomial``).
+    after every round (see ``lowering_monomial``).  A round that holds more
+    than ``MAX_WORDS`` words raises ``TermLimitError``.
     """
     if not 1 <= i <= cartan.n:
         raise ValidationError(f"letter {i} out of range")
@@ -130,8 +144,10 @@ def rho_f(
     if p == 0:
         return WordSum(u.terms)
     row = cartan.rows[i - 1]
+    # letter of the word -> a_{i j}, the factor it takes off the gaps after it
+    pairing = {chr(j): a for j, a in enumerate(row, start=1)}
     carry = 1 - row[i - 1]
-    letter = (i,)
+    letter = chr(i)
     # word -> (first gap to fill, its factor, {position of a last inserted i:
     # coefficient}); position -1 before round 1.  The last round keys by word
     # alone.
@@ -143,7 +159,7 @@ def rho_f(
             running = 0
             for l in range(first, len(w) + 1):
                 if l > first:
-                    weight -= row[w[l - 1] - 1]
+                    weight -= pairing[w[l - 1]]
                 running += ends.get(l - 1, 0)
                 if weight and running:
                     key = w[:l] + letter + w[l:]
@@ -157,13 +173,18 @@ def rho_f(
                         state[2][l] = weight * running
                         if l < state[0] - 1:
                             out[key] = (l + 1, weight + carry, state[2])
+            if len(out) > MAX_WORDS:
+                raise TermLimitError(
+                    f"lowering by letter {i}, round {s + 1} of {p}: {len(out)} words, "
+                    f"over the limit of {MAX_WORDS}"
+                )
         if pattern is not None:
             out = {w: v for w, v in out.items() if splits_into_runs(w, pattern)}
         states = out
     return WordSum(states)
 
 
-def splits_into_runs(u: Word, pattern: Sequence[int]) -> bool:
+def splits_into_runs(u: Word, pattern: Word) -> bool:
     """Whether u is pattern[0]^a_1 ... pattern[-1]^a_p for some a_q >= 0.
 
     Taking the longest run at each pattern letter is enough: after each
@@ -180,7 +201,7 @@ def lowering_monomial(
     cartan: CartanMatrix,
     lam: Weight,
     letters_with_powers: Sequence[tuple[int, int]],
-    pattern: Sequence[int] | None,
+    pattern: Word | None,
 ) -> WordSum:
     """Apply a product of divided powers of lowering operators to the empty word.
 
@@ -201,7 +222,7 @@ def lowering_monomial(
     return acc
 
 
-def g_V(word: ReducedWord, k: int, pattern: Sequence[int] | None = None) -> WordSum:
+def g_V(word: ReducedWord, k: int, pattern: Word | None = None) -> WordSum:
     """Generating function of Euler characteristics of composition flags.
 
     Computed by acting with the divided-power lowering monomial prescribed by
@@ -216,36 +237,47 @@ def g_V(word: ReducedWord, k: int, pattern: Sequence[int] | None = None) -> Word
     return lowering_monomial(cartan, lam, ops, pattern)
 
 
-def _decompositions(u: Word, pattern: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All exponent tuples a with pattern^a == u (runs of length >= 0)."""
-    p = len(pattern)
+def _decompositions(u: Word, pattern: Word) -> Iterator[tuple[int, ...]]:
+    """All exponent tuples a with pattern^a == u (runs of length >= 0).
 
-    def rec(pos: int, q: int, acc: list[int]):
-        if q == p:
-            if pos == len(u):
-                yield tuple(acc)
-            return
-        letter = pattern[q]
-        run = 0
+    A depth-first search that tries the shortest run first.  It keeps one
+    list of run lengths and backtracks in place, so a long pattern needs no
+    deeper stack; once u is used up, every later run is empty.
+    """
+    p, n = len(pattern), len(u)
+    runs = [0] * p  # the runs after the current letter q are 0
+    starts = [0] * p
+    q = pos = 0
+    while True:
+        if pos == n:
+            yield tuple(runs)
+        elif q < p:
+            starts[q] = pos
+            q += 1
+            continue
+        # backtrack to the last letter whose run can take one more letter
         while True:
-            yield from rec(pos + run, q + 1, acc + [run])
-            if pos + run < len(u) and u[pos + run] == letter:
-                run += 1
-            else:
+            q -= 1
+            if q < 0:
                 return
-
-    yield from rec(0, 0, [])
+            end = starts[q] + runs[q]
+            if end < n and u[end] == pattern[q]:
+                runs[q] += 1
+                pos = end + 1
+                q += 1
+                break
+            runs[q] = 0
 
 
 def phi_eval(
     g: WordSum,
-    pattern: Sequence[int],
+    pattern: Word,
     var_names: Sequence[str] | None = None,
 ) -> LaurentPoly:
     """Evaluate a generating function on a one-parameter product.
 
-    ``pattern`` lists the letters of the product left to right; variable q of
-    the result is the parameter of the q-th factor.  The coefficient of
+    ``pattern`` is the word of the product's letters, left to right; variable
+    q of the result is the parameter of the q-th factor.  The coefficient of
     t^a is the flag Euler characteristic for exponents a, i.e. the word
     coefficient divided by the product of factorials; integrality of that
     division is asserted.
@@ -263,7 +295,7 @@ def phi_eval(
                 denom *= math.factorial(m)
             if coef % denom:
                 raise NonIntegralCoefficientError(
-                    f"coefficient {coef} of word {list(u)} not divisible by {denom}"
+                    f"coefficient {coef} of word {list(map(ord, u))} not divisible by {denom}"
                 )
             terms[a] = terms.get(a, 0) + coef // denom
     return LaurentPoly(VarTable(var_names), terms)

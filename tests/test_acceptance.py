@@ -138,14 +138,19 @@ def test_criterion_2_root_weight_data(wild_word):
     ok("2 root and weight data")
 
 
+def letter_terms(g) -> dict:
+    """The terms of a word sum keyed by letter tuples."""
+    return {tuple(map(ord, w)): c for w, c in g.terms.items()}
+
+
 def test_criterion_3_generating_functions():
     de = CartanMatrix.from_edges(3, [(1, 2, 2), (2, 3, 1)])
     w = ReducedWord(de, (3, 1, 2, 3, 1, 2, 1))
-    assert g_V(w, 1).terms == {(1,): 1}
-    assert g_V(w, 2).terms == {(2, 1, 1): 2}
-    assert g_V(w, 3).terms == {(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12}
-    assert g_V(w, 4).terms == {(3, 2, 1, 1): 2}
-    assert g_V(w, 7).terms == {
+    assert letter_terms(g_V(w, 1)) == {(1,): 1}
+    assert letter_terms(g_V(w, 2)) == {(2, 1, 1): 2}
+    assert letter_terms(g_V(w, 3)) == {(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12}
+    assert letter_terms(g_V(w, 4)) == {(3, 2, 1, 1): 2}
+    assert letter_terms(g_V(w, 7)) == {
         (3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1): 288,
         (3, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1): 144,
         (3, 2, 1, 2, 1, 2, 2, 1, 1, 1, 1): 96,

@@ -298,7 +298,10 @@ def euler_gen_oracle(doc: dict) -> dict:
     out = []
     for k in doc.get("positions", range(1, word.r + 1)):
         g = g_V(word, k)
-        ordered = sorted(g.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        ordered = sorted(
+            ((tuple(map(ord, w)), c) for w, c in g.terms.items()),
+            key=lambda t: (len(t[0]), t[0]),
+        )
         terms = [{"word": list(w), "coef": str(c)} for w, c in ordered]
         out.append({"k": k, "words": g.word_count(), "sum": {"terms": terms}})
     return {"generating_functions": out}

@@ -1,14 +1,19 @@
+import importlib
 import json
 import math
+import pathlib
 import random
+import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylseed import words
+from weylseed import cli, words
 from weylseed.acceptance import CARTAN_POOL, random_reduced_word
-from weylseed.cartan import ReducedWord, fundamental_weight
-from weylseed.errors import NonIntegralCoefficientError, ValidationError
+from weylseed.cartan import CartanMatrix, ReducedWord, b_vector, fundamental_weight
+from weylseed.cli import main
+from weylseed.errors import NonIntegralCoefficientError, TermLimitError, ValidationError
 from weylseed.laurent import LaurentPoly, VarTable
 from weylseed.quiver import Seed
 from weylseed.words import (
@@ -19,11 +24,30 @@ from weylseed.words import (
     rho_f,
     shuffle,
     splits_into_runs,
+    to_word,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def ws(*pairs):
-    return WordSum({tuple(w): c for w, c in pairs})
+    """A WordSum from (letter tuple, coefficient) pairs."""
+    return WordSum({to_word(w): c for w, c in pairs})
+
+
+def letters_of(w: str) -> tuple[int, ...]:
+    """Oracle: the letter tuple of a package word."""
+    return tuple(map(ord, w))
+
+
+def as_tuples(u: WordSum) -> WordSum:
+    """The same sum keyed by letter tuples, the form the oracles use."""
+    return WordSum({letters_of(w): c for w, c in u.terms.items()})
+
+
+def as_words(u: WordSum) -> WordSum:
+    """The inverse of ``as_tuples``."""
+    return WordSum({to_word(w): c for w, c in u.terms.items()})
 
 
 def combination(*pairs):
@@ -36,7 +60,8 @@ def combination(*pairs):
 
 
 def wordsum_json(u: WordSum) -> dict:
-    """Oracle: the JSON document that ``WordSum.json_text`` writes."""
+    """Oracle: the JSON document that ``WordSum.json_text`` writes, for a sum
+    keyed by letter tuples."""
     ordered = sorted(u.terms.items(), key=lambda t: (len(t[0]), t[0]))
     return {"terms": [{"word": list(w), "coef": str(c)} for w, c in ordered]}
 
@@ -44,14 +69,14 @@ def wordsum_json(u: WordSum) -> dict:
 def wordsum_from_json(text: str) -> WordSum:
     """The inverse of ``WordSum.json_text``."""
     doc = json.loads(text)
-    return WordSum({tuple(t["word"]): int(t["coef"]) for t in doc["terms"]})
+    return WordSum({to_word(t["word"]): int(t["coef"]) for t in doc["terms"]})
 
 
 def rho_e(i: int, u: WordSum) -> WordSum:
     """Oracle: the raising operator rho(e_i) strips a trailing letter i."""
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[str, int] = {}
     for w, c in u.terms.items():
-        if w and w[-1] == i:
+        if w and ord(w[-1]) == i:
             out[w[:-1]] = out.get(w[:-1], 0) + c
     return WordSum(out)
 
@@ -67,10 +92,10 @@ def euler_of_reachable(expr: LaurentPoly, word: ReducedWord, pattern) -> Laurent
     )
 
 
-def letter_content(word, n: int) -> tuple[int, ...]:
-    """Oracle: how often each letter 1..n occurs in a word."""
+def letter_content(letters, n: int) -> tuple[int, ...]:
+    """Oracle: how often each letter 1..n occurs in a sequence of letters."""
     out = [0] * n
-    for letter in word:
+    for letter in letters:
         out[letter - 1] += 1
     return tuple(out)
 
@@ -91,9 +116,7 @@ def test_shuffle_unit_and_basics():
 
 
 word_sums = st.dictionaries(
-    st.tuples(st.integers(1, 2), st.integers(1, 2)).map(tuple)
-    | st.just(())
-    | st.tuples(st.integers(1, 2)).map(tuple),
+    st.lists(st.integers(1, 2), max_size=2).map(to_word),
     st.integers(-5, 5),
     max_size=3,
 ).map(WordSum)
@@ -118,7 +141,8 @@ def test_rho_examples(double_edge):
 
 def single_lowering(cartan, lam, i, u):
     """Oracle: f_i inserting one letter i at every position, weighted by the
-    coroot pairing of lam minus the roots of the prefix before it."""
+    coroot pairing of lam minus the roots of the prefix before it.  Words are
+    letter tuples here and in every lowering oracle below."""
     out = {}
     for w, c in u.terms.items():
         weight = lam[i - 1]
@@ -136,7 +160,7 @@ def iterated_divided_power(cartan, lam, i, u, p, pattern=None):
     for _ in range(p):
         u = single_lowering(cartan, lam, i, u)
         if pattern is not None:
-            u = WordSum({w: c for w, c in u.terms.items() if splits_into_runs(w, pattern)})
+            u = WordSum({w: c for w, c in u.terms.items() if has_decomposition(w, pattern)})
     fact = math.factorial(p)
     assert all(c % fact == 0 for c in u.terms.values())
     return WordSum({w: c // fact for w, c in u.terms.items()})
@@ -176,15 +200,14 @@ def test_divided_power_matches_iterated_oracle(cartan, seed):
         pattern = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
         for p in range(7):
             for pat in (None, pattern):
-                assert rho_f(cartan, lam, i, u, p, pat) == iterated_divided_power(
-                    cartan, lam, i, u, p, pat
+                word_pat = None if pat is None else to_word(pat)
+                assert as_tuples(rho_f(cartan, lam, i, as_words(u), p, word_pat)) == (
+                    iterated_divided_power(cartan, lam, i, u, p, pat)
                 )
 
 
 def test_g_v_lowers_once_per_nonzero_power(monkeypatch, word_gamma7):
     """Each nonzero entry of the socle multiplicities is one rho_f call."""
-    from weylseed.cartan import b_vector
-
     calls = []
 
     def counting_rho_f(cartan, lam, i, u, p, pattern=None):
@@ -245,7 +268,7 @@ def test_g_v_equals_g_v_of_the_prefix_word():
         word = random_reduced_word(rng, cartan, rng.randint(1, 5))
         for k in range(1, word.r + 1):
             prefix = ReducedWord(cartan, word.printed[word.r - k:])
-            pattern = list(word.printed)
+            pattern = to_word(word.printed)
             assert g_V(word, k, pattern) == g_V(prefix, k, pattern)
             if k <= 4:
                 assert g_V(word, k) == g_V(prefix, k)
@@ -269,7 +292,7 @@ def test_g_v_goldens(word_gamma7):
         (3, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1): 16,
         (3, 2, 1, 1, 2, 1, 2, 1, 2, 1, 1): 16,
     }
-    assert g7.terms == expected7
+    assert as_tuples(g7).terms == expected7
     assert g_V(word_gamma7, 5).word_count() == 402
 
 
@@ -277,13 +300,13 @@ def test_g_v_drops_words_that_cancel(a3):
     """The last lowering round of this g_V cancels two words to 0; neither
     may stay in the sum, and no stored coefficient is 0."""
     g = g_V(ReducedWord(a3, (2, 1, 3, 2)), 4)
-    assert (2, 2, 3, 1) not in g.terms and (2, 2, 1, 3) not in g.terms
+    assert to_word((2, 2, 3, 1)) not in g.terms and to_word((2, 2, 1, 3)) not in g.terms
     assert 0 not in g.terms.values()
     assert g == ws(((2, 3, 1, 2), 1), ((2, 1, 3, 2), 1))
 
 
 def test_g_v_content_and_refined_coefficient(word_gamma7):
-    from weylseed.cartan import b_vector, dim_V
+    from weylseed.cartan import dim_V
 
     # k = 6 is a 24-dimensional module whose sum (392,206 words) takes
     # seconds to build; the invariant is exercised by the other six positions
@@ -291,7 +314,7 @@ def test_g_v_content_and_refined_coefficient(word_gamma7):
         g = g_V(word_gamma7, k)
         target = dim_V(word_gamma7, k)
         for w in g.terms:
-            assert letter_content(w, 3) == target
+            assert letter_content(letters_of(w), 3) == target
         prefix = ReducedWord(word_gamma7.cartan, word_gamma7.printed[word_gamma7.r - k:])
         lam = fundamental_weight(3, prefix.letter(k))
         b = b_vector(prefix.cartan, prefix.positions, lam)
@@ -299,16 +322,16 @@ def test_g_v_content_and_refined_coefficient(word_gamma7):
         for x in b:
             for m in range(2, x + 1):
                 fact *= m
-        assert g.terms.get(refined_word(word_gamma7, k, b), 0) == fact
+        assert g.terms.get(to_word(refined_word(word_gamma7, k, b)), 0) == fact
 
 
 def test_phi_eval_single_letter():
     g = ws(((1,), 1))
-    val = phi_eval(g, (1,))
+    val = phi_eval(g, to_word((1,)))
     assert val == LaurentPoly(VarTable(("t1",)), {(1,): 1})
     for names in (["a", "b"], []):
         with pytest.raises(ValidationError, match="one variable name per pattern letter"):
-            phi_eval(g, (1,), names)
+            phi_eval(g, to_word((1,)), names)
 
 
 def test_phi_eval_a4(word_a4_running):
@@ -321,9 +344,10 @@ def test_phi_eval_a4(word_a4_running):
             exp[table.index(f"t{tq}")] = e
         return tuple(exp)
 
-    val1 = phi_eval(g_V(word_a4_running, 1), word_a4_running.printed, names)
+    pattern = to_word(word_a4_running.printed)
+    val1 = phi_eval(g_V(word_a4_running, 1), pattern, names)
     assert val1 == LaurentPoly(table, {mono((5, 1)): 1, mono((1, 1)): 1})
-    val8 = phi_eval(g_V(word_a4_running, 8), word_a4_running.printed, names)
+    val8 = phi_eval(g_V(word_a4_running, 8), pattern, names)
     expected8 = LaurentPoly(
         table, {mono((8, 1), (7, 1), (6, 1), (5, 1), (4, 1), (2, 1)): 1}
     )
@@ -332,21 +356,21 @@ def test_phi_eval_a4(word_a4_running):
 
 def test_phi_eval_non_integral_raises():
     g = ws(((1, 1), 1))  # coefficient 1 but a (2,) decomposition needs 2!
-    with pytest.raises(NonIntegralCoefficientError):
-        phi_eval(g, (1,))
+    with pytest.raises(NonIntegralCoefficientError, match=r"word \[1, 1\] not divisible by 2"):
+        phi_eval(g, to_word((1,)))
 
 
 def test_phi_eval_repeated_pattern_letters():
     # pattern (1, 1) on 2*w[1,1]: decompositions (2,0), (1,1), (0,2)
     g = ws(((1, 1), 2))
-    val = phi_eval(g, (1, 1))
+    val = phi_eval(g, to_word((1, 1)))
     t = VarTable(("t1", "t2"))
     assert val == LaurentPoly(t, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
 def test_euler_of_reachable_identity_and_products(word_gamma7):
     table = VarTable.indexed("y", 7)
-    pattern = list(word_gamma7.printed)
+    pattern = to_word(word_gamma7.printed)
     yk = LaurentPoly.var(table, "y4")
     assert euler_of_reachable(yk, word_gamma7, pattern) == phi_eval(
         g_V(word_gamma7, 4), pattern
@@ -363,7 +387,7 @@ def test_euler_of_reachable_cluster_variable(word_pbw6):
     """A mutated cluster variable evaluates to an honest polynomial."""
     seed = Seed.from_word(word_pbw6).mutate(3)
     expr = seed.cluster[2]
-    pattern = list(word_pbw6.printed)
+    pattern = to_word(word_pbw6.printed)
     val = euler_of_reachable(expr, word_pbw6, pattern)
     assert val.terms  # nonzero polynomial
     assert all(all(e >= 0 for e in exp) for exp in val.terms)
@@ -383,7 +407,7 @@ def test_euler_cross_check_against_dual_basis(word_pbw6):
     values = report.label_values
     # the variable exchanged with position 2: its expansion is m1*m6 - m5
     w2_expr = Seed.from_word(word_pbw6).mutate(3).mutate(2).cluster[1]
-    pattern = list(word_pbw6.printed)
+    pattern = to_word(word_pbw6.printed)
     direct = euler_of_reachable(w2_expr, word_pbw6, pattern)
     m = {
         k: euler_of_reachable(
@@ -418,16 +442,19 @@ def test_wordsum_serialization_roundtrip():
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(
-        st.lists(st.integers(1, 12), max_size=6).map(tuple),
+        st.lists(st.integers(1, 500) | st.integers(1, 12), max_size=6).map(tuple),
         st.integers(-(10**20), 10**20) | st.integers(-3, 3),
         max_size=12,
     )
 )
 def test_json_text_is_canonical_json_of_the_oracle(terms):
-    """Two-digit letters, negative and 20-digit coefficients, words of mixed
-    lengths, the empty word and the zero sum."""
-    u = WordSum(terms)
-    assert u.json_text() == json.dumps(wordsum_json(u), sort_keys=True, separators=(",", ":"))
+    """Letters up to the rank limit (above 255 among them), negative and
+    20-digit coefficients, words of mixed lengths, the empty word and the zero
+    sum."""
+    oracle = WordSum(terms)
+    assert as_words(oracle).json_text() == json.dumps(
+        wordsum_json(oracle), sort_keys=True, separators=(",", ":")
+    )
 
 
 def test_json_text_of_the_zero_sum_and_the_unit():
@@ -435,9 +462,31 @@ def test_json_text_of_the_zero_sum_and_the_unit():
     assert WordSum.unit().json_text() == '{"terms":[{"coef":"1","word":[]}]}'
 
 
-def has_decomposition(u, pattern) -> bool:
+def decompositions_oracle(u: tuple, pattern) -> list[tuple[int, ...]]:
+    """Oracle: all exponent tuples a with pattern^a == u, for letter tuples,
+    by recursion over the pattern letters (shortest run first)."""
+    p = len(pattern)
+
+    def rec(pos: int, q: int, acc: list[int]):
+        if q == p:
+            if pos == len(u):
+                yield tuple(acc)
+            return
+        letter = pattern[q]
+        run = 0
+        while True:
+            yield from rec(pos + run, q + 1, acc + [run])
+            if pos + run < len(u) and u[pos + run] == letter:
+                run += 1
+            else:
+                return
+
+    return list(rec(0, 0, []))
+
+
+def has_decomposition(u: tuple, pattern) -> bool:
     """Oracle: whether phi_eval reads the word u for this pattern at all."""
-    return next(_decompositions(u, pattern), None) is not None
+    return bool(decompositions_oracle(u, pattern))
 
 
 def oracle_patterns(rng: random.Random, word: ReducedWord) -> list[list[int]]:
@@ -468,12 +517,15 @@ def test_pruned_lowering_against_full_sum(seed):
             full = g_V(word, k)
             for pattern in patterns:
                 kept = {
-                    u: c for u, c in full.terms.items() if has_decomposition(u, pattern)
+                    u: c
+                    for u, c in full.terms.items()
+                    if has_decomposition(letters_of(u), pattern)
                 }
-                assert all(splits_into_runs(u, pattern) == (u in kept) for u in full.terms)
-                pruned = g_V(word, k, pattern)
+                letters = to_word(pattern)
+                assert all(splits_into_runs(u, letters) == (u in kept) for u in full.terms)
+                pruned = g_V(word, k, letters)
                 assert pruned.terms == kept
-                assert phi_eval(pruned, pattern) == phi_eval(full, pattern)
+                assert phi_eval(pruned, letters) == phi_eval(full, letters)
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,7 +534,7 @@ def test_pruned_lowering_against_full_sum(seed):
     st.lists(st.integers(1, 4), max_size=6),
 )
 def test_greedy_run_split_matches_decompositions(u, pattern):
-    assert splits_into_runs(u, pattern) == has_decomposition(u, pattern)
+    assert splits_into_runs(to_word(u), to_word(pattern)) == has_decomposition(u, pattern)
 
 
 def test_pruned_lowering_stays_small(monkeypatch):
@@ -498,6 +550,185 @@ def test_pruned_lowering_stays_small(monkeypatch):
 
     monkeypatch.setattr(words, "rho_f", counting_rho_f)
     word = ReducedWord(CARTAN_POOL[3], (2, 3, 1, 2, 3, 1))
-    g = g_V(word, 6, word.printed)
+    g = g_V(word, 6, to_word(word.printed))
     assert g.word_count() <= 5
     assert sum(built) <= 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=7).map(tuple),
+    st.lists(st.integers(1, 4), max_size=8),
+)
+def test_decompositions_match_the_recursive_oracle(u, pattern):
+    """The same exponent tuples in the same order."""
+    assert list(_decompositions(to_word(u), to_word(pattern))) == decompositions_oracle(
+        u, pattern
+    )
+
+
+def test_decompositions_of_a_pattern_of_thousands_of_letters():
+    """Far past the recursion limit: the single letter 2 fits at each of the
+    2,500 places of 2 in (1, 2) * 2,500, last place first."""
+    pattern = to_word([1, 2] * 2500)
+    places = [a.index(1) for a in _decompositions(to_word([2]), pattern)]
+    assert places == list(range(4999, 0, -2))
+    assert list(_decompositions("", pattern)) == [(0,) * 5000]
+
+
+def test_phi_eval_on_a_thousand_letter_word(capsys):
+    """The default pattern is the whole word, 1,000 letters: the one word of
+    g_V at position 1 decomposes once per letter 2 of the pattern."""
+    doc = {"rank": 2, "edges": [[1, 2, 2]], "word": [1, 2] * 500, "positions": [1]}
+    assert main(["phi-eval", "--inline", json.dumps(doc)]) == 0
+    value = json.loads(capsys.readouterr().out)["values"][0]["value"]
+    assert len(value["vars"]) == 1000 and len(value["terms"]) == 500
+
+
+def g_v_oracle(word: ReducedWord, k: int, pattern=None) -> WordSum:
+    """Oracle: g_V on letter tuples, each divided power as single insertions
+    divided by p!."""
+    cartan = word.cartan
+    letters = word.positions[:k]
+    lam = fundamental_weight(cartan.n, letters[-1])
+    acc = WordSum({(): 1})
+    for letter, power in reversed(list(zip(letters, b_vector(cartan, letters, lam)))):
+        acc = iterated_divided_power(cartan, lam, letter, acc, power, pattern)
+    return acc
+
+
+def phi_eval_oracle(g: WordSum, pattern, names) -> LaurentPoly:
+    """Oracle: phi_eval of a sum keyed by letter tuples."""
+    terms: dict[tuple[int, ...], int] = {}
+    for u, coef in g.terms.items():
+        for a in decompositions_oracle(u, pattern):
+            denom = math.prod(math.factorial(m) for m in a)
+            assert coef % denom == 0
+            terms[a] = terms.get(a, 0) + coef // denom
+    return LaurentPoly(VarTable(names), terms)
+
+
+def command_oracle(command: str, doc: dict) -> str:
+    """Oracle: the stdout of ``euler-gen`` or ``phi-eval`` on ``doc``."""
+    word = ReducedWord(CartanMatrix.from_edges(doc["rank"], doc["edges"]), doc["word"])
+    positions = range(1, word.r + 1)
+    if command == "euler-gen":
+        gfs = [(k, g_v_oracle(word, k)) for k in positions]
+        out = {
+            "generating_functions": [
+                {"k": k, "sum": wordsum_json(g), "words": len(g.terms)} for k, g in gfs
+            ]
+        }
+    else:
+        pattern = doc.get("pattern", list(word.printed))
+        names = [f"t{q}" for q in range(len(pattern), 0, -1)]
+        values = [
+            phi_eval_oracle(g_v_oracle(word, k, pattern), pattern, names) for k in positions
+        ]
+        out = {
+            "pattern": pattern,
+            "values": [{"k": k, "value": v.to_json()} for k, v in zip(positions, values)],
+        }
+    return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+RANK12 = {"rank": 12, "edges": [[10, 11, 1], [11, 12, 2], [1, 12, 1]], "word": [11, 10, 12, 11, 1]}
+RANK300 = {
+    "rank": 300,
+    "edges": [[256, 300, 1], [299, 300, 2], [1, 256, 1]],
+    "word": [256, 300, 299, 256, 300, 1],
+}
+
+
+@pytest.mark.parametrize("command", ["euler-gen", "phi-eval"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        RANK12,
+        dict(RANK12, pattern=[12, 11, 10, 11, 12, 1, 11]),
+        RANK300,
+        dict(RANK300, pattern=[300, 256, 300, 299, 1, 256, 300]),
+    ],
+    ids=["rank12", "rank12-pattern", "rank300", "rank300-pattern"],
+)
+def test_letters_past_one_digit_and_one_byte(capsys, command, doc):
+    """Letters 10..12 print as two digits, and letters 256..300 are past
+    one byte; stdout is byte-identical to the letter-tuple oracle."""
+    assert main([command, "--inline", json.dumps(doc)]) == 0
+    assert capsys.readouterr().out == command_oracle(command, doc)
+
+
+def test_benchmark_word_counters_read_the_package_words(monkeypatch, capsys):
+    """The traced benchmark counts the words of real ``rho_f`` results and
+    the useful words of real ``phi_eval`` arguments: with the pattern in the
+    words' own encoding every word read is useful."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    spans = importlib.import_module("spans")
+    calls: dict[str, list] = {"phi": [], "rho": []}
+
+    def recording(key, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls[key].append((args, result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "phi_eval", recording("phi", cli.phi_eval))
+    monkeypatch.setattr(words, "rho_f", recording("rho", words.rho_f))
+    doc = {
+        "rank": 3,
+        "edges": [[1, 2, 2], [2, 3, 1]],
+        "word": [2, 3, 1, 2, 3, 1],
+        "pattern": [1, 2, 3, 1, 2, 3, 1],
+    }
+    assert main(["phi-eval", "--inline", json.dumps(doc)]) == 0
+    capsys.readouterr()
+    counts: defaultdict = defaultdict(int)
+    for args, result in calls["phi"]:
+        spans._phi_counts(counts, args, result)
+    assert counts["words.phi_eval.words_in"] > 0
+    assert counts["words.phi_eval.words_useful"] == counts["words.phi_eval.words_in"]
+    expected = 0
+    for args, result in calls["rho"]:
+        spans._rho_f_counts(counts, args, result)
+        cartan, lam, i, u, p, pattern = args
+        expected += len(
+            iterated_divided_power(cartan, lam, i, as_tuples(u), p, letters_of(pattern)).terms
+        )
+    assert counts["words.rho_f.words_out"] == expected > 0
+
+
+def test_rho_f_stops_within_one_word_of_the_limit(monkeypatch, double_edge):
+    """The limit is checked after each input word's extensions: here each of
+    the 3 input words of length 4 has at most 5 extensions."""
+    monkeypatch.setattr(words, "MAX_WORDS", 4)
+    u = ws(((2, 3, 2, 3), 1), ((3, 2, 3, 2), 1), ((2, 2, 3, 3), 1))
+    with pytest.raises(TermLimitError) as info:
+        rho_f(double_edge, (0, 4, 0), 2, u, 2)
+    detail = str(info.value)
+    m = re.fullmatch(
+        r"lowering by letter 2, round 1 of 2: (\d+) words, over the limit of 4", detail
+    )
+    assert m and 4 < int(m[1]) <= 4 + 5
+
+
+@pytest.mark.parametrize(
+    "command, limit, detail",
+    [
+        ("euler-gen", 1000, "position 6: lowering by letter 1, round 1 of 6: 1003 words"),
+        ("phi-eval", 2, "position 3: lowering by letter 1, round 2 of 2: 3 words"),
+    ],
+    ids=["euler-gen", "phi-eval"],
+)
+def test_word_limit_exits_3_naming_the_position(monkeypatch, capsys, command, limit, detail):
+    """The word-eval document [2, 3, 1, 2, 3, 1]: euler-gen first goes over
+    1,000 words at the k = 6 sum (58,625 words in full), and phi-eval, which
+    keeps only the words its pattern reads, over 2 words at k = 3."""
+    monkeypatch.setattr(words, "MAX_WORDS", limit)
+    doc = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
+    assert main([command, "--inline", json.dumps(doc)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "TermLimitError",
+        "detail": f"{detail}, over the limit of {limit}",
+    }
