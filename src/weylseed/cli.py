@@ -211,16 +211,19 @@ def cmd_pbw(doc, args) -> dict:
     if not isinstance(targets, list):
         raise ValidationError(f"targets must be a list, got {targets!r}")
     results = []
-    for target in targets:
+    for n, target in enumerate(targets, start=1):
         kind, *rest = target if isinstance(target, list) and target else [None]
-        if kind == "V" and len(_int_list(rest, "V target", 1, word.r)) == 1:
-            poly = expander.expand_initial(rest[0])
-        elif kind == "M" and len(_int_list(rest, "M target", 0, word.r + 1)) == 2:
-            poly = expander.expand(IntervalLabel(*rest))
-        elif kind == "laurent" and len(rest) == 1:
-            poly = expander.expand_laurent(LaurentPoly.from_json(rest[0]))
-        else:
-            raise ValidationError(f"unknown expansion target {target!r}")
+        try:
+            if kind == "V" and len(_int_list(rest, "V target", 1, word.r)) == 1:
+                poly = expander.expand_initial(rest[0])
+            elif kind == "M" and len(_int_list(rest, "M target", 0, word.r + 1)) == 2:
+                poly = expander.expand(IntervalLabel(*rest))
+            elif kind == "laurent" and len(rest) == 1:
+                poly = expander.expand_laurent(LaurentPoly.from_json(rest[0]))
+            else:
+                raise ValidationError(f"unknown expansion target {target!r}")
+        except EngineError as exc:
+            raise type(exc)(f"target {n}: {exc}") from exc
         results.append({"target": target, "poly": poly.to_json()})
     return {"expansions": results}
 

@@ -1,27 +1,27 @@
 """Quivers, exchange matrices, seed mutation, and the word-indexed quiver.
 
 The exchange matrix keeps one column per mutable vertex; rows run over all
-vertices.  Entry b[i][col] counts arrows (col's vertex -> i) minus arrows
-(i -> col's vertex), so positive entries in a column point away from that
-column's vertex.  Arrows between two frozen vertices are intentionally not
-representable: they are not needed for seed mutation and are not controlled
-by it.
+vertices.  Entry b_ik counts arrows (k -> i) minus arrows (i -> k), so
+positive entries in a column point away from that column's vertex.  Arrows
+between two frozen vertices are intentionally not representable: they are
+not needed for seed mutation and are not controlled by it.
 
-Each matrix scans a column for its neighbors at most once: the exchange
-check, the label exchange and the mutation at k all read the one scan.
+Each column is stored sparsely, as the map from i to b_ik over its nonzero
+entries in increasing i, so the neighbors of k are column k itself.  Dense
+rows exist only as the input of the checking constructor and the output of
+``to_json``.
 
-Matrix mutation at k (Fomin-Zelevinsky) rewrites only row k, column k and
-the entries b_ij with b_ik and b_kj both nonzero, so it touches O(deg(k)^2)
-entries besides copying the rows of k's neighbors.  Skew-symmetry of the
-principal part is checked in full when a matrix is built from outside;
-after a mutation it is checked on the pairs of mutable vertices among k and
-its neighbors, the only pairs whose entries change.
+Matrix mutation at k (Fomin-Zelevinsky) changes b_ij only where b_ik and
+b_kj are both nonzero or one of i, j is k.  So it rewrites column k and the
+columns of k's mutable neighbors, shares every other column with its input,
+and costs O(deg(k)^2).  Skew-symmetry of the principal part is checked on
+every nonzero entry when a matrix is built from dense rows; after a mutation
+it is checked on the rewritten columns, the only ones whose entries change.
+``b_matrix`` is skew-symmetric by construction and is not checked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
@@ -100,9 +100,12 @@ def gamma_i(word: ReducedWord) -> Quiver:
 
 
 class ExchangeMatrix:
-    """Integer matrix with one column per mutable vertex, rows over all vertices."""
+    """Integer matrix with one sparse column per mutable vertex.
 
-    __slots__ = ("r", "mutable", "rows", "_col_of", "_sides")
+    ``cols[k]`` maps each vertex i with b_ik != 0 to b_ik, in increasing i.
+    """
+
+    __slots__ = ("r", "mutable", "cols")
 
     def __init__(
         self,
@@ -110,106 +113,112 @@ class ExchangeMatrix:
         mutable: Sequence[int],
         rows: Sequence[Sequence[int]],
     ):
+        """Build from dense rows over all vertices, checking every constraint."""
         self.r = r
         self.mutable = tuple(mutable)
-        self.rows = tuple(tuple(row) for row in rows)
-        if len(self.rows) != r or any(len(row) != len(self.mutable) for row in self.rows):
+        if len(rows) != r or any(len(row) != len(self.mutable) for row in rows):
             raise ValidationError("exchange matrix shape mismatch")
         for v in self.mutable:
             if not 1 <= v <= r:
                 raise ValidationError("mutable vertex out of range")
-        self._col_of = {v: c for c, v in enumerate(self.mutable)}
-        if len(self._col_of) != len(self.mutable):
+        self.cols = {
+            v: {i: row[c] for i, row in enumerate(rows, start=1) if row[c]}
+            for c, v in enumerate(self.mutable)
+        }
+        if len(self.cols) != len(self.mutable):
             raise ValidationError("mutable vertices must be distinct")
-        self._sides: dict[int, tuple[list, list]] = {}
         self._check_skew(self.mutable)
 
+    @staticmethod
+    def _of_columns(r: int, mutable: tuple[int, ...], cols: dict) -> "ExchangeMatrix":
+        """Wrap columns that are skew-symmetric by construction, unchecked."""
+        out = object.__new__(ExchangeMatrix)
+        out.r, out.mutable, out.cols = r, mutable, cols
+        return out
+
     def _check_skew(self, vertices: Iterable[int]) -> None:
-        """b_vw = -b_wv for every pair of the given mutable vertices."""
-        col_of, rows = self._col_of, self.rows
-        cols = [(v, col_of[v]) for v in vertices]
-        for v, cv in cols:
-            row = rows[v - 1]
-            for w, cw in cols:
-                if row[cw] != -rows[w - 1][cv]:
+        """b_wv = -b_vw for every nonzero b_wv in the given mutable columns."""
+        cols = self.cols
+        for v in vertices:
+            for w, b in cols[v].items():
+                col_w = cols.get(w)
+                if col_w is not None and col_w.get(v, 0) != -b:
                     raise ValidationError("principal part is not skew-symmetric")
 
     @property
     def frozen(self) -> frozenset[int]:
         return frozenset(range(1, self.r + 1)) - set(self.mutable)
 
-    def col(self, k: int) -> int:
+    def column(self, k: int) -> dict[int, int]:
+        """The nonzero entries b_ik of column k, which callers must not change."""
         try:
-            return self._col_of[k]
+            return self.cols[k]
         except KeyError:
             raise ValidationError(f"vertex {k} is frozen or absent") from None
 
     def entry(self, i: int, k: int) -> int:
         """b_ik = #(k -> i) - #(i -> k); k must be mutable."""
-        return self.rows[i - 1][self.col(k)]
+        return self.column(k).get(i, 0)
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation at k, rewriting only the rows of k and its neighbors."""
-        c = self.col(k)
-        rows = list(self.rows)
-        row_k = rows[k - 1]
-        # columns j with b_kj != 0: the only ones a neighbor row changes in
-        hits = [(j, row_k[j], abs(row_k[j])) for j in compress(range(len(row_k)), row_k)]
-        neighbors = [i for side in self.neighbors(k) for i, _ in side]
-        for i in neighbors:
-            row = list(rows[i - 1])
-            b_ik = row[c]
-            for j, b_kj, abs_kj in hits:
-                if (b_ik > 0) == (b_kj > 0):
-                    row[j] += b_ik * abs_kj
-            row[c] = -b_ik
-            rows[i - 1] = tuple(row)
-        rows[k - 1] = tuple(map(neg, row_k))
-        # built without __init__: only the changed pairs are re-checked
-        out = object.__new__(ExchangeMatrix)
-        out.r, out.mutable, out._col_of = self.r, self.mutable, self._col_of
-        out.rows, out._sides = tuple(rows), {}
-        out._check_skew([k] + [i for i in neighbors if i in self._col_of])
+        """Matrix mutation at k, rewriting only column k and the columns of
+        its mutable neighbors."""
+        col_k = self.column(k)
+        ins, outs = self.neighbors(k)
+        cols = self.cols.copy()
+        cols[k] = {i: -b for i, b in col_k.items()}
+        changed = [k]
+        for j in col_k:
+            col_j = self.cols.get(j)
+            if col_j is None:
+                continue  # frozen: no column
+            changed.append(j)
+            # b_ij gains b_ik * |b_kj| when b_ik and b_kj have the same sign
+            b_kj = col_j.get(k, 0)
+            new = col_j.copy()
+            new[k] = -b_kj
+            grown = False
+            for i, m in outs if b_kj > 0 else ins:
+                b = new.get(i)
+                if b is None:
+                    new[i] = m * b_kj
+                    grown = True
+                elif b + m * b_kj:
+                    new[i] = b + m * b_kj
+                else:
+                    del new[i]
+            # an added vertex may break the increasing order; nothing else can
+            cols[j] = dict(sorted(new.items())) if grown else new
+        out = ExchangeMatrix._of_columns(self.r, self.mutable, cols)
+        out._check_skew(changed)
         return out
 
     def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(vertex, multiplicity) pairs with arrows vertex -> k, then with k -> vertex.
-
-        Column k is scanned on the first call only; later calls return the
-        same two lists, which callers must not change.
-        """
-        sides = self._sides.get(k)
-        if sides is not None:
-            return sides
-        c = self.col(k)
-        ins, outs = [], []
-        for i, row in enumerate(self.rows, start=1):
-            b_ik = row[c]
-            if not b_ik:
-                continue
-            if b_ik < 0:
-                ins.append((i, -b_ik))
-            else:
-                outs.append((i, b_ik))
-        sides = self._sides[k] = (ins, outs)
-        return sides
+        """(vertex, multiplicity) pairs with arrows vertex -> k, then with
+        k -> vertex, each in increasing vertex order."""
+        col = self.column(k)
+        return (
+            [(i, -b) for i, b in col.items() if b < 0],
+            [(i, b) for i, b in col.items() if b > 0],
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExchangeMatrix)
             and self.r == other.r
             and self.mutable == other.mutable
-            and self.rows == other.rows
+            and self.cols == other.cols
         )
 
     def __hash__(self) -> int:
-        return hash((self.r, self.mutable, self.rows))
+        return hash((self.r, self.mutable, tuple(frozenset(c.items()) for c in self.cols.values())))
 
     def to_json(self) -> dict:
+        cols = [self.cols[v] for v in self.mutable]
         return {
             "vertices": self.r,
             "mutable": list(self.mutable),
-            "rows": [list(row) for row in self.rows],
+            "rows": [[col.get(i, 0) for col in cols] for i in range(1, self.r + 1)],
         }
 
     @staticmethod
@@ -233,17 +242,20 @@ def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices.
 
     Filled from the arrow list: an arrow s -> t of multiplicity m sets
-    b_ts = m and b_st = -m wherever the column is mutable.
+    b_ts = m and b_st = -m wherever the column is mutable.  A quiver has no
+    loops and no 2-cycle through a mutable vertex, so the result is
+    skew-symmetric without a check.
     """
     mutable = quiver.mutable
-    col_of = {v: c for c, v in enumerate(mutable)}
-    rows = [[0] * len(mutable) for _ in range(quiver.r)]
+    cols: dict[int, dict[int, int]] = {v: {} for v in mutable}
     for s, t, m in quiver.arrows:
-        if s in col_of:
-            rows[t - 1][col_of[s]] = m
-        if t in col_of:
-            rows[s - 1][col_of[t]] = -m
-    return ExchangeMatrix(quiver.r, mutable, rows)
+        if s in cols:
+            cols[s][t] = m
+        if t in cols:
+            cols[t][s] = -m
+    for v, col in cols.items():
+        cols[v] = dict(sorted(col.items()))
+    return ExchangeMatrix._of_columns(quiver.r, mutable, cols)
 
 
 class Seed:

@@ -277,6 +277,21 @@ def test_pbw_zero_laurent_target_uses_the_expansion_variables(capsys):
     assert polys[1]["vars"] == polys[0]["vars"]
 
 
+def test_pbw_engine_error_names_the_target(capsys):
+    """A Laurent target whose substitution leaves a denominator exits 3 with
+    its 1-based target number in front of the kernel's detail."""
+    target = {
+        "vars": ["y1", "y2", "y3"],
+        "terms": [{"exp": [0, 0, -1], "coef": "1"}, {"exp": [0, 0, 0], "coef": "1"}],
+    }
+    doc = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2, 1], "targets": [["V", 3], ["laurent", target]]}
+    assert main(["pbw", "--inline", json.dumps(doc)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NotPolynomialAfterSubstitutionError",
+        "detail": "target 2: substituted value is not a Laurent polynomial",
+    }
+
+
 def test_euler_gen_and_phi(capsys):
     doc = dict(GAMMA7, positions=[2])
     code, out = run(capsys, "euler-gen", "--inline", json.dumps(doc))

@@ -56,6 +56,19 @@ def test_stdlib_only_and_no_unused_imports():
     assert problems == []
 
 
+def test_only_quiver_reads_matrix_columns():
+    """The sparse column form of ``ExchangeMatrix`` stays behind its module:
+    no other package module reads a ``.cols`` attribute."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "quiver.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "cols"
+    ]
+    assert readers == []
+
+
 def test_every_error_class_is_raised():
     """Exit-3 diagnostics print the class name, so each class other than the
     three bases must have a ``raise Name(...)`` site in the package."""

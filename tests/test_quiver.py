@@ -1,6 +1,3 @@
-import contextlib
-import io
-import json
 import random
 
 import pytest
@@ -13,9 +10,8 @@ from weylseed.acceptance import (
     random_reduced_word,
 )
 from weylseed.cartan import CartanMatrix, QuiverOrientation, ReducedWord, dim_V
-from weylseed.cli import main
 from weylseed.errors import ValidationError
-from weylseed.intervals import mu_i_plan, run_mu_i
+from weylseed.intervals import mu_i_plan
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import (
     ExchangeMatrix,
@@ -97,6 +93,10 @@ def b_matrix_by_pairs(quiver: Quiver) -> list[list[int]]:
     ]
 
 
+def dense_rows(m: ExchangeMatrix) -> list[list[int]]:
+    return m.to_json()["rows"]
+
+
 def test_gamma_and_b_matrix_against_pair_scans(word_wild10):
     rng = random.Random(11)
     words = [E8_WORD, word_wild10]
@@ -104,10 +104,29 @@ def test_gamma_and_b_matrix_against_pair_scans(word_wild10):
     for w in words:
         quiver = gamma_i(w)
         assert list(quiver.arrows) == gamma_arrows_by_scan(w)
-        assert [list(row) for row in b_matrix(quiver).rows] == b_matrix_by_pairs(quiver)
+        assert dense_rows(b_matrix(quiver)) == b_matrix_by_pairs(quiver)
     # arrows both ways between two frozen vertices are not representable
     quiver = Quiver(4, frozenset({3, 4}), ((1, 3, 2), (3, 4, 1), (4, 3, 1), (4, 2, 3), (2, 1, 1)))
-    assert [list(row) for row in b_matrix(quiver).rows] == b_matrix_by_pairs(quiver)
+    assert dense_rows(b_matrix(quiver)) == b_matrix_by_pairs(quiver)
+
+
+def test_b_matrix_equals_the_checking_constructor(word_wild10):
+    """``b_matrix`` skips the skew check; its matrix must equal, and hash
+    like, the one the checking constructor builds from the dense rows, on
+    random words of the wild rank-3 matrix and of D4, and on prefixes of
+    the E8 word, each also with its arrows listed in reverse."""
+    rng = random.Random(19)
+    words = [word_wild10] + [ReducedWord(E8_WORD.cartan, E8_WORD.printed[:n]) for n in (1, 9, 40, 120)]
+    words += [random_reduced_word(rng, CARTAN_POOL[3], rng.randint(1, 12)) for _ in range(20)]
+    words += [random_reduced_word(rng, CARTAN_POOL[4], rng.randint(1, 12)) for _ in range(20)]
+    quivers = [gamma_i(w) for w in words]
+    quivers += [Quiver(q.r, q.frozen, q.arrows[::-1]) for q in quivers]
+    for quiver in quivers:
+        fast = b_matrix(quiver)
+        checked = ExchangeMatrix(quiver.r, quiver.mutable, b_matrix_by_pairs(quiver))
+        assert fast == checked and hash(fast) == hash(checked)
+        for k in fast.mutable:
+            assert fast.neighbors(k) == checked.neighbors(k)
 
 
 def test_gamma_distinct_letters(a4):
@@ -121,9 +140,9 @@ def test_gamma_distinct_letters(a4):
 def test_b_matrix_basics():
     q = Quiver(2, frozenset({2}), ((1, 2, 1),))
     m = b_matrix(q)
-    assert m.rows == ((0,), (1,))
+    assert dense_rows(m) == [[0], [1]]
     empty = b_matrix(Quiver(3, frozenset({3}), ()))
-    assert all(all(x == 0 for x in row) for row in empty.rows)
+    assert dense_rows(empty) == [[0, 0], [0, 0], [0, 0]]
 
 
 def test_b_matrix_principal_skew(word_gamma7):
@@ -135,7 +154,7 @@ def test_b_matrix_principal_skew(word_gamma7):
 
 def test_matrix_mutate_sign_flip():
     m = ExchangeMatrix(2, (1,), [[0], [1]])
-    assert m.mutate(1).rows == ((0,), (-1,))
+    assert dense_rows(m.mutate(1)) == [[0], [-1]]
 
 
 def test_matrix_mutate_involution_random():
@@ -150,14 +169,15 @@ def test_matrix_mutate_involution_random():
 def dense_mutate(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Oracle: every entry from the mutation formula, rebuilt through the
     fully checking constructor."""
-    c = m.col(k)
+    c = m.mutable.index(k)
+    rows = dense_rows(m)
     out = []
     for i in range(1, m.r + 1):
         row = []
-        b_ik = m.rows[i - 1][c]
+        b_ik = rows[i - 1][c]
         for j, v in enumerate(m.mutable):
-            b_ij = m.rows[i - 1][j]
-            b_kj = m.rows[k - 1][j]
+            b_ij = rows[i - 1][j]
+            b_kj = rows[k - 1][j]
             if i == k or v == k:
                 row.append(-b_ij)
             else:
@@ -172,7 +192,7 @@ def test_matrix_mutate_against_dense_oracle():
         r = rng.randint(2, 12)
         m = random_matrix(rng, r, rng.randint(0, r - 2))
         k = rng.choice(m.mutable)
-        assert m.mutate(k).rows == dense_mutate(m, k).rows
+        assert dense_rows(m.mutate(k)) == dense_rows(dense_mutate(m, k))
     for _ in range(40):
         r = rng.randint(2, 12)
         m = random_matrix(rng, r, rng.randint(0, r - 2))
@@ -180,19 +200,21 @@ def test_matrix_mutate_against_dense_oracle():
         for _ in range(20):
             k = rng.choice(m.mutable)
             m, oracle = m.mutate(k), dense_mutate(oracle, k)
-            assert m == oracle and m.rows == oracle.rows
+            assert m == oracle and dense_rows(m) == dense_rows(oracle)
+            assert hash(m) == hash(oracle)
 
 
 def in_neighbors(m: ExchangeMatrix, k: int) -> list[tuple[int, int]]:
-    """Oracle: (vertex, multiplicity) pairs with arrows vertex -> k, one scan."""
-    c = m.col(k)
-    return [(i, -m.rows[i - 1][c]) for i in range(1, m.r + 1) if m.rows[i - 1][c] < 0]
+    """Oracle: (vertex, multiplicity) pairs with arrows vertex -> k, one scan
+    of the dense column."""
+    c, rows = m.mutable.index(k), dense_rows(m)
+    return [(i, -rows[i - 1][c]) for i in range(1, m.r + 1) if rows[i - 1][c] < 0]
 
 
 def out_neighbors(m: ExchangeMatrix, k: int) -> list[tuple[int, int]]:
     """Oracle: (vertex, multiplicity) pairs with arrows k -> vertex, a second scan."""
-    c = m.col(k)
-    return [(i, m.rows[i - 1][c]) for i in range(1, m.r + 1) if m.rows[i - 1][c] > 0]
+    c, rows = m.mutable.index(k), dense_rows(m)
+    return [(i, rows[i - 1][c]) for i in range(1, m.r + 1) if rows[i - 1][c] > 0]
 
 
 def quiver_of_matrix(matrix: ExchangeMatrix) -> Quiver:
@@ -231,7 +253,9 @@ def test_matrix_mutate_along_word_quiver_against_dense_oracle(word_wild10):
     for _ in range(20):
         k = rng.choice(m.mutable)
         m, oracle = m.mutate(k), dense_mutate(oracle, k)
-        assert m.rows == oracle.rows
+        assert dense_rows(m) == dense_rows(oracle)
+        for v in m.mutable:
+            assert m.neighbors(v) == (in_neighbors(oracle, v), out_neighbors(oracle, v))
 
 
 def test_matrix_rejects_non_skew_principal_part():
@@ -239,6 +263,8 @@ def test_matrix_rejects_non_skew_principal_part():
         ExchangeMatrix(2, (1, 2), [[0, -1], [2, 0]])
     with pytest.raises(ValidationError, match="skew"):
         ExchangeMatrix(2, (1,), [[1], [0]])  # nonzero diagonal
+    with pytest.raises(ValidationError, match="skew"):
+        ExchangeMatrix(2, (1, 2), [[0, 0], [1, 0]])  # b_21 = 1 but b_12 = 0
     # frozen rows are not part of the principal part
     assert ExchangeMatrix(3, (1, 2), [[0, -1], [1, 0], [5, -3]]).r == 3
     doc = {"vertices": 3, "mutable": [1, 2], "rows": [[0, -1], [2, 0], [5, -3]]}
@@ -248,14 +274,14 @@ def test_matrix_rejects_non_skew_principal_part():
 
 def test_matrix_mutate_checks_skew_symmetry_near_k():
     m = ExchangeMatrix(3, (1, 2, 3), [[0, -1, 0], [1, 0, -1], [0, 1, 0]])
-    m.rows = ((0, -1, 0), (1, 0, -1), (0, 2, 0))  # b_32 != -b_23, next to 2
+    m.cols[2] = {1: -1, 3: 2}  # b_32 != -b_23, next to 2
     with pytest.raises(ValidationError, match="skew"):
         m.mutate(2)
 
 
 def test_matrix_from_json_rejects_malformed_documents():
     good = {"vertices": 2, "mutable": [1, 2], "rows": [[0, -1], [1, 0]]}
-    assert ExchangeMatrix.from_json(good).rows == ((0, -1), (1, 0))
+    assert dense_rows(ExchangeMatrix.from_json(good)) == [[0, -1], [1, 0]]
     bad = [
         [],
         {"vertices": 2, "mutable": [1, 2]},
@@ -488,32 +514,26 @@ def test_matrix_json_roundtrip(word_gamma7):
     assert ExchangeMatrix.from_json(m.to_json()) == m
 
 
-def test_each_matrix_scans_a_column_once(monkeypatch, word_gamma7):
-    """A scan of column k builds new neighbor lists; every later
-    ``neighbors(k)`` on the same matrix must hand back the lists of that
-    scan.  The exchange check, the label exchange and the mutation at k all
-    read them: in the combinatorial E8 pass, a full pass on a wild word,
-    ``Seed.mutate`` and the ``dimvec`` walk."""
-    scans: dict[tuple[int, int], list] = {}
-    matrices, calls = [], [0]
-    neighbors = ExchangeMatrix.neighbors
-
-    def recording(self, k):
-        sides = neighbors(self, k)
-        matrices.append(self)  # keeps every id distinct
-        seen = scans.setdefault((id(self), k), [])
-        if not any(sides is old for old in seen):
-            seen.append(sides)
-        calls[0] += 1
-        return sides
-
-    monkeypatch.setattr(ExchangeMatrix, "neighbors", recording)
-    run_mu_i(E8_WORD, max_seed_steps=0)
-    run_mu_i(word_gamma7)
-    Seed.from_word(word_gamma7).mutate_path([1, 2, 4, 1, 3])
-    path = [step.vertex for step in mu_i_plan(E8_WORD).steps[:60]]
-    doc = {"rank": 8, "edges": E8_EDGES, "word": list(E8_WORD.printed), "path": path}
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["dimvec", "--inline", json.dumps(doc)]) == 0
-    assert calls[0] > 2 * len(scans) > 0
-    assert [key for key, seen in scans.items() if len(seen) > 1] == []
+def test_mutation_shares_every_column_it_does_not_rewrite(word_wild10):
+    """After ``mutate(k)`` every column other than k and its mutable
+    neighbors is the same object as before, and the input matrix is
+    unchanged: along the E8 plan, on a wild word quiver and on random
+    matrices."""
+    rng = random.Random(23)
+    paths = [
+        (b_matrix(gamma_i(E8_WORD)), [step.vertex for step in mu_i_plan(E8_WORD).steps]),
+        (b_matrix(gamma_i(word_wild10)), [rng.choice(gamma_i(word_wild10).mutable) for _ in range(30)]),
+    ]
+    for _ in range(40):
+        r = rng.randint(3, 12)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        paths.append((m, [rng.choice(m.mutable) for _ in range(10)]))
+    for m, path in paths:
+        for k in path:
+            before = dense_rows(m)
+            rewritten = {k} | {i for i in m.cols[k] if i in m.cols}
+            mutated = m.mutate(k)
+            assert dense_rows(m) == before
+            shared = [v for v in m.mutable if mutated.cols[v] is m.cols[v]]
+            assert sorted(shared) == sorted(set(m.mutable) - rewritten)
+            m = mutated
