@@ -338,8 +338,8 @@ class PBWExpander:
     """Expansion of interval labels in the variables dual to the chain
     subquotients, by downward recursion on interval length.
 
-    Exactness of every division is asserted; failures would contradict the
-    polynomiality of the expansion.
+    Every division must be exact; a failure would contradict the
+    polynomiality of the expansion and raises an engine error.
     """
 
     def __init__(self, word: ReducedWord):
@@ -359,9 +359,9 @@ class PBWExpander:
             self._cache[label] = out
             return out
         b_prev = word.k_minus(label.b)
-        # label = [b_prev^+, a]; the exchange identity at (k=a, s=b_prev)
+        # label = [b_prev^+, a] is rhs_pair[0] of the exchange identity at
+        # (k=a, s=b_prev)
         lhs_pair, rhs_pair, factors = identity_sides(word, label.a, b_prev)
-        assert rhs_pair[0] == label
         expand = self.expand
         lhs = LaurentPoly.product(
             self.table, (expand(lab) for lab in lhs_pair if not lab.is_unit)

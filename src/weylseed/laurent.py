@@ -5,32 +5,32 @@ Operations never modify their operands; a result may be an operand itself
 (``x ** 1`` is ``x``) or share an operand's term dict.
 
 Packed exponent vectors are the stored form (after Monagan and Pearce).  A
-value holds a ``base``, a per-variable lower bound on its exponents, one
-digit width ``bits`` and ``{key: coef}``: ``key`` holds the shifted
-exponents ``d_i = e_i - base_i >= 0`` as the base-``2**bits`` digits
-``(D, d_1, ..., d_n)`` of one int, with ``D = d_1 + ... + d_n`` most
-significant.  Every digit is at most ``D``, and the top digit stays below
-``2**(bits - 1)``, so the top bit of each digit is free.  ``bits`` is a
-multiple of 8, at least 8, so a wider width is rarely needed.  A flag
-records whether ``base`` is the exact per-variable minimum.
+value holds a ``base``, one digit width ``bits`` and ``{key: coef}``:
+``key`` holds the shifted exponents ``d_i = e_i - base_i >= 0`` as the
+base-``2**bits`` digits ``(D, d_1, ..., d_n)`` of one int, with
+``D = d_1 + ... + d_n`` most significant.  Every digit is at most ``D``, and
+the top digit stays below ``2**(bits - 1)``, so the top bit of each digit is
+free.  ``bits`` is a multiple of 8, at least 8.  Each value is made in one
+normal form: ``base`` is the per-variable minimum exponent and ``bits`` the
+narrowest width for the top digit, so equal values have equal fields.
 
 While no digit overflows, adding keys adds exponent vectors, and comparing
 keys compares ``D`` first and then ``d_1, ..., d_n`` lexicographically,
 which is grlex order.  So:
 
-* a product adds the bases and adds keys.  Its top digit is the sum of the
-  operands' top digits, so checking that one sum against the width covers
-  every digit.  In an integral domain the minima add, so exact bases stay
-  exact.  ``x * x`` forms each unordered pair of terms once;
-* a single-term value is key 0 over its exact base, so multiplying or
-  dividing by it moves the base and scales the coefficients;
+* a product adds the bases and adds keys.  In an integral domain the minima
+  add and so do the top digits, whose sum sets the product's width.
+  ``x * x`` forms each unordered pair of terms once;
+* a single-term value is key 0 over its base, so multiplying or dividing by
+  it moves the base and scales the coefficients;
 * a sum re-bases each operand to the componentwise minimum of the bases by
-  adding one packed offset to each key; a key that cancels leaves the
-  result's base inexact;
-* exact division moves the divisor to its exact base.  Then the shifted
-  numerator and the quotient are honest polynomials, so grlex long division
-  applies, and the quotient's base is the numerator's minus the divisor's.
-  Every remainder term has total degree at most the numerator's top digit,
+  adding one packed offset to each key.  Only a key that cancels can raise
+  a minimum or lower the top, and only then is the sum settled again;
+* over their bases both sides of an exact division are honest polynomials
+  and so is the quotient, so grlex long division applies at the numerator's
+  width.  The quotient's base and top are the numerator's minus the
+  divisor's; only a top that fits a narrower width settles it again.  Every
+  remainder term has total degree at most the numerator's top digit,
   because quotient terms are only emitted for ``lead(rem) / lead(den)`` and
   ``lead(den)`` has the divisor's top degree; a divisor of higher degree is
   rejected up front.  ``(r | guard) - l`` borrows into no guard bit exactly
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import add, lshift, mul, sub
+from operator import add, and_, lshift, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import _is_int
@@ -123,7 +123,7 @@ def _unpack(
 class LaurentPoly:
     """Immutable Laurent polynomial; no zero coefficients are stored."""
 
-    __slots__ = ("vars", "_base", "_bits", "_packed", "_exact")
+    __slots__ = ("vars", "_base", "_bits", "_packed")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int]):
         width = len(table)
@@ -139,32 +139,53 @@ class LaurentPoly:
         self._base = base
         self._bits = _width(top)
         self._packed = _pack(clean, base, self._bits)
-        self._exact = True
 
     @staticmethod
     def _make(
-        table: VarTable,
-        base: tuple[int, ...],
-        bits: int,
-        packed: dict[int, int],
-        exact: bool,
+        table: VarTable, base: tuple[int, ...], bits: int, packed: dict[int, int]
     ) -> "LaurentPoly":
-        """Wrap packed terms as is: no zero coefficient, top digit below
-        ``2**(bits - 1)``, and an empty dict only over base 0 at width 8, as
-        the constructor builds zero."""
+        """Wrap packed terms that are already in normal form: no zero
+        coefficient, ``base`` the per-variable minimum, ``bits`` the
+        narrowest width for the top digit, and an empty dict only over base 0
+        at width 8, as the constructor builds zero."""
         out = object.__new__(LaurentPoly)
         out.vars = table
         out._base = base
         out._bits = bits
         out._packed = packed
-        out._exact = exact
         return out
+
+    @staticmethod
+    def _settled(
+        table: VarTable, base: tuple[int, ...], bits: int, packed: dict[int, int]
+    ) -> "LaurentPoly":
+        """The normal form of nonzero packed terms whose minima may lie above
+        ``base`` (a sum whose keys cancelled) or whose top may fit a narrower
+        width than ``bits`` (a quotient)."""
+        mask = (1 << bits) - 1
+        shifts = range((len(table) - 1) * bits, -1, -bits)
+        # ``(key | guard) - ones`` borrows into the guard bit of each zero
+        # digit, so the guard bits left after the AND mark the risen minima
+        ones = sum(1 << s for s in shifts)
+        guard = ones << bits - 1
+        if reduce(and_, [(key | guard) - ones for key in packed]) & guard:
+            mins = [min(key >> s & mask for key in packed) for s in shifts]
+            offset = _key(mins, bits)
+            packed = {key - offset: coef for key, coef in packed.items()}
+            base = tuple(map(add, base, mins))
+        narrow = _width(max(packed) >> len(table) * bits)
+        if narrow < bits:
+            packed = {
+                _key([key >> s & mask for s in shifts], narrow): coef
+                for key, coef in packed.items()
+            }
+        return LaurentPoly._make(table, base, narrow, packed)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def one(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly._make(table, (0,) * len(table), 8, {0: 1}, True)
+        return LaurentPoly._make(table, (0,) * len(table), 8, {0: 1})
 
     @staticmethod
     def product(table: VarTable, factors: Iterable["LaurentPoly"]) -> "LaurentPoly":
@@ -182,7 +203,7 @@ class LaurentPoly:
     def var(table: VarTable, name: str) -> "LaurentPoly":
         exp = [0] * len(table)
         exp[table.index(name)] = 1
-        return LaurentPoly._make(table, tuple(exp), 8, {0: 1}, True)
+        return LaurentPoly._make(table, tuple(exp), 8, {0: 1})
 
     # -- basic structure ------------------------------------------------
 
@@ -195,23 +216,16 @@ class LaurentPoly:
         return bool(self._packed)
 
     def __eq__(self, other) -> bool:
-        if not (
+        return (
             isinstance(other, LaurentPoly)
             and self.vars == other.vars
-            and len(self._packed) == len(other._packed)
-        ):
-            return False
-        a, b = self._exact_form(), other._exact_form()
-        if a._bits != b._bits:
-            return a.terms == b.terms
-        return a._base == b._base and a._packed == b._packed
+            and self._bits == other._bits
+            and self._base == other._base
+            and self._packed == other._packed
+        )
 
     def __hash__(self) -> int:
-        # equal values have one exact base and, at the narrowest width, one dict
-        x = self._exact_form()
-        bits = _width(x._top()) if x._packed else x._bits
-        packed = x._packed if bits == x._bits else _pack(x.terms, x._base, bits)
-        return hash((self.vars, x._base, frozenset(packed.items())))
+        return hash((self.vars, self._base, frozenset(self._packed.items())))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # key order is grlex order
@@ -220,21 +234,6 @@ class LaurentPoly:
     def _check(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
             raise ValidationError("operands use different variable tables")
-
-    def _exact_form(self) -> "LaurentPoly":
-        """This value over its exact base, the per-variable minimum exponent."""
-        if self._exact:
-            return self
-        packed, bits = self._packed, self._bits
-        mask = (1 << bits) - 1
-        shifts = range((len(self.vars) - 1) * bits, -1, -bits)
-        mins = [min(key >> s & mask for key in packed) for s in shifts]
-        offset = _key(mins, bits)
-        if offset:
-            packed = {key - offset: coef for key, coef in packed.items()}
-        return LaurentPoly._make(
-            self.vars, tuple(map(add, self._base, mins)), bits, packed, True
-        )
 
     def _rebased(self, base: tuple[int, ...], bits: int) -> dict[int, int]:
         """The keys over ``base``, at most ``self._base`` everywhere, and ``bits``.
@@ -264,11 +263,12 @@ class LaurentPoly:
             return other if sign == 1 else -other
         base = tuple(map(min, self._base, other._base))
         top = max(self._top() + sum(self._base), other._top() + sum(other._base)) - sum(base)
-        bits = max(self._bits, other._bits, _width(top))
+        # no operand's top lies above ``top``, so neither needs a wider width
+        bits = _width(top)
         out = self._rebased(base, bits)
         if out is self._packed:
             out = dict(out)
-        exact = self._exact and other._exact
+        cancelled = False
         get = out.get
         for key, coef in other._rebased(base, bits).items():
             s = get(key, 0) + sign * coef
@@ -276,10 +276,12 @@ class LaurentPoly:
                 out[key] = s
             else:
                 del out[key]
-                exact = False
+                cancelled = True
         if not out:
             return LaurentPoly(self.vars, {})
-        return LaurentPoly._make(self.vars, base, bits, out, exact)
+        if cancelled:
+            return LaurentPoly._settled(self.vars, base, bits, out)
+        return LaurentPoly._make(self.vars, base, bits, out)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, 1)
@@ -290,7 +292,6 @@ class LaurentPoly:
             self._base,
             self._bits,
             {key: -coef for key, coef in self._packed.items()},
-            self._exact,
         )
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -304,13 +305,12 @@ class LaurentPoly:
         if not small._packed:
             return LaurentPoly(self.vars, {})
         if len(small._packed) == 1:
-            mono = small._exact_form()
-            c0 = mono._packed[0]
+            c0 = small._packed[0]
             packed = big._packed
             if c0 != 1:
                 packed = {key: coef * c0 for key, coef in packed.items()}
-            base = tuple(map(add, big._base, mono._base))
-            return LaurentPoly._make(self.vars, base, big._bits, packed, big._exact)
+            base = tuple(map(add, big._base, small._base))
+            return LaurentPoly._make(self.vars, base, big._bits, packed)
         n, m = len(big._packed), len(small._packed)
         square = big is small
         pairs = n * (n + 1) // 2 if square else n * m
@@ -320,7 +320,7 @@ class LaurentPoly:
                 f"over the limit of {MAX_TERM_PAIRS}"
             )
         base = tuple(map(add, big._base, small._base))
-        bits = max(big._bits, small._bits, _width(big._top() + small._top()))
+        bits = _width(big._top() + small._top())
         items = list(big._rebased(big._base, bits).items())
         out: dict[int, int] = {}
         get = out.get
@@ -340,9 +340,7 @@ class LaurentPoly:
                     out[key] = get(key, 0) + c1 * c2
         if not all(out.values()):
             out = {key: coef for key, coef in out.items() if coef}
-        return LaurentPoly._make(
-            self.vars, base, bits, out, big._exact and small._exact
-        )
+        return LaurentPoly._make(self.vars, base, bits, out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """Non-negative powers only; ``x ** 0`` is one."""
@@ -365,7 +363,7 @@ class LaurentPoly:
 
     def min_exponents(self) -> tuple[int, ...]:
         """Per-variable minimum exponent over all terms (0 for the zero poly)."""
-        return self._exact_form()._base
+        return self._base
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NotDivisibleError when no Laurent quotient exists."""
@@ -374,27 +372,25 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly(self.vars, {})
-        den = other._exact_form()
-        base = tuple(map(sub, self._base, den._base))
-        if len(den._packed) == 1:
+        base = tuple(map(sub, self._base, other._base))
+        if len(other._packed) == 1:
             # monomials are units up to their coefficient: move the base
-            c0 = den._packed[0]
+            c0 = other._packed[0]
             packed = self._packed
             if c0 != 1:
                 if any(c % c0 for c in packed.values()):
                     raise NotDivisibleError("no exact Laurent quotient")
                 packed = {key: c // c0 for key, c in packed.items()}
-            return LaurentPoly._make(self.vars, base, self._bits, packed, self._exact)
-        # Over the exact divisor base both sides are honest polynomials and so
-        # is the quotient, so grlex long division applies.
-        bits = max(self._bits, den._bits)
-        shift = len(self.vars) * bits
-        rem = self._rebased(self._base, bits)
-        if rem is self._packed:
-            rem = dict(rem)
-        den_keys = sorted(den._rebased(den._base, bits).items(), reverse=True)
-        if den_keys[0][0] >> shift > max(rem) >> shift:
+            return LaurentPoly._make(self.vars, base, self._bits, packed)
+        # grlex long division over both bases at the numerator's width, which
+        # a divisor of no higher top degree fits
+        top, den_top = self._top(), other._top()
+        if den_top > top:
             raise NotDivisibleError("no exact Laurent quotient")
+        bits = self._bits
+        shift = len(self.vars) * bits
+        rem = dict(self._packed)
+        den_keys = sorted(other._rebased(other._base, bits).items(), reverse=True)
         guard = sum(1 << (s + bits - 1) for s in range(0, shift + bits, bits))
         lead, lead_coef = den_keys[0]
         tail = [(k, -c) for k, c in den_keys[1:]]
@@ -424,7 +420,10 @@ class LaurentPoly:
                     heappush(heap, -k)
                 else:
                     rem[k] = old + q_coef * c
-        return LaurentPoly._make(self.vars, base, bits, quot, self._exact)
+        # the quotient's top is the difference of the tops
+        if _width(top - den_top) < bits:
+            return LaurentPoly._settled(self.vars, base, bits, quot)
+        return LaurentPoly._make(self.vars, base, bits, quot)
 
     # -- substitution and grading ---------------------------------------
 

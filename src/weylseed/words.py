@@ -238,34 +238,46 @@ def g_V(word: ReducedWord, k: int, pattern: Word | None = None) -> WordSum:
 
 
 def _decompositions(u: Word, pattern: Word) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples a with pattern^a == u (runs of length >= 0).
+    """All exponent tuples a with pattern^a == u (runs of length >= 0), in
+    increasing lexicographic order.
 
-    A depth-first search that tries the shortest run first.  It keeps one
-    list of run lengths and backtracks in place, so a long pattern needs no
-    deeper stack; once u is used up, every later run is empty.
+    ``need[q]``, the least position from which u splits along ``pattern[q:]``
+    (longest runs taken from the right), bounds where letter q can start, and
+    ``u[need[q]:need[q + 1]]`` is a run of ``pattern[q]``.  So a depth-first
+    search that gives each letter the shortest run reaching ``need[q + 1]``
+    opens no branch that cannot finish.  It keeps one list of run lengths
+    and backtracks in place, so a long pattern needs no deeper stack.
     """
     p, n = len(pattern), len(u)
-    runs = [0] * p  # the runs after the current letter q are 0
-    starts = [0] * p
-    q = pos = 0
+    need = [n] * (p + 1)
+    for q in range(p - 1, -1, -1):
+        pos = need[q + 1]
+        while pos and u[pos - 1] == pattern[q]:
+            pos -= 1
+        need[q] = pos
+    if need[0]:
+        return
+    runs = [0] * p  # the runs from the current letter q on are 0
+    q = pos = 0  # letter q starts at pos
     while True:
-        if pos == n:
-            yield tuple(runs)
-        elif q < p:
-            starts[q] = pos
+        # once u is used up, every later run stays empty
+        while pos < n:
+            runs[q] = max(0, need[q + 1] - pos)
+            pos += runs[q]
             q += 1
-            continue
-        # backtrack to the last letter whose run can take one more letter
+        yield tuple(runs)
+        # back to the last letter whose run can take one more letter; pos is
+        # where that letter's run ends
         while True:
             q -= 1
             if q < 0:
                 return
-            end = starts[q] + runs[q]
-            if end < n and u[end] == pattern[q]:
+            if pos < n and u[pos] == pattern[q]:
                 runs[q] += 1
-                pos = end + 1
+                pos += 1
                 q += 1
                 break
+            pos -= runs[q]
             runs[q] = 0
 
 

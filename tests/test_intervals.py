@@ -308,6 +308,26 @@ def test_pbw_goldens(word_pbw6):
     )
 
 
+def test_pbw_identity_solves_for_the_expanded_label():
+    """``PBWExpander.expand`` solves the identity at (k=a, s=k_minus(b)) for
+    its first rhs label, which is [k_plus(k_minus(b)), a] = [b, a]: every
+    non-unit label of random tame and wild words."""
+    rng = random.Random(20)
+    words = [
+        random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(2, 12))
+        for _ in range(40)
+    ]
+    labels = 0
+    for w in words:
+        for b in range(1, w.r + 1):
+            for a in w.chain(w.letter(b)):
+                if a < b:
+                    _, rhs_pair, _ = identity_sides(w, a, w.k_minus(b))
+                    assert rhs_pair[0] == IntervalLabel(b, a)
+                    labels += 1
+    assert labels > 100
+
+
 def test_pbw_expand_never_divides_by_one(monkeypatch, word_pbw6, word_a4_shift):
     """An identity whose divisor label is the unit gives lhs - rhs2 as it is,
     with no division; every expansion still solves its identity exactly."""

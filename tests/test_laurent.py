@@ -1,3 +1,4 @@
+import contextlib
 import json
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
@@ -610,12 +611,54 @@ def test_cancelled_sums_as_numerator_and_divisor(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), grown_polys.filter(bool))
 def test_equal_values_of_different_widths(a, g):
-    """A quotient keeps its numerator's digit width, so it can equal a value
-    packed with narrower digits."""
+    """A quotient of a numerator with wide digits comes out at the narrowest
+    width, so it equals a value packed with narrow digits from the start."""
     q = (a * g).exact_div(g)
     assert q == a and a == q and hash(q) == hash(a)
     assert (q + g) - g == a
     assert q != a + LaurentPoly.one(T2)
+
+
+def cancelled_sums(polys):
+    """``(a + c) - c``: keys of ``c`` that ``a`` lacks cancel again."""
+    return st.tuples(polys, polys).map(lambda t: (t[0] + t[1]) - t[1])
+
+
+def normal_fields(x):
+    """The base, width and packed keys the constructor gives x's terms."""
+    y = LaurentPoly(x.vars, x.terms)
+    return y._base, y._bits, y._packed
+
+
+t2_values = st.one_of(small_polys(), grown_polys, cancelled_sums(small_polys(T2, -9, 9, 3)))
+t3_values = st.one_of(wide_polys, cancelled_sums(wide_polys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.tuples(t2_values, t2_values), st.tuples(t3_values, t3_values)),
+    st.tuples(
+        st.one_of(small_polys(T2, -2, 2, 3), cancelled_sums(small_polys(T2, -2, 2, 3))),
+        images_t3,
+        images_t3,
+    ),
+)
+def test_every_result_is_in_normal_form(pair, substitution):
+    """Each operation makes its result over the exact per-variable minimum at
+    the narrowest width, exactly as the constructor packs the same terms, so
+    equality and hashing can compare fields."""
+    a, b = pair
+    results = [a, b, a + b, a - b, b - a, a * b, a * a, a**0, a**2, b**3]
+    if b:
+        results.append((a * b).exact_div(b))
+        for num in (a, a + b, a * b + a):
+            with contextlib.suppress(NotDivisibleError):
+                results.append(num.exact_div(b))
+    p, img1, img2 = substitution
+    with contextlib.suppress(NotPolynomialAfterSubstitutionError):
+        results.append(p.substitute({"y1": img1, "y2": img2}))
+    for r in results:
+        assert (r._base, r._bits, r._packed) == normal_fields(r)
 
 
 def test_term_pair_limit_counts_unordered_pairs_of_a_square(monkeypatch):

@@ -69,6 +69,19 @@ def test_only_quiver_reads_matrix_columns():
     assert readers == []
 
 
+def test_no_assert_statements():
+    """Every engine contract is a raised ``EngineError`` (exit 3): an
+    ``assert`` vanishes under ``python -O`` and otherwise ends in a
+    traceback."""
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_every_error_class_is_raised():
     """Exit-3 diagnostics print the class name, so each class other than the
     three bases must have a ``raise Name(...)`` site in the package."""

@@ -555,13 +555,37 @@ def test_pruned_lowering_stays_small(monkeypatch):
     assert sum(built) <= 1000
 
 
+def power_of(pattern, runs) -> tuple:
+    """Oracle: the letter tuple pattern^runs."""
+    return tuple(x for x, m in zip(pattern, runs) for _ in range(m))
+
+
+# patterns of two letters, so each letter repeats, and a word that is one of
+# their powers, so it has at least one decomposition
+repeated_letter_cases = st.lists(st.integers(1, 2), min_size=3, max_size=7).flatmap(
+    lambda pattern: st.tuples(
+        st.lists(st.integers(0, 2), min_size=len(pattern), max_size=len(pattern)).map(
+            lambda runs: power_of(pattern, runs)
+        ),
+        st.just(pattern),
+    )
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.integers(1, 3), max_size=7).map(tuple),
-    st.lists(st.integers(1, 4), max_size=8),
+    st.one_of(
+        st.tuples(
+            st.lists(st.integers(1, 3), max_size=7).map(tuple),
+            st.lists(st.integers(1, 4), max_size=8),
+        ),
+        repeated_letter_cases,
+    )
 )
-def test_decompositions_match_the_recursive_oracle(u, pattern):
-    """The same exponent tuples in the same order."""
+def test_decompositions_match_the_recursive_oracle(case):
+    """The same exponent tuples in the same order, also when pattern letters
+    repeat and a word has many decompositions."""
+    u, pattern = case
     assert list(_decompositions(to_word(u), to_word(pattern))) == decompositions_oracle(
         u, pattern
     )
