@@ -25,11 +25,13 @@ which is grlex order.  So:
   it moves the base and scales the coefficients;
 * a sum re-bases each operand to the componentwise minimum of the bases by
   adding one packed offset to each key.  Only a key that cancels can raise
-  a minimum or lower the top, and only then is the sum settled again;
+  a minimum or lower the top, and only then is the sum built again by the
+  constructor;
 * over their bases both sides of an exact division are honest polynomials
   and so is the quotient, so grlex long division applies at the numerator's
   width.  The quotient's base and top are the numerator's minus the
-  divisor's; only a top that fits a narrower width settles it again.  Every
+  divisor's; only a top that fits a narrower width sends it through the
+  constructor again.  Every
   remainder term has total degree at most the numerator's top digit,
   because quotient terms are only emitted for ``lead(rem) / lead(den)`` and
   ``lead(den)`` has the divisor's top degree; a divisor of higher degree is
@@ -39,7 +41,7 @@ which is grlex order.  So:
 
 Exponent tuples are built only where they are read: the constructor packs
 them once (``_pack``), ``terms`` and ``sorted_terms`` unpack on each read
-(``_unpack``), and a value moving to a wider width goes through both.
+(``_unpack``), and a value moving to another width goes through both.
 """
 from __future__ import annotations
 
@@ -155,32 +157,6 @@ class LaurentPoly:
         out._packed = packed
         return out
 
-    @staticmethod
-    def _settled(
-        table: VarTable, base: tuple[int, ...], bits: int, packed: dict[int, int]
-    ) -> "LaurentPoly":
-        """The normal form of nonzero packed terms whose minima may lie above
-        ``base`` (a sum whose keys cancelled) or whose top may fit a narrower
-        width than ``bits`` (a quotient)."""
-        mask = (1 << bits) - 1
-        shifts = range((len(table) - 1) * bits, -1, -bits)
-        # ``(key | guard) - ones`` borrows into the guard bit of each zero
-        # digit, so the guard bits left after the AND mark the risen minima
-        ones = sum(1 << s for s in shifts)
-        guard = ones << bits - 1
-        if reduce(and_, [(key | guard) - ones for key in packed]) & guard:
-            mins = [min(key >> s & mask for key in packed) for s in shifts]
-            offset = _key(mins, bits)
-            packed = {key - offset: coef for key, coef in packed.items()}
-            base = tuple(map(add, base, mins))
-        narrow = _width(max(packed) >> len(table) * bits)
-        if narrow < bits:
-            packed = {
-                _key([key >> s & mask for s in shifts], narrow): coef
-                for key, coef in packed.items()
-            }
-        return LaurentPoly._make(table, base, narrow, packed)
-
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -280,7 +256,16 @@ class LaurentPoly:
         if not out:
             return LaurentPoly(self.vars, {})
         if cancelled:
-            return LaurentPoly._settled(self.vars, base, bits, out)
+            # ``(key | guard) - ones`` borrows into the guard bit of each zero
+            # digit, so a guard bit left after the AND marks a risen minimum
+            shift = len(self.vars) * bits
+            ones = sum(1 << i for i in range(0, shift, bits))
+            guard = ones << bits - 1
+            if (
+                reduce(and_, [(key | guard) - ones for key in out]) & guard
+                or _width(max(out) >> shift) < bits
+            ):
+                return LaurentPoly(self.vars, dict(_unpack(out.items(), base, bits)))
         return LaurentPoly._make(self.vars, base, bits, out)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -422,7 +407,7 @@ class LaurentPoly:
                     rem[k] = old + q_coef * c
         # the quotient's top is the difference of the tops
         if _width(top - den_top) < bits:
-            return LaurentPoly._settled(self.vars, base, bits, quot)
+            return LaurentPoly(self.vars, dict(_unpack(quot.items(), base, bits)))
         return LaurentPoly._make(self.vars, base, bits, quot)
 
     # -- substitution and grading ---------------------------------------

@@ -619,9 +619,11 @@ def test_equal_values_of_different_widths(a, g):
     assert q != a + LaurentPoly.one(T2)
 
 
-def cancelled_sums(polys):
-    """``(a + c) - c``: keys of ``c`` that ``a`` lacks cancel again."""
-    return st.tuples(polys, polys).map(lambda t: (t[0] + t[1]) - t[1])
+def cancelled_sums(polys, others=None):
+    """``(a + c) - c``: keys of ``c`` that ``a`` lacks cancel again; ``c`` is
+    drawn from ``others`` when given, else from ``polys``."""
+    others = polys if others is None else others
+    return st.tuples(polys, others).map(lambda t: (t[0] + t[1]) - t[1])
 
 
 def normal_fields(x):
@@ -630,7 +632,13 @@ def normal_fields(x):
     return y._base, y._bits, y._packed
 
 
-t2_values = st.one_of(small_polys(), grown_polys, cancelled_sums(small_polys(T2, -9, 9, 3)))
+t2_values = st.one_of(
+    small_polys(),
+    grown_polys,
+    cancelled_sums(small_polys(T2, -9, 9, 3)),
+    # a far term that cancels again: no minimum moves, the top falls below 128
+    cancelled_sums(small_polys(T2, -9, 9, 3), monomials(T2, 60, 90)),
+)
 t3_values = st.one_of(wide_polys, cancelled_sums(wide_polys))
 
 

@@ -572,7 +572,8 @@ repeated_letter_cases = st.lists(st.integers(1, 2), min_size=3, max_size=7).flat
 )
 
 
-@settings(max_examples=300, deadline=None)
+# about 300 examples for each of the two strategies
+@settings(max_examples=600, deadline=None)
 @given(
     st.one_of(
         st.tuples(
