@@ -367,8 +367,8 @@ class SeedRegistry:
 
 def _is_linear_type_a(orientation: QuiverOrientation) -> bool:
     cartan = orientation.cartan
-    if not cartan.is_type_a():
-        return False
+    if not cartan.n or not cartan.is_type_a():
+        return False  # the empty word squares to itself, which is reduced
     # linearly oriented: every inner vertex has one in- and one out-arrow
     # along the path, i.e. arrows all point the same way along 1-2-...-n
     ups = all((i, i + 1, 1) in orientation.arrows for i in range(1, cartan.n))

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -256,6 +257,27 @@ def test_mutate_engine_error_names_step_and_vertex(monkeypatch, capsys):
     }
 
 
+def test_mu_i_perturbed_d_delta_exits_3_naming_the_side_weights(monkeypatch, capsys):
+    """A d_delta under which the filtration exchange keeps the factor side
+    stops the pass with a structured diagnostic, not a traceback."""
+    tables = intervals.hom_tables
+
+    def perturbed(word):
+        d_delta = list(tables(word).d_delta)
+        d_delta[2] += 10
+        return SimpleNamespace(d_delta=tuple(d_delta))
+
+    monkeypatch.setattr(intervals, "hom_tables", perturbed)
+    assert main(["mu-i", "--inline", json.dumps(PBW6)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "StepMismatchError",
+        "detail": "step 1: d_delta weights pick the factor side at vertex 1: "
+        "in-side 5, out-side 14",
+    }
+
+
 def test_pbw_command(capsys):
     doc = dict(PBW6, targets=[["V", 4], ["M", 5, 2]])
     code, out = run(capsys, "pbw", "--inline", json.dumps(doc))
@@ -356,6 +378,22 @@ def test_acyclic_builds_no_seed_of_the_double_word(monkeypatch, capsys):
     code, out = run(capsys, "acyclic", "--inline", json.dumps(doc))
     assert code == 0 and json.loads(out)["double_word"] == [3, 2, 1, 3, 2, 1]
     assert calls == []
+
+
+def test_acyclic_rank_0_has_the_empty_double_word(capsys):
+    """The empty word is reduced, so rank 0 gets no caveat; the double word
+    of rank 1 repeats a letter and stays refused."""
+    code, out = run(capsys, "acyclic", "--inline", json.dumps({"rank": 0, "arrows": []}))
+    assert code == 0 and json.loads(out) == {
+        "dagger_cluster": [],
+        "disjoint": True,
+        "double_word": [],
+        "matrix_returns": True,
+    }
+    code, out = run(capsys, "acyclic", "--inline", json.dumps({"rank": 1, "arrows": []}))
+    parsed = json.loads(out)
+    assert code == 0 and parsed["double_word"] is None
+    assert parsed["caveat"] == "squared Coxeter word is not reduced for linearly oriented type A"
 
 
 def test_validation_error_exit_code(capsys):

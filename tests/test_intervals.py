@@ -1,11 +1,20 @@
 import itertools
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from weylseed import intervals
 from weylseed.acceptance import CARTAN_POOL, TAME_POOL, random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V
-from weylseed.errors import ValidationError
+from weylseed.errors import NegativeEntryError, StepMismatchError, ValidationError
+from weylseed.homdata import (
+    hom_tables,
+    initial_delta_labels,
+    interval_indicator,
+    mutate_delta_dimvec,
+)
 from weylseed.intervals import (
     IntervalLabel,
     PBWExpander,
@@ -17,7 +26,10 @@ from weylseed.intervals import (
     verify_identity,
 )
 from weylseed.laurent import LaurentPoly
-from weylseed.quiver import Seed
+from weylseed.quiver import Seed, b_matrix, gamma_i
+
+E8_EDGES = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+WILD3_EDGES = [(1, 2, 3), (1, 3, 2), (2, 3, 2)]
 
 
 def star(word: ReducedWord, k: int) -> int:
@@ -172,9 +184,8 @@ def test_identity_sides_against_two_range_scan(word_wild10):
     """Every plan step of the E8 word, the wild ten-letter word and random
     tame and wild words: lhs, rhs pair and the factors in their order."""
     rng = random.Random(2026)
-    edges = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
     words = [
-        ReducedWord(CartanMatrix.from_edges(8, edges), tuple(range(8, 0, -1)) * 15),
+        ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
         word_wild10,
     ]
     for trial in range(40):
@@ -224,12 +235,91 @@ def test_identity_step_matches_plan(word_wild10, word_a4_shift, word_gamma7):
 
 def test_e8_combinatorial_pass():
     """The whole 840-step chain reversal on E8 (8,...,1)^15, no Laurent part."""
-    edges = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
-    word = ReducedWord(CartanMatrix.from_edges(8, edges), tuple(range(8, 0, -1)) * 15)
+    word = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
     report = run_mu_i(word, max_seed_steps=0)
     assert report.steps_checked == 840
     assert report.final_labels_expected(word)
     assert report.final_chains_reversed(word)
+
+
+def dense_stop(word: ReducedWord, d_delta) -> int | None:
+    """Oracle: the step at which the dense filtration-multiplicity exchange
+    stops the pass, or None.  Each vertex carries a length-r vector, starting
+    from the indicators of the initial intervals; every exchange along the
+    plan must leave the indicator of the step's new label."""
+    matrix = b_matrix(gamma_i(word))
+    deltas = initial_delta_labels(word)
+    for step in mu_i_plan(word).steps:
+        try:
+            deltas = mutate_delta_dimvec(matrix, deltas, step.vertex, d_delta).labels
+        except NegativeEntryError:
+            return step.index
+        if deltas[step.vertex - 1] != interval_indicator(word, *step.after):
+            return step.index
+        matrix = matrix.mutate(step.vertex)
+    return None
+
+
+def label_stop(monkeypatch, word: ReducedWord, d_delta) -> int | None:
+    """The step at which ``run_mu_i`` stops when it reads ``d_delta``, or None."""
+    monkeypatch.setattr(intervals, "hom_tables", lambda w: SimpleNamespace(d_delta=tuple(d_delta)))
+    try:
+        run_mu_i(word, max_seed_steps=0)
+    except StepMismatchError as exc:
+        return int(re.match(r"step (\d+): ", str(exc)).group(1))
+    return None
+
+
+def test_label_check_stops_where_the_dense_rule_does(monkeypatch):
+    """The weighted label-bag check agrees with the dense Delta exchange on
+    where a pass stops, with the true d_delta (neither stops) and with one
+    entry of it perturbed: on E8, D4, affine A1, the wild chain-pass words and
+    random words over the acceptance pool."""
+    wild = CartanMatrix.from_edges(3, WILD3_EDGES)
+    words = [
+        ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
+        ReducedWord(CARTAN_POOL[4], (1, 2, 3, 4) * 3),
+        ReducedWord(CartanMatrix.from_edges(2, [(1, 2, 2)]), (1, 2, 1, 2, 1)),
+        ReducedWord(wild, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)),
+        ReducedWord(wild, (2, 3, 1, 3, 2, 3, 2, 1, 3)),
+        ReducedWord(wild, (3, 2, 3, 2, 1, 3, 2, 1, 3)),
+    ]
+    rng = random.Random(21)
+    words += [
+        random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(3, 10)) for _ in range(40)
+    ]
+    caught = 0
+    for word in words:
+        d_delta = hom_tables(word).d_delta
+        assert dense_stop(word, d_delta) is None
+        assert label_stop(monkeypatch, word, d_delta) is None
+        for _ in range(3):
+            perturbed = list(d_delta)
+            shift = rng.choice((-1, 1)) * rng.randint(1, 2 * max(d_delta))
+            perturbed[rng.randrange(word.r)] += shift
+            stop = dense_stop(word, perturbed)
+            assert label_stop(monkeypatch, word, perturbed) == stop, (word.printed, perturbed)
+            caught += stop is not None
+    assert 40 < caught < 3 * len(words)
+
+
+def test_neighborhood_mismatch_names_both_bags(monkeypatch, word_a4_shift):
+    """A wrong identity pattern stops the pass with the label bag of each side
+    and the expected pair and factor bags."""
+    sides = intervals.identity_sides
+
+    def doubled(word, k, s):
+        lhs, pair, factors = sides(word, k, s)
+        return lhs, pair, tuple((lab, 2 * q) for lab, q in factors)
+
+    monkeypatch.setattr(intervals, "identity_sides", doubled)
+    with pytest.raises(StepMismatchError) as info:
+        run_mu_i(word_a4_shift, max_seed_steps=0)
+    assert re.fullmatch(
+        r"step \d+: exchange neighborhoods do not match the identity pattern at vertex \d+: "
+        r"in-side \{.*\}, out-side \{.*\}; expected pair \{M\[.*\}, factors \{M\[.*: 2.*\}",
+        str(info.value),
+    )
 
 
 def test_star_golden(word_a4_shift):

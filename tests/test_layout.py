@@ -69,6 +69,20 @@ def test_only_quiver_reads_matrix_columns():
     assert readers == []
 
 
+def test_chain_pass_keeps_one_label_representation():
+    """The chain pass holds interval labels only: ``intervals`` takes nothing
+    from ``homdata`` but ``hom_tables``, so no dense filtration vector or its
+    exchange comes back beside the labels."""
+    tree = ast.parse((PACKAGE / "intervals.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "homdata"
+        for alias in node.names
+    ]
+    assert imported == ["hom_tables"]
+
+
 def test_no_assert_statements():
     """Every engine contract is a raised ``EngineError`` (exit 3): an
     ``assert`` vanishes under ``python -O`` and otherwise ends in a
