@@ -198,17 +198,13 @@ class ReducedWord:
         """Number of occurrences of letter j."""
         return len(self._chains.get(j, ()))
 
-    def _place(self, k: int) -> tuple[tuple[int, ...], int]:
+    def place(self, k: int) -> tuple[tuple[int, ...], int]:
         """The chain through position k and the index of k in it."""
         return self._chains[self.letter(k)], self._occ[k - 1]
 
     def occ_index(self, k: int) -> int:
         """k[i_k]: occurrences of the letter of k strictly before k."""
-        return self._place(k)[1]
-
-    def count_before(self, k: int, j: int) -> int:
-        """k[j]: occurrences of letter j strictly before position k."""
-        return bisect_left(self.chain(j), k)
+        return self.place(k)[1]
 
     def last_below(self, p: int, j: int) -> int:
         """The last position below p carrying letter j; 0 when there is none."""
@@ -228,14 +224,6 @@ class ReducedWord:
 
     def k_min(self, k: int) -> int:
         return self.chain(self.letter(k))[0]
-
-    def shift(self, k: int, m: int) -> int:
-        """k^(m): move m >= 0 steps up the chain of k; r+1 above its end."""
-        c, i = self._place(k)
-        i += m
-        if i >= len(c):
-            return self.r + 1
-        return c[i]
 
     def frozen_positions(self) -> frozenset[int]:
         """Final occurrences of each letter: k with k^+ = r + 1."""

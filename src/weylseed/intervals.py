@@ -9,6 +9,7 @@ as the unit and are dropped from products.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,8 +49,7 @@ class IntervalLabel(NamedTuple):
         return "1" if self.is_unit else f"M[{self.b},{self.a}]"
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     index: int  # 1-based position in the plan
     group: int  # word position whose chain pass this step belongs to
     vertex: int
@@ -99,18 +99,46 @@ def mu_i_plan(word: ReducedWord) -> MutationPlan:
     steps: list[PlanStep] = []
     groups: list[tuple[int, ...]] = []
     for k in range(1, word.r + 1):
-        chain = word.chain(word.letter(k))
-        group: list[int] = []
-        for m in range(_pass_length(word, k)):
-            vertex = chain[m]
-            before = IntervalLabel(word.shift(k, m), k)
-            after = IntervalLabel(word.shift(k, m + 1), word.k_plus(k))
-            steps.append(
-                PlanStep(len(steps) + 1, k, vertex, before, after)
-            )
-            group.append(vertex)
-        groups.append(tuple(group))
+        chain, c = word.place(k)
+        group = chain[: _pass_length(word, k)]
+        for i, vertex in enumerate(group, start=c):  # chain[i] is k^(i - c)
+            before = IntervalLabel(chain[i], k)
+            after = IntervalLabel(chain[i + 1], chain[c + 1])
+            steps.append(PlanStep(len(steps) + 1, k, vertex, before, after))
+        groups.append(group)
     return MutationPlan(word.printed, tuple(steps), tuple(groups))
+
+
+def _identity_rhs(
+    word: ReducedWord, k: int, s: int
+) -> tuple[tuple[IntervalLabel, IntervalLabel], tuple[tuple[IntervalLabel, int], ...]]:
+    """The right-hand side of the pass-k exchange identity at chain position
+    s (letters of k and s must agree): the pair ([s+, k], [s, k+]) and the
+    product factors with their exponents.
+
+    The factors sit at the positions k_min(s) < t < s+ linked to s
+    (``crossing_links``): those above s, then those below, each in
+    increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
+    where k^j is the first position at or above k carrying j = i_t, or
+    r + 1 (the unit) when there is none.
+    """
+    chain, c = word.place(k)
+    chain_s, m = word.place(s)
+    if chain_s != chain:
+        raise ValidationError("positions must carry the same letter")
+    if m + 1 == len(chain):
+        raise ValidationError(f"position {s} is a final occurrence, never exchanged")
+    if m < c:
+        raise ValidationError(f"position {s} sits below {k} on the chain")
+    above, below = [], []
+    for t, q in crossing_links(word, s):
+        if t > chain[0]:
+            other, i = word.place(t)
+            low = bisect_left(other, k, 0, i + 1)
+            bottom = other[low] if low < len(other) else word.r + 1
+            (above if t > s else below).append((IntervalLabel(t, bottom), q))
+    pair = (IntervalLabel(chain[m + 1], k), IntervalLabel(s, chain[c + 1]))
+    return pair, tuple(above + below)
 
 
 def identity_sides(
@@ -126,27 +154,9 @@ def identity_sides(
     Returns (lhs pair, rhs first-term pair, rhs product factors with
     exponents); unit labels are kept and must be dropped by consumers.
     """
-    if word.letter(k) != word.letter(s):
-        raise ValidationError("positions must carry the same letter")
-    sp = word.k_plus(s)
-    if sp == word.r + 1:
-        raise ValidationError(f"position {s} is a final occurrence, never exchanged")
-    if word.occ_index(s) < word.occ_index(k):
-        raise ValidationError(f"position {s} sits below {k} on the chain")
-    # k is s_min^(k[i_s]) and its successor k+ is s_min^(k[i_s] + 1)
-    kp = word.k_plus(k)
-    lhs = (IntervalLabel(s, k), IntervalLabel(sp, kp))
-    rhs_pair = (IntervalLabel(sp, k), IntervalLabel(s, kp))
-    # factors at k_min(s) < t < s+ with t+ >= s+: those above s, then below
-    k_min = word.k_min(s)
-    links = crossing_links(word, s)
-    above = [(t, q) for t, q in links if t > s]
-    below = [(t, q) for t, q in links if k_min < t < s]
-    factors = []
-    for t, q in above + below:
-        bottom = word.shift(word.k_min(t), word.count_before(k, word.letter(t)))
-        factors.append((IntervalLabel(t, bottom), q))
-    return lhs, rhs_pair, tuple(factors)
+    pair, factors = _identity_rhs(word, k, s)
+    sp, kp = pair[0].b, pair[1].a
+    return (IntervalLabel(s, k), IntervalLabel(sp, kp)), pair, factors
 
 
 def expected_final_label(word: ReducedWord, v: int) -> IntervalLabel:
@@ -199,22 +209,28 @@ def _check_exchange(
     matrix: ExchangeMatrix,
     step: PlanStep,
     weight: Sequence[int],
+    weight_minus: Sequence[int],
 ) -> None:
     """Check the step's neighbour label bags and their weights against its identity."""
-    _, rhs_pair, factors = identity_sides(word, step.group, step.before.b)
-    neighbors = matrix.neighbors(step.vertex)
-    sides = [_label_bag((labels[u - 1], mult) for u, mult in pairs) for pairs in neighbors]
+    rhs_pair, factors = _identity_rhs(word, step.group, step.before.b)
     pair, product = _label_bag((lab, 1) for lab in rhs_pair), _label_bag(factors)
-    if sides not in ([pair, product], [product, pair]):
+    sides = []
+    for side in matrix.neighbors(step.vertex):
+        bag: dict[IntervalLabel, int] = {}
+        total = 0
+        for u, mult in side:
+            lab = labels[u - 1]  # a vertex label is never the unit
+            bag[lab] = bag.get(lab, 0) + mult
+            total += mult * (weight[lab.b] - weight_minus[lab.a])
+        sides.append((bag, total))
+    (bag_in, w_in), (bag_out, w_out) = sides
+    if [bag_in, bag_out] not in ([pair, product], [product, pair]):
         raise StepMismatchError(
             f"step {step.index}: exchange neighborhoods do not match the identity pattern "
-            f"at vertex {step.vertex}: in-side {sides[0]}, out-side {sides[1]}; "
+            f"at vertex {step.vertex}: in-side {bag_in}, out-side {bag_out}; "
             f"expected pair {pair}, factors {product}"
         )
-    w_in, w_out = (
-        sum(m * (weight[b] - weight[word.k_minus(a)]) for (b, a), m in bag.items()) for bag in sides
-    )
-    if sides[0 if w_in > w_out else 1] != pair:
+    if (bag_in if w_in > w_out else bag_out) != pair:
         raise StepMismatchError(
             f"step {step.index}: d_delta weights pick the factor side at vertex {step.vertex}: "
             f"in-side {w_in}, out-side {w_out}"
@@ -248,9 +264,10 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     plan = mu_i_plan(word)
     matrix = b_matrix(gamma_i(word))
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
-    weight = [0] * (word.r + 1)
+    weight, weight_minus = [0] * (word.r + 1), [0] * (word.r + 1)  # weight_minus[k] = weight[k-]
     for k, d in enumerate(hom_tables(word).d_delta, start=1):
-        weight[k] = d + weight[word.k_minus(k)]
+        weight_minus[k] = weight[word.k_minus(k)]
+        weight[k] = d + weight_minus[k]
     seed = Seed.initial(matrix)
     label_values = dict(zip(labels, seed.cluster))
     for step in plan.steps:
@@ -259,7 +276,7 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
             raise StepMismatchError(
                 f"step {step.index}: vertex {v} carries {labels[v - 1]}, expected {step.before}"
             )
-        _check_exchange(word, labels, matrix, step, weight)
+        _check_exchange(word, labels, matrix, step, weight, weight_minus)
         if max_seed_steps is None or step.index <= max_seed_steps:
             try:
                 seed = seed.mutate(v)

@@ -261,9 +261,8 @@ def test_word_index_maps(word_gamma7):
 
 
 def test_word_index_tables_against_scans(wild3):
-    """k+, k-, shift, count_before and last_below read tables and chain
-    bisections built once per word; each is compared with a scan of the
-    word's letters."""
+    """k+, k-, place and last_below read tables and chain bisections built
+    once per word; each is compared with a scan of the word's letters."""
     rng = random.Random(15)
     e8 = CartanMatrix.from_edges(
         8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
@@ -282,12 +281,10 @@ def test_word_index_tables_against_scans(wild3):
             down = [t for t in range(1, k) if pos[t - 1] == pos[k - 1]]
             assert w.k_plus(k) == (up[1] if len(up) > 1 else r + 1)
             assert w.k_minus(k) == (down[-1] if down else 0)
-            for m in range(len(up) + 2):
-                assert w.shift(k, m) == (up[m] if m < len(up) else r + 1)
+            assert w.place(k) == (tuple(down + up), len(down))
         for p in range(1, r + 2):
             for j in range(1, w.cartan.n + 1):
                 below = [t for t in range(1, p) if pos[t - 1] == j]
-                assert w.count_before(p, j) == len(below)
                 assert w.last_below(p, j) == (below[-1] if below else 0)
 
 

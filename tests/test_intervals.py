@@ -42,23 +42,29 @@ def star(word: ReducedWord, k: int) -> int:
     return word.chain(j)[t - 2 - m]
 
 
+def first_from(word: ReducedWord, p: int, j: int) -> int:
+    """Oracle: the first position >= p carrying letter j, or r + 1."""
+    return next((t for t in range(p, word.r + 1) if word.letter(t) == j), word.r + 1)
+
+
 def identity_sides_by_scan(word: ReducedWord, k: int, s: int):
     """Oracle: the identity labels with the factors found by walking every
     position t of s+1..s+-1 and then of k_min(s)+1..s-1, keeping those with
-    t+ >= s+ and q_{i_s, i_t} != 0."""
-    c = word.occ_index(k)
-    a_bottom = word.shift(word.k_min(s), c)
-    a_next = word.shift(word.k_min(s), c + 1)
-    sp = word.k_plus(s)
+    t+ >= s+ and q_{i_s, i_t} != 0; every chain position comes from a scan
+    of the word's letters."""
+    j = word.letter(s)
+    a_bottom = first_from(word, k, j)
+    a_next = first_from(word, a_bottom + 1, j)
+    sp = first_from(word, s + 1, j)
     lhs = (IntervalLabel(s, a_bottom), IntervalLabel(sp, a_next))
     rhs_pair = (IntervalLabel(sp, a_bottom), IntervalLabel(s, a_next))
     factors = []
-    for t in itertools.chain(range(s + 1, sp), range(word.k_min(s) + 1, s)):
-        if word.k_plus(t) >= sp:
-            q = word.cartan.q(word.letter(s), word.letter(t))
+    for t in itertools.chain(range(s + 1, sp), range(first_from(word, 1, j) + 1, s)):
+        jt = word.letter(t)
+        if first_from(word, t + 1, jt) >= sp:
+            q = word.cartan.q(j, jt)
             if q:
-                bottom = word.shift(word.k_min(t), word.count_before(k, word.letter(t)))
-                factors.append((IntervalLabel(t, bottom), q))
+                factors.append((IntervalLabel(t, first_from(word, k, jt)), q))
     return lhs, rhs_pair, tuple(factors)
 
 
@@ -200,6 +206,40 @@ def test_identity_sides_against_two_range_scan(word_wild10):
     assert factors_seen > 1000
 
 
+def test_check_reads_each_plan_step_identity(monkeypatch):
+    """The exchange check of every plan step asks the factor rule for that
+    step's (k, s) and gets ``identity_sides(word, k, s)[1:]``, which the
+    scan oracle confirms: on E8, the wild chain-pass words and random tame
+    words."""
+    wild = CartanMatrix.from_edges(3, WILD3_EDGES)
+    words = [
+        ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
+        ReducedWord(wild, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)),
+        ReducedWord(wild, (2, 3, 1, 3, 2, 3, 2, 1, 3)),
+        ReducedWord(wild, (3, 2, 3, 2, 1, 3, 2, 1, 3)),
+    ]
+    rng = random.Random(22)
+    words += [
+        random_reduced_word(rng, rng.choice(TAME_POOL), rng.randint(2, 12)) for _ in range(30)
+    ]
+    rhs = intervals._identity_rhs
+    for word in words:
+        seen = []
+
+        def recorded(w, k, s):
+            seen.append((k, s, rhs(w, k, s)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(intervals, "_identity_rhs", recorded)
+        run_mu_i(word, max_seed_steps=0)
+        monkeypatch.undo()
+        assert [(k, s) for k, s, _ in seen] == [
+            (step.group, step.before.b) for step in mu_i_plan(word).steps
+        ]
+        for k, s, out in seen:
+            assert out == identity_sides(word, k, s)[1:] == identity_sides_by_scan(word, k, s)[1:]
+
+
 def test_verify_identities_a4(word_a4_shift):
     report = run_mu_i(word_a4_shift)
     for step in report.plan.steps:
@@ -305,14 +345,15 @@ def test_label_check_stops_where_the_dense_rule_does(monkeypatch):
 
 def test_neighborhood_mismatch_names_both_bags(monkeypatch, word_a4_shift):
     """A wrong identity pattern stops the pass with the label bag of each side
-    and the expected pair and factor bags."""
-    sides = intervals.identity_sides
+    and the expected pair and factor bags: the factor rule that the check
+    shares with ``identity_sides`` doubles every exponent."""
+    rhs = intervals._identity_rhs
 
     def doubled(word, k, s):
-        lhs, pair, factors = sides(word, k, s)
-        return lhs, pair, tuple((lab, 2 * q) for lab, q in factors)
+        pair, factors = rhs(word, k, s)
+        return pair, tuple((lab, 2 * q) for lab, q in factors)
 
-    monkeypatch.setattr(intervals, "identity_sides", doubled)
+    monkeypatch.setattr(intervals, "_identity_rhs", doubled)
     with pytest.raises(StepMismatchError) as info:
         run_mu_i(word_a4_shift, max_seed_steps=0)
     assert re.fullmatch(

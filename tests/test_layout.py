@@ -69,6 +69,33 @@ def test_only_quiver_reads_matrix_columns():
     assert readers == []
 
 
+def test_only_cartan_reads_private_word_attributes():
+    """The chain tables of ``ReducedWord`` stay behind its module: no other
+    package module reads a private attribute or method of the class, so
+    every read goes through ``place``, ``chain`` and the other accessors."""
+    cartan = ast.parse((PACKAGE / "cartan.py").read_text(encoding="utf-8"))
+    word = next(
+        node
+        for node in cartan.body
+        if isinstance(node, ast.ClassDef) and node.name == "ReducedWord"
+    )
+    private = {
+        node.attr
+        for node in ast.walk(word)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"
+    } | {node.name for node in word.body if isinstance(node, ast.FunctionDef)}
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    assert {"_chains", "_occ", "_k_plus"} <= private
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cartan.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert readers == []
+
+
 def test_chain_pass_keeps_one_label_representation():
     """The chain pass holds interval labels only: ``intervals`` takes nothing
     from ``homdata`` but ``hom_tables``, so no dense filtration vector or its
