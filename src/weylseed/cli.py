@@ -99,11 +99,13 @@ def cmd_mutate(doc, args) -> dict:
         seed = Seed.initial(ExchangeMatrix.from_json(doc["matrix"]))
     else:
         seed = Seed.from_word(_word_from_doc(doc))
-    seed = seed.mutate_path(_int_list(doc.get("path", []), "path", 1, seed.matrix.r))
+    path = _int_list(doc.get("path", []), "path", 1, seed.matrix.r)
+    for seed in seed.walk(path):
+        pass
     return {
         "matrix": seed.matrix.to_json(),
         "cluster": _cluster_json(seed, args.mode),
-        "provenance": list(seed.provenance),
+        "provenance": path,
         "denominators": [
             list(denominator_vector(seed, pos)) for pos in seed.matrix.mutable
         ],
@@ -111,27 +113,24 @@ def cmd_mutate(doc, args) -> dict:
 
 
 def cmd_walk(doc, args) -> dict:
-    word = _word_from_doc(doc)
-    rng = random.Random(args.seed)
-    seed = Seed.from_word(word)
+    seed = Seed.from_word(_word_from_doc(doc))
+    rng, mutable, path = random.Random(args.seed), seed.matrix.mutable, []
     registry = SeedRegistry()
     registry.insert_if_absent(seed)
-    mutable = seed.matrix.mutable
-    last = None
-    for step in range(1, args.depth + 1):
-        choices = [k for k in mutable if k != last]
-        if not choices:
-            raise ValidationError(
-                f"walk step {step}: no vertex to mutate "
-                f"(mutable vertices: {len(mutable)})"
-            )
-        k = rng.choice(choices)
-        try:
-            seed = seed.mutate(k)
-        except EngineError as exc:
-            raise type(exc)(f"step {step}, vertex {k}: {exc}") from exc
-        registry.insert_if_absent(seed)
-        last = k
+
+    def draw():
+        """Each vertex drawn just before its step, never the one drawn last."""
+        for step in range(1, args.depth + 1):
+            choices = [k for k in mutable if k not in path[-1:]]
+            if not choices:
+                raise ValidationError(
+                    f"walk step {step}: no vertex to mutate (mutable vertices: {len(mutable)})"
+                )
+            path.append(rng.choice(choices))
+            yield path[-1]
+
+    for later in seed.walk(draw()):
+        registry.insert_if_absent(later)
     return {
         "steps": args.depth,
         "rng_seed": args.seed,
@@ -139,7 +138,7 @@ def cmd_walk(doc, args) -> dict:
         "denominator_collisions": sorted(
             [list(c) for c in registry.collisions]
         ),
-        "final_provenance": list(seed.provenance),
+        "final_provenance": path,
     }
 
 

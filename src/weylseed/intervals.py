@@ -4,8 +4,8 @@ it produces, and expansion of cluster variables in the basis dual to the
 chain-subquotient modules.
 
 An interval label [b, a] names the subquotient with top index b and bottom
-index a (same letter, a <= b); [a-1-ish, a] degenerate pairs with a > b act
-as the unit and are dropped from products.
+index a (same letter, a <= b); a label [b, a] with a > b is the unit and is
+dropped from products.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .homdata import hom_tables
 from .laurent import LaurentPoly, VarTable
-from .quiver import ExchangeMatrix, Seed, b_matrix, crossing_links, gamma_i
+from .quiver import ExchangeMatrix, Seed, b_matrix, crossing_links, exchange, gamma_i
 
 
 class IntervalLabel(NamedTuple):
@@ -206,24 +206,24 @@ def _label_bag(pairs: Iterable[tuple[IntervalLabel, int]]) -> dict[IntervalLabel
 def _check_exchange(
     word: ReducedWord,
     labels: Sequence[IntervalLabel],
-    matrix: ExchangeMatrix,
+    sides: tuple[list[tuple[int, int]], list[tuple[int, int]]],
     step: PlanStep,
     weight: Sequence[int],
     weight_minus: Sequence[int],
 ) -> None:
-    """Check the step's neighbour label bags and their weights against its identity."""
+    """Check the label bags of ``sides`` and their weights against the step's identity."""
     rhs_pair, factors = _identity_rhs(word, step.group, step.before.b)
     pair, product = _label_bag((lab, 1) for lab in rhs_pair), _label_bag(factors)
-    sides = []
-    for side in matrix.neighbors(step.vertex):
+    weighed = []
+    for side in sides:
         bag: dict[IntervalLabel, int] = {}
         total = 0
         for u, mult in side:
             lab = labels[u - 1]  # a vertex label is never the unit
             bag[lab] = bag.get(lab, 0) + mult
             total += mult * (weight[lab.b] - weight_minus[lab.a])
-        sides.append((bag, total))
-    (bag_in, w_in), (bag_out, w_out) = sides
+        weighed.append((bag, total))
+    (bag_in, w_in), (bag_out, w_out) = weighed
     if [bag_in, bag_out] not in ([pair, product], [product, pair]):
         raise StepMismatchError(
             f"step {step.index}: exchange neighborhoods do not match the identity pattern "
@@ -253,13 +253,13 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
 
     Laurent cluster tracking can be cut off after ``max_seed_steps`` steps
     (0 tracks none); the combinatorial checks always run the full plan.
-    Each step mutates the exchange matrix once: inside the seed while it is
-    tracked, directly after the cut-off.  Exchange supports blow up quickly
-    on wild Cartan data, so callers verifying specific identities should
-    cut the symbolic part at the step they need.  An engine error raised
-    while mutating the seed, such as a product over ``MAX_TERM_PAIRS``, is
-    re-raised as the same class with the step and the vertex before its
-    detail.
+    Each step reads the mutated vertex's neighbourhood once, for the check
+    and for the exchange, and mutates the exchange matrix once.  Exchange
+    supports blow up quickly on wild Cartan data, so callers verifying
+    specific identities should cut the symbolic part at the step they need.
+    An engine error raised by the exchange, such as a product over
+    ``MAX_TERM_PAIRS``, is re-raised as the same class with the step and the
+    vertex before its detail.
     """
     plan = mu_i_plan(word)
     matrix = b_matrix(gamma_i(word))
@@ -268,24 +268,23 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     for k, d in enumerate(hom_tables(word).d_delta, start=1):
         weight_minus[k] = weight[word.k_minus(k)]
         weight[k] = d + weight_minus[k]
-    seed = Seed.initial(matrix)
-    label_values = dict(zip(labels, seed.cluster))
+    cluster = list(Seed.initial(matrix).cluster)
+    label_values = dict(zip(labels, cluster))
     for step in plan.steps:
         v = step.vertex
         if labels[v - 1] != step.before:
             raise StepMismatchError(
                 f"step {step.index}: vertex {v} carries {labels[v - 1]}, expected {step.before}"
             )
-        _check_exchange(word, labels, matrix, step, weight, weight_minus)
+        sides = matrix.neighbors(v)
+        _check_exchange(word, labels, sides, step, weight, weight_minus)
         if max_seed_steps is None or step.index <= max_seed_steps:
             try:
-                seed = seed.mutate(v)
+                cluster[v - 1] = exchange(cluster, v, sides)
             except EngineError as exc:
                 raise type(exc)(f"step {step.index}, vertex {v}: {exc}") from exc
-            matrix = seed.matrix
-            label_values[step.after] = seed.cluster[v - 1]
-        else:
-            matrix = matrix.mutate(v)
+            label_values[step.after] = cluster[v - 1]
+        matrix = matrix.mutate(v)
         labels[v - 1] = step.after
     return MuIReport(
         plan=plan,

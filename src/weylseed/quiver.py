@@ -22,7 +22,7 @@ it is checked on the rewritten columns, the only ones whose entries change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
 from .errors import EngineError, ValidationError
@@ -162,9 +162,8 @@ class ExchangeMatrix:
 
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation at k, rewriting only column k and the columns of
-        its mutable neighbors."""
+        its mutable neighbors, straight from column k."""
         col_k = self.column(k)
-        ins, outs = self.neighbors(k)
         cols = self.cols.copy()
         cols[k] = {i: -b for i, b in col_k.items()}
         changed = [k]
@@ -175,18 +174,18 @@ class ExchangeMatrix:
             changed.append(j)
             # b_ij gains b_ik * |b_kj| when b_ik and b_kj have the same sign
             b_kj = col_j.get(k, 0)
+            up, m = b_kj > 0, abs(b_kj)
             new = col_j.copy()
             new[k] = -b_kj
             grown = False
-            for i, m in outs if b_kj > 0 else ins:
-                b = new.get(i)
-                if b is None:
-                    new[i] = m * b_kj
-                    grown = True
-                elif b + m * b_kj:
-                    new[i] = b + m * b_kj
-                else:
-                    del new[i]
+            for i, b_ik in col_k.items():
+                if (b_ik > 0) is up:
+                    b = new.get(i, 0) + b_ik * m
+                    if b:
+                        grown = grown or i not in new
+                        new[i] = b
+                    else:
+                        del new[i]
             # an added vertex may break the increasing order; nothing else can
             cols[j] = dict(sorted(new.items())) if grown else new
         out = ExchangeMatrix._of_columns(self.r, self.mutable, cols)
@@ -258,30 +257,28 @@ def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     return ExchangeMatrix._of_columns(quiver.r, mutable, cols)
 
 
+def exchange(cluster: Sequence[LaurentPoly], k: int, sides: tuple[list, list]) -> LaurentPoly:
+    """The Fomin-Zelevinsky exchange of x_k, (prod over out-arrows + prod over
+    in-arrows) / x_k, with ``sides`` the ``(ins, outs)`` pair of ``neighbors(k)``."""
+    x_k, (ins, outs) = cluster[k - 1], sides
+    out_prod = LaurentPoly.product(x_k.vars, (cluster[i - 1] ** m for i, m in outs))
+    in_prod = LaurentPoly.product(x_k.vars, (cluster[i - 1] ** m for i, m in ins))
+    return (out_prod + in_prod).exact_div(x_k)
+
+
 class Seed:
     """An exchange matrix with exact Laurent cluster variables.
 
-    Cluster entries are Laurent polynomials in the initial variables
-    y_1..y_r; provenance records the mutation path from the initial seed.
+    Cluster entries are Laurent polynomials in the initial variables y_1..y_r.
     """
 
-    __slots__ = ("matrix", "cluster", "provenance")
+    __slots__ = ("matrix", "cluster")
 
-    def __init__(
-        self,
-        matrix: ExchangeMatrix,
-        cluster: Sequence[LaurentPoly],
-        provenance: tuple[int, ...] = (),
-    ):
+    def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly]):
         if len(cluster) != matrix.r:
             raise ValidationError("cluster size must match vertex count")
         self.matrix = matrix
         self.cluster = tuple(cluster)
-        self.provenance = provenance
-
-    @property
-    def table(self) -> VarTable:
-        return self.cluster[0].vars
 
     @staticmethod
     def initial(matrix: ExchangeMatrix) -> "Seed":
@@ -294,24 +291,20 @@ class Seed:
         return Seed.initial(b_matrix(gamma_i(word)))
 
     def mutate(self, k: int) -> "Seed":
-        """Exchange x_k for (prod over out-arrows + prod over in-arrows) / x_k."""
-        table, cluster = self.table, self.cluster
-        ins, outs = self.matrix.neighbors(k)
-        out_prod = LaurentPoly.product(table, (cluster[i - 1] ** m for i, m in outs))
-        in_prod = LaurentPoly.product(table, (cluster[i - 1] ** m for i, m in ins))
-        new_var = (out_prod + in_prod).exact_div(cluster[k - 1])
-        cluster = cluster[: k - 1] + (new_var,) + cluster[k:]
-        return Seed(self.matrix.mutate(k), cluster, self.provenance + (k,))
+        """Exchange x_k and mutate the matrix at k."""
+        cluster = list(self.cluster)
+        cluster[k - 1] = exchange(cluster, k, self.matrix.neighbors(k))
+        return Seed(self.matrix.mutate(k), cluster)
 
-    def mutate_path(self, path: Iterable[int]) -> "Seed":
-        """Mutate along ``path``; an engine error names the step and vertex."""
+    def walk(self, path: Iterable[int]) -> Iterator["Seed"]:
+        """The seed after each step of ``path``; an engine error names the step and vertex."""
         seed = self
         for step, k in enumerate(path, start=1):
             try:
                 seed = seed.mutate(k)
             except EngineError as exc:
                 raise type(exc)(f"step {step}, vertex {k}: {exc}") from exc
-        return seed
+            yield seed
 
     def specialize_frozen(self) -> tuple[LaurentPoly, ...]:
         """Cluster with the frozen initial variables set to 1.
@@ -411,5 +404,6 @@ def acyclic_double(orientation: QuiverOrientation) -> ReducedWord:
 
 def y_dagger(seed: Seed) -> Seed:
     """Mutate once at every vertex in increasing order (coefficient-free use)."""
-    path = sorted(seed.matrix.mutable)
-    return seed.mutate_path(path)
+    for seed in seed.walk(sorted(seed.matrix.mutable)):
+        pass
+    return seed

@@ -1,13 +1,15 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from weylseed import cli, intervals, laurent
+from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import MAX_RANK, CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
 from weylseed.laurent import LaurentPoly
-from weylseed.quiver import Seed
+from weylseed.quiver import Seed, SeedRegistry
 from weylseed.words import g_V
 
 GAMMA7 = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [3, 1, 2, 3, 1, 2, 1]}
@@ -233,6 +235,60 @@ def test_walk_too_few_mutable_vertices(capsys):
     assert "walk step 2" in captured.err and "mutable vertices: 1" in captured.err
     code, out = run(capsys, "walk", "--inline", json.dumps(doc), "--depth", "1")
     assert code == 0 and json.loads(out)["final_provenance"] == [1]
+
+
+def reference_walk(doc: dict, depth: int, rng_seed: int) -> dict | None:
+    """Oracle: the walk document built by drawing each vertex between two
+    mutations; None where a step has no vertex to draw."""
+    word = ReducedWord(CartanMatrix.from_edges(doc["rank"], doc["edges"]), doc["word"])
+    rng = random.Random(rng_seed)
+    seed = Seed.from_word(word)
+    registry = SeedRegistry()
+    registry.insert_if_absent(seed)
+    path = []
+    for _ in range(depth):
+        choices = [k for k in seed.matrix.mutable if not path or k != path[-1]]
+        if not choices:
+            return None
+        path.append(rng.choice(choices))
+        seed = seed.mutate(path[-1])
+        registry.insert_if_absent(seed)
+    return {
+        "steps": depth,
+        "rng_seed": rng_seed,
+        "distinct_seeds": len(registry.seen),
+        "denominator_collisions": sorted([list(c) for c in registry.collisions]),
+        "final_provenance": path,
+    }
+
+
+def test_walk_matches_a_step_by_step_draw(capsys):
+    """``walk`` over 30 random (word, --seed, --depth) triples equals the
+    oracle that draws each vertex just before its mutation."""
+    pool = [
+        (2, [[1, 2, 1]]),  # one mutable vertex: a walk deeper than 1 has no second draw
+        (3, [[1, 2, 1], [2, 3, 1]]),
+        (4, [[1, 2, 1], [2, 3, 1], [3, 4, 1]]),
+        (4, [[1, 4, 1], [2, 4, 1], [3, 4, 1]]),
+    ]
+    rng = random.Random(23)
+    failed = 0
+    for trial in range(30):
+        rank, edges = pool[trial % len(pool)]
+        cartan = CartanMatrix.from_edges(rank, edges)
+        word = random_reduced_word(rng, cartan, rank + rng.randint(2, 5))
+        doc = {"rank": rank, "edges": edges, "word": list(word.printed)}
+        depth, rng_seed = rng.randint(0, 8), rng.randrange(10**6)
+        argv = ["walk", "--inline", json.dumps(doc), "--depth", str(depth), "--seed", str(rng_seed)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        expected = reference_walk(doc, depth, rng_seed)
+        if expected is None:
+            failed += 1
+            assert code == 2 and "no vertex to mutate" in captured.err
+        else:
+            assert code == 0 and captured.out == _dump(expected)
+    assert 0 < failed < 10
 
 
 def test_walk_engine_error_names_step_and_vertex(monkeypatch, capsys):

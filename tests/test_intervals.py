@@ -26,7 +26,7 @@ from weylseed.intervals import (
     verify_identity,
 )
 from weylseed.laurent import LaurentPoly
-from weylseed.quiver import Seed, b_matrix, gamma_i
+from weylseed.quiver import ExchangeMatrix, Seed, b_matrix, gamma_i
 
 E8_EDGES = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
 WILD3_EDGES = [(1, 2, 3), (1, 3, 2), (2, 3, 2)]
@@ -282,6 +282,57 @@ def test_e8_combinatorial_pass():
     assert report.final_chains_reversed(word)
 
 
+def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
+    """``run_mu_i`` reads ``neighbors(v)`` once per plan step, for the check
+    and the exchange together, and ``ExchangeMatrix.mutate`` never reads it:
+    on the E8 combinatorial pass and on a fully tracked wild pass."""
+    reads, inside = [], [0]
+    neighbors, mutate = ExchangeMatrix.neighbors, ExchangeMatrix.mutate
+
+    def counting_neighbors(self, k):
+        reads.append(inside[0])
+        return neighbors(self, k)
+
+    def counting_mutate(self, k):
+        inside[0] += 1
+        try:
+            return mutate(self, k)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(ExchangeMatrix, "neighbors", counting_neighbors)
+    monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
+    e8 = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
+    wild = ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3))
+    for word, cut in ((e8, 0), (wild, None)):
+        reads.clear()
+        report = run_mu_i(word, max_seed_steps=cut)
+        assert len(reads) == report.plan.length
+        assert not any(reads)  # none from inside mutate
+
+
+def test_cut_off_keeps_one_matrix_path(wild3, a4):
+    """Every cut-off gives the same final matrix and labels, and a run cut at
+    m holds the values of the full run for the labels made by steps <= m.
+    The wild word [1,2,3,1,3,1,2,3,1,3] goes over ``MAX_TERM_PAIRS`` at step
+    11, so its fullest run is cut at step 10."""
+    cases = (
+        (ReducedWord(wild3, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)), (0, 9, 10)),
+        (ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3)), (0, 4, None)),
+        (ReducedWord(a4, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)), (0, 9, None)),
+    )
+    for word, cuts in cases:
+        reports = [run_mu_i(word, max_seed_steps=m) for m in cuts]
+        full = reports[-1]
+        initial = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
+        for m, report in zip(cuts, reports):
+            assert report.final_matrix == full.final_matrix
+            assert report.final_labels == full.final_labels
+            made = initial + [step.after for step in full.plan.steps[:m]]
+            assert report.label_values == {lab: full.label_values[lab] for lab in made}
+        assert len(reports[0].label_values) == word.r
+
+
 def dense_stop(word: ReducedWord, d_delta) -> int | None:
     """Oracle: the step at which the dense filtration-multiplicity exchange
     stops the pass, or None.  Each vertex carries a length-r vector, starting
@@ -392,7 +443,7 @@ def test_shift_walk_dimensions(word_a4_shift):
     r6 = r5.mutate(6)
     assert r5.cluster[4].multidegree(grading) == (1, 1, 1, 0)
     assert r6.cluster[5].multidegree(grading) == (1, 1, 2, 1)
-    t_seed = Seed.from_word(w).mutate_path(step.vertex for step in mu_i_plan(w).steps)
+    *_, t_seed = Seed.from_word(w).walk(step.vertex for step in mu_i_plan(w).steps)
     starred = tuple(star(w, k) for k in (5, 6))
     assert starred == (5, 2)
     s1 = t_seed.mutate(starred[0])

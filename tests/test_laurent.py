@@ -1,12 +1,13 @@
 import contextlib
 import json
+import sys
 from heapq import heapify, heappop, heappush
 from operator import add, lshift, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylseed import laurent
+from weylseed import intervals, laurent, quiver
 from weylseed.cartan import ReducedWord
 from weylseed.cli import main
 from weylseed.errors import (
@@ -140,24 +141,32 @@ def test_pow_against_repeated_multiplication(x):
 
 @pytest.fixture
 def mutate_products(monkeypatch):
-    """Operand pairs of every ``LaurentPoly.__mul__`` call made inside ``Seed.mutate``."""
+    """Operand pairs of every ``LaurentPoly.__mul__`` call made inside the
+    exchange rule ``quiver.exchange``, rebound in every module that holds it."""
     pairs, depth = [], [0]
-    mul, mutate = LaurentPoly.__mul__, Seed.mutate
+    mul, exchange = LaurentPoly.__mul__, quiver.exchange
 
     def recording_mul(a, b):
         if depth[0]:
             pairs.append((a, b))
         return mul(a, b)
 
-    def counting_mutate(self, k):
+    def counting_exchange(*args):
         depth[0] += 1
         try:
-            return mutate(self, k)
+            return exchange(*args)
         finally:
             depth[0] -= 1
 
     monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
-    monkeypatch.setattr(Seed, "mutate", counting_mutate)
+    holders = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("weylseed.") and getattr(module, "exchange", None) is exchange
+    ]
+    assert {quiver, intervals} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "exchange", counting_exchange)
     return pairs
 
 
@@ -167,7 +176,8 @@ def is_one(p):
 
 def test_pentagon_mutations_multiply_nothing(mutate_products):
     seed = Seed.initial(ExchangeMatrix(2, (1, 2), [[0, -1], [1, 0]]))
-    assert seed.mutate_path([1, 2] * 5).cluster == seed.cluster
+    *_, end = seed.walk([1, 2] * 5)
+    assert end.cluster == seed.cluster
     # each exchange monomial is one variable or empty: no product to form
     assert mutate_products == []
 

@@ -396,7 +396,7 @@ def test_seed_registry_ignores_term_order(word_gamma7):
     assert len(variable.terms) > 1
     reordered = LaurentPoly(variable.vars, dict(reversed(list(variable.terms.items()))))
     assert list(reordered.terms) != list(variable.terms)
-    twin = Seed(seed.matrix, (reordered,) + seed.cluster[1:], seed.provenance)
+    twin = Seed(seed.matrix, (reordered,) + seed.cluster[1:])
     reg = SeedRegistry()
     assert reg.insert_if_absent(seed)
     assert not reg.insert_if_absent(twin)
@@ -480,7 +480,7 @@ def specialize_by_substitution(seed):
     initial variable and each mutable one mapped to itself."""
     if not seed.cluster:
         return ()
-    table = seed.table
+    table = seed.cluster[0].vars
     one = LaurentPoly.one(table)
     frozen = seed.matrix.frozen
     images = {
