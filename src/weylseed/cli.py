@@ -130,7 +130,7 @@ def cmd_walk(doc, args) -> dict:
             yield path[-1]
 
     for later in seed.walk(draw()):
-        registry.insert_if_absent(later)
+        registry.insert_if_absent(later, path[-1])
     return {
         "steps": args.depth,
         "rng_seed": args.seed,

@@ -343,12 +343,19 @@ class SeedRegistry:
         self.by_denominator: dict[tuple, set] = {}
         self.collisions: list[tuple] = []
 
-    def insert_if_absent(self, seed: Seed) -> bool:
+    def insert_if_absent(self, seed: Seed, mutated: int | None = None) -> bool:
+        """Insert ``seed`` unless an equal one is in; whether it was new.
+
+        A new seed's cluster variables go into the denominator buckets: all
+        mutable positions, or only ``mutated`` when the seed is one mutation
+        at that vertex away from a seed already inserted, whose other
+        variables are in the buckets already.
+        """
         key = (seed.matrix, seed.cluster)
         if key in self.seen:
             return False
         self.seen.add(key)
-        for pos in seed.matrix.mutable:
+        for pos in seed.matrix.mutable if mutated is None else (mutated,):
             den = denominator_vector(seed, pos)
             content = seed.cluster[pos - 1]
             bucket = self.by_denominator.setdefault(den, set())

@@ -26,8 +26,9 @@ Word = str
 # extensions.  The README document's largest sum has 392,206 words.
 MAX_WORDS = 10**6
 
-# letter j -> ",j": one str.translate per word writes its JSON digits
-_DIGITS = {j: ",%d" % j for j in range(1, MAX_RANK + 1)}
+# letter j -> ",j" at index j (index 0 unused): one str.translate per word
+# writes its JSON digits, indexing the table instead of hashing each letter
+_DIGITS = [None] + [",%d" % j for j in range(1, MAX_RANK + 1)]
 
 
 def to_word(letters: Iterable[int]) -> Word:
@@ -133,6 +134,13 @@ def rho_f(
     prefix: the factor of gap l + 1 in round s + 1 is the factor of gap l in
     round s, plus 1 for the round, minus a_ii for the inserted i.
 
+    A state is one flat tuple, the first gap and its factor followed by the
+    (position, coefficient) pairs of its last i in increasing position, so a
+    partial word costs one allocation and no dict.  The scan steps a pointer
+    through the pairs; a word reached again gets its new pair inserted in
+    order, and takes the new first gap and factor when that position is the
+    smallest.
+
     With ``pattern``, only the words that split into runs along it are kept,
     after every round (see ``lowering_monomial``).  A round that holds more
     than ``MAX_WORDS`` words raises ``TermLimitError``.
@@ -148,31 +156,41 @@ def rho_f(
     pairing = {chr(j): a for j, a in enumerate(row, start=1)}
     carry = 1 - row[i - 1]
     letter = chr(i)
-    # word -> (first gap to fill, its factor, {position of a last inserted i:
-    # coefficient}); position -1 before round 1.  The last round keys by word
-    # alone.
-    states: dict = {w: (0, lam[i - 1], {-1: c}) for w, c in u.terms.items()}
+    # word -> (first gap to fill, its factor, end_1, coef_1, end_2, coef_2,
+    # ...): the positions of its last inserted i, increasing, each with its
+    # coefficient; first = end_1 + 1, and end_1 = -1 before round 1.  The last
+    # round keys by word alone.
+    states: dict = {w: (0, lam[i - 1], -1, c) for w, c in u.terms.items()}
     for s in range(p):
         last = s == p - 1
         out: dict = {}
-        for w, (first, weight, ends) in states.items():
-            running = 0
-            for l in range(first, len(w) + 1):
+        for w, state in states.items():
+            first, weight, running = state[0], state[1], state[3]
+            n, size, j = len(w), len(state), 4
+            # the next end to add into the running sum; n is past every end
+            end = state[4] if size > 4 else n
+            for l in range(first, n + 1):
                 if l > first:
                     weight -= pairing[w[l - 1]]
-                running += ends.get(l - 1, 0)
+                    if l - 1 == end:
+                        running += state[j + 1]
+                        j += 2
+                        end = state[j] if j < size else n
                 if weight and running:
                     key = w[:l] + letter + w[l:]
                     if last:
                         out[key] = out.get(key, 0) + weight * running
                         continue
-                    state = out.get(key)
-                    if state is None:
-                        out[key] = (l + 1, weight + carry, {l: weight * running})
+                    had = out.get(key)
+                    if had is None:
+                        out[key] = (l + 1, weight + carry, l, weight * running)
+                    elif l < had[2]:
+                        out[key] = (l + 1, weight + carry, l, weight * running) + had[2:]
                     else:
-                        state[2][l] = weight * running
-                        if l < state[0] - 1:
-                            out[key] = (l + 1, weight + carry, state[2])
+                        k = 4
+                        while k < len(had) and had[k] < l:
+                            k += 2
+                        out[key] = had[:k] + (l, weight * running) + had[k:]
             if len(out) > MAX_WORDS:
                 raise TermLimitError(
                     f"lowering by letter {i}, round {s + 1} of {p}: {len(out)} words, "

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylseed import cli, intervals, laurent
+from weylseed import cli, intervals, laurent, quiver
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import MAX_RANK, CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
@@ -19,6 +19,7 @@ A4 = {
     "word": [3, 4, 2, 1, 3, 4, 2, 1],
 }
 PBW6 = {"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
+D4_WALK = {"rank": 4, "edges": [[1, 4, 1], [2, 4, 1], [3, 4, 1]], "word": [4, 1, 2, 3] * 3}
 
 
 def run(capsys, *argv):
@@ -239,7 +240,8 @@ def test_walk_too_few_mutable_vertices(capsys):
 
 def reference_walk(doc: dict, depth: int, rng_seed: int) -> dict | None:
     """Oracle: the walk document built by drawing each vertex between two
-    mutations; None where a step has no vertex to draw."""
+    mutations and registering every mutable position of every seed; None
+    where a step has no vertex to draw."""
     word = ReducedWord(CartanMatrix.from_edges(doc["rank"], doc["edges"]), doc["word"])
     rng = random.Random(rng_seed)
     seed = Seed.from_word(word)
@@ -289,6 +291,27 @@ def test_walk_matches_a_step_by_step_draw(capsys):
         else:
             assert code == 0 and captured.out == _dump(expected)
     assert 0 < failed < 10
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2, 4, 7])
+def test_deep_walk_registers_one_variable_per_new_seed(monkeypatch, capsys, rng_seed):
+    """A depth-30 walk on D4 ``[4,1,2,3]×3`` (8 mutable vertices) prints the
+    document of the all-positions oracle, and computes the denominator
+    vectors of the initial seed and then one per new seed (seed 4 meets
+    two seeds again)."""
+    expected = reference_walk(D4_WALK, 30, rng_seed)
+    calls = []
+
+    def counting(seed, position):
+        calls.append(position)
+        return denominator_vector(seed, position)
+
+    denominator_vector = quiver.denominator_vector
+    monkeypatch.setattr(quiver, "denominator_vector", counting)
+    argv = ["walk", "--inline", json.dumps(D4_WALK), "--depth", "30", "--seed", str(rng_seed)]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == _dump(expected)
+    assert len(calls) == 8 + expected["distinct_seeds"] - 1
 
 
 def test_walk_engine_error_names_step_and_vertex(monkeypatch, capsys):

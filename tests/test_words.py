@@ -206,6 +206,21 @@ def test_divided_power_matches_iterated_oracle(cartan, seed):
                 )
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("lam", [(3, 0, 0), (2, 1, 0), (-1, 0, 2)])
+def test_divided_power_word_reached_again_from_the_left(double_edge, lam, p):
+    """Lowering (1, 2) + (2, 1) by letter 1 reaches (1, 2, 1) first from
+    (1, 2) with its last 1 at position 2, then from (2, 1) at position 0: the
+    second, smaller position must move the word's first gap and factor."""
+    u = ws(((1, 2), 1), ((2, 1), 1))
+    assert list(u.terms) == [to_word((1, 2)), to_word((2, 1))]
+    for pattern in (None, (1, 2, 1), (2, 1)):
+        word_pat = None if pattern is None else to_word(pattern)
+        assert as_tuples(rho_f(double_edge, lam, 1, u, p, word_pat)) == (
+            iterated_divided_power(double_edge, lam, 1, as_tuples(u), p, pattern)
+        )
+
+
 def test_g_v_lowers_once_per_nonzero_power(monkeypatch, word_gamma7):
     """Each nonzero entry of the socle multiplicities is one rho_f call."""
     calls = []
