@@ -26,9 +26,22 @@ Word = str
 # extensions.  The README document's largest sum has 392,206 words.
 MAX_WORDS = 10**6
 
-# letter j -> ",j" at index j (index 0 unused): one str.translate per word
-# writes its JSON digits, indexing the table instead of hashing each letter
+# letter j -> ",j" at index j (index 0 unused): str.translate writes the
+# JSON digits of a half-word, indexing the table instead of hashing each letter
 _DIGITS = [None] + [",%d" % j for j in range(1, MAX_RANK + 1)]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def to_word(letters: Iterable[int]) -> Word:
@@ -58,14 +71,24 @@ class WordSum:
         """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]}.
 
         The terms come in (length, word) order: the words are sorted plainly,
-        then stably by length.  Each word's letters are written by one
-        ``str.translate``, so no dict is built per word.
+        then stably by length.  A word is split after its first ceil(len / 2)
+        letters, and the digit text of each distinct head and tail is written
+        once, by one ``str.translate``, then looked up: a long sum holds far
+        fewer distinct halves than words.  Heads and tails have memos of
+        their own, since a head's text drops the leading comma and a tail's
+        keeps it.  The ``{"coef":"c","word":[`` prefix is memoized per
+        coefficient the same way.
         """
         terms = self.terms
         words = sorted(terms)
         words.sort(key=len)
+        heads = _Memo(lambda head: head.translate(_DIGITS)[1:])
+        tails = _Memo(lambda tail: tail.translate(_DIGITS))
+        prefixes = _Memo('{"coef":"%d","word":['.__mod__)
         parts = [
-            '{"coef":"%d","word":[%s]}' % (terms[w], w.translate(_DIGITS)[1:]) for w in words
+            "%s%s%s]}" % (prefixes[terms[w]], heads[w[:h]], tails[w[h:]])
+            for w in words
+            for h in ((len(w) + 1) // 2,)
         ]
         return '{"terms":[' + ",".join(parts) + "]}"
 
@@ -136,10 +159,14 @@ def rho_f(
 
     A state is one flat tuple, the first gap and its factor followed by the
     (position, coefficient) pairs of its last i in increasing position, so a
-    partial word costs one allocation and no dict.  The scan steps a pointer
-    through the pairs; a word reached again gets its new pair inserted in
-    order, and takes the new first gap and factor when that position is the
-    smallest.
+    partial word costs one allocation and no dict.  The walk is one forward
+    loop over the gaps from the first: it tests gap l, then reads letter l,
+    takes its a_ij off the factor and, when l is the next position of the
+    pairs, adds that coefficient to the running sum.  The pointer to the next
+    position stops at the word's length once the pairs are used up, which
+    ends the walk right after the last gap.  A word reached again gets its
+    new pair inserted in order, and takes the new first gap and factor when
+    that position is the smallest.
 
     With ``pattern``, only the words that split into runs along it are kept,
     after every round (see ``lowering_monomial``).  A round that holds more
@@ -164,33 +191,38 @@ def rho_f(
     for s in range(p):
         last = s == p - 1
         out: dict = {}
+        get = out.get
         for w, state in states.items():
-            first, weight, running = state[0], state[1], state[3]
+            # gap l from the first one on, with its factor and running sum
+            l, weight, running = state[0], state[1], state[3]
             n, size, j = len(w), len(state), 4
             # the next end to add into the running sum; n is past every end
+            # and ends the walk after the last gap
             end = state[4] if size > 4 else n
-            for l in range(first, n + 1):
-                if l > first:
-                    weight -= pairing[w[l - 1]]
-                    if l - 1 == end:
-                        running += state[j + 1]
-                        j += 2
-                        end = state[j] if j < size else n
+            while True:
                 if weight and running:
                     key = w[:l] + letter + w[l:]
                     if last:
-                        out[key] = out.get(key, 0) + weight * running
-                        continue
-                    had = out.get(key)
-                    if had is None:
-                        out[key] = (l + 1, weight + carry, l, weight * running)
-                    elif l < had[2]:
-                        out[key] = (l + 1, weight + carry, l, weight * running) + had[2:]
+                        out[key] = get(key, 0) + weight * running
                     else:
-                        k = 4
-                        while k < len(had) and had[k] < l:
-                            k += 2
-                        out[key] = had[:k] + (l, weight * running) + had[k:]
+                        had = get(key)
+                        if had is None:
+                            out[key] = (l + 1, weight + carry, l, weight * running)
+                        elif l < had[2]:
+                            out[key] = (l + 1, weight + carry, l, weight * running) + had[2:]
+                        else:
+                            k = 4
+                            while k < len(had) and had[k] < l:
+                                k += 2
+                            out[key] = had[:k] + (l, weight * running) + had[k:]
+                if l == end:
+                    if l == n:
+                        break
+                    running += state[j + 1]
+                    j += 2
+                    end = state[j] if j < size else n
+                weight -= pairing[w[l]]
+                l += 1
             if len(out) > MAX_WORDS:
                 raise TermLimitError(
                     f"lowering by letter {i}, round {s + 1} of {p}: {len(out)} words, "

@@ -110,6 +110,44 @@ def test_chain_pass_keeps_one_label_representation():
     assert imported == ["hom_tables"]
 
 
+def test_letters_become_digits_only_in_json_text():
+    """The digit table ``_DIGITS`` and the ``_Memo`` of digit texts are read
+    in ``WordSum.json_text`` and nowhere else in the package, so words turn
+    back into digits at one place."""
+    names = {"_DIGITS", "_Memo"}
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    word_sum = next(
+        node
+        for node in trees["words.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "WordSum"
+    )
+    json_text = next(
+        node
+        for node in word_sum.body
+        if isinstance(node, ast.FunctionDef) and node.name == "json_text"
+    )
+    inside = {id(node) for node in ast.walk(json_text)}
+    read_inside = {
+        node.id for node in ast.walk(json_text) if isinstance(node, ast.Name) and node.id in names
+    }
+    assert read_inside == names
+    readers = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names)
+        )
+    ]
+    assert readers == []
+
+
 def test_no_assert_statements():
     """Every engine contract is a raised ``EngineError`` (exit 3): an
     ``assert`` vanishes under ``python -O`` and otherwise ends in a

@@ -221,6 +221,30 @@ def test_divided_power_word_reached_again_from_the_left(double_edge, lam, p):
         )
 
 
+@pytest.mark.parametrize("lam", [(3, 0, 0), (1, 2, 0), (-2, 1, 1)])
+def test_divided_power_walk_starting_at_the_word_end(double_edge, lam):
+    """Round 1 of lowering (2,) by letter 1 puts a 1 after the 2, so round 2
+    walks (2, 1) from its first gap 2, the word's end: that gap alone is
+    filled, and no letter is read past it."""
+    u = ws(((2,), 1), ((3, 2), -2))
+    for p in (1, 2, 3):
+        assert as_tuples(rho_f(double_edge, lam, 1, u, p)) == (
+            iterated_divided_power(double_edge, lam, 1, as_tuples(u), p)
+        )
+
+
+@pytest.mark.parametrize("lam", [(9, 0, 0), (5, -1, 2)])
+def test_divided_power_word_reached_from_three_last_positions(double_edge, lam):
+    """Lowering (1, 1) by letter 1 reaches (1, 1, 1) from the three gaps of
+    round 1, so round 2 walks a state with three last positions; lowering
+    (1, 2, 1) reaches (1, 1, 2, 1) and (1, 2, 1, 1) from two each.  At
+    p = 4 the pointer crosses every pair."""
+    u = ws(((1, 1), 1), ((1, 2, 1), 3))
+    assert as_tuples(rho_f(double_edge, lam, 1, u, 4)) == (
+        iterated_divided_power(double_edge, lam, 1, as_tuples(u), 4)
+    )
+
+
 def test_g_v_lowers_once_per_nonzero_power(monkeypatch, word_gamma7):
     """Each nonzero entry of the socle multiplicities is one rho_f call."""
     calls = []
@@ -466,6 +490,44 @@ def test_json_text_is_canonical_json_of_the_oracle(terms):
     """Letters up to the rank limit (above 255 among them), negative and
     20-digit coefficients, words of mixed lengths, the empty word and the zero
     sum."""
+    oracle = WordSum(terms)
+    assert as_words(oracle).json_text() == json.dumps(
+        wordsum_json(oracle), sort_keys=True, separators=(",", ":")
+    )
+
+
+JSON_TEXT_CASES = {
+    # split after ceil(len / 2) letters: (1,) is the head of (1, 2) and the
+    # tail of (2, 1), and the other way round for (2,)
+    "head-of-one-tail-of-other": {(1, 2): 1, (2, 1): 1, (1, 2, 1): 2, (2, 1, 2): -2},
+    "single-letters": {(1,): 2, (3,): -1, (10,): 4, (44,): 5, (500,): 7},
+    # 44 is the code point of ","
+    "multi-digit-letters-at-the-split": {
+        (10, 44): 1,
+        (44, 10): 2,
+        (255, 256): 3,
+        (256, 255, 500): -4,
+        (500, 44, 10, 256): 5,
+        (10, 255, 44, 500): 6,
+    },
+    "mixed-lengths-with-the-empty-word": {(): 3, (2,): 1, (1, 2): -2, (2, 1, 2): 4, (3, 1, 2, 1, 2): 8},
+    # the head (1, 2) under three coefficients, and as a tail under a fourth
+    "one-half-under-several-coefficients": {
+        (1, 2, 3, 1): 1,
+        (1, 2, 1, 3): -2,
+        (1, 2, 2): 10**20,
+        (3, 1, 1, 2): 7,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_TEXT_CASES) + ["all-at-once"])
+def test_json_text_memoized_halves_match_the_oracle(name):
+    """Each case alone, then all in one sum, so one memo sees every half."""
+    if name == "all-at-once":
+        terms = {w: c for case in JSON_TEXT_CASES.values() for w, c in case.items()}
+    else:
+        terms = JSON_TEXT_CASES[name]
     oracle = WordSum(terms)
     assert as_words(oracle).json_text() == json.dumps(
         wordsum_json(oracle), sort_keys=True, separators=(",", ":")
