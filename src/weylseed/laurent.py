@@ -23,10 +23,14 @@ which is grlex order.  So:
   ``x * x`` forms each unordered pair of terms once;
 * a single-term value is key 0 over its base, so multiplying or dividing by
   it moves the base and scales the coefficients;
-* a sum re-bases each operand to the componentwise minimum of the bases by
+* a sum (also the numerator of a substitution, one operand per term)
+  re-bases each operand to the componentwise minimum of the bases by
   adding one packed offset to each key.  Only a key that cancels can raise
   a minimum or lower the top, and only then is the sum built again by the
   constructor;
+* a key moves to a wider width digit by digit: widths are whole bytes, so
+  each byte keeps its place within its digit, and that place over all the
+  keys' little-endian bytes is one strided slice;
 * over their bases both sides of an exact division are honest polynomials
   and so is the quotient, so grlex long division applies at the numerator's
   width.  The quotient's base and top are the numerator's minus the
@@ -37,16 +41,20 @@ which is grlex order.  So:
   ``lead(den)`` has the divisor's top degree; a divisor of higher degree is
   rejected up front.  ``(r | guard) - l`` borrows into no guard bit exactly
   when every digit of ``l`` is at most that of ``r``, which is the monomial
-  divisibility test.
+  divisibility test.  The division walks the numerator's keys, sorted once,
+  largest first; a key that a product adds and the numerator lacks goes on
+  a max-heap, and each step takes the larger of the two heads.  When the
+  divisor and the quotient have positive coefficients, as cluster variables
+  do, no product adds such a key and the heap stays empty.
 
 Exponent tuples are built only where they are read: the constructor packs
-them once (``_pack``), ``terms`` and ``sorted_terms`` unpack on each read
-(``_unpack``), and a value moving to another width goes through both.
+them once (``_pack``), and ``terms`` and ``sorted_terms`` unpack on each
+read (``_unpack``).
 """
 from __future__ import annotations
 
 from functools import cache, reduce
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import add, and_, lshift, mul, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -108,6 +116,23 @@ def _pack(
 ) -> dict[int, int]:
     """``{exp: coef}`` keyed by the packed digits of ``exp - base``."""
     return {_key(list(map(sub, exp, base)), bits): coef for exp, coef in terms.items()}
+
+
+def _widened(packed: dict[int, int], digits: int, bits: int, wide: int) -> dict[int, int]:
+    """``packed``, whose keys have ``digits`` digits of ``bits`` bits, with
+    each digit moved to ``wide`` bits.
+
+    Widths are whole bytes, so the keys' little-endian bytes laid end to end
+    move byte ``j`` of every digit by one strided slice.
+    """
+    old, new = bits >> 3, wide >> 3
+    raw = b"".join([key.to_bytes(digits * old, "little") for key in packed])
+    out = bytearray(len(raw) // old * new)
+    for j in range(old):
+        out[j::new] = raw[j::old]
+    view, size = memoryview(out), digits * new
+    keys = [int.from_bytes(view[i : i + size], "little") for i in range(0, len(out), size)]
+    return dict(zip(keys, packed.values()))
 
 
 def _unpack(
@@ -212,17 +237,18 @@ class LaurentPoly:
             raise ValidationError("operands use different variable tables")
 
     def _rebased(self, base: tuple[int, ...], bits: int) -> dict[int, int]:
-        """The keys over ``base``, at most ``self._base`` everywhere, and ``bits``.
+        """The keys over ``base``, at most ``self._base`` everywhere, and
+        ``bits``, no narrower than ``self._bits``.
 
-        The result is ``self._packed`` itself when nothing moves.  A wider
-        width, which is rare, goes through the exponent tuples.
+        The result is ``self._packed`` itself when nothing moves.
         """
+        packed = self._packed
         if bits != self._bits:
-            return _pack(self.terms, base, bits)
+            packed = _widened(packed, len(self.vars) + 1, self._bits, bits)
         if base == self._base:
-            return self._packed
+            return packed
         offset = _key(list(map(sub, self._base, base)), bits)
-        return {key + offset: coef for key, coef in self._packed.items()}
+        return {key + offset: coef for key, coef in packed.items()}
 
     def _top(self) -> int:
         """The largest shifted total degree ``D`` over the terms."""
@@ -231,28 +257,36 @@ class LaurentPoly:
     # -- arithmetic -----------------------------------------------------
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """``self + sign * other`` over the componentwise minimum of the bases."""
+        """``self + sign * other``."""
         self._check(other)
         if not other._packed:
             return self
         if not self._packed:
             return other if sign == 1 else -other
-        base = tuple(map(min, self._base, other._base))
-        top = max(self._top() + sum(self._base), other._top() + sum(other._base)) - sum(base)
-        # no operand's top lies above ``top``, so neither needs a wider width
-        bits = _width(top)
+        return self._sum([other], sign)
+
+    def _sum(self, others: Sequence["LaurentPoly"], sign: int) -> "LaurentPoly":
+        """``self + sign * sum(others)`` over the componentwise minimum of the
+        bases; ``self`` and every other value are nonzero."""
+        base, top = self._base, self._top() + sum(self._base)
+        for x in others:
+            base = tuple(map(min, base, x._base))
+            top = max(top, x._top() + sum(x._base))
+        # no operand's top lies above ``top``, so none needs a wider width
+        bits = _width(top - sum(base))
         out = self._rebased(base, bits)
         if out is self._packed:
             out = dict(out)
         cancelled = False
         get = out.get
-        for key, coef in other._rebased(base, bits).items():
-            s = get(key, 0) + sign * coef
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-                cancelled = True
+        for x in others:
+            for key, coef in x._rebased(base, bits).items():
+                s = get(key, 0) + sign * coef
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+                    cancelled = True
         if not out:
             return LaurentPoly(self.vars, {})
         if cancelled:
@@ -379,13 +413,19 @@ class LaurentPoly:
         guard = sum(1 << (s + bits - 1) for s in range(0, shift + bits, bits))
         lead, lead_coef = den_keys[0]
         tail = [(k, -c) for k, c in den_keys[1:]]
-        # max-heap of the remainder's keys; a key leaves the heap and ``rem``
-        # together, and a coefficient that cancels to 0 stays until popped
-        heap = [-k for k in rem]
-        heapify(heap)
+        # ``keys`` holds the numerator's keys in increasing order and is taken
+        # from the end; a key that a product adds and that is not in ``rem``
+        # goes on the max-heap ``side``, and each step takes the larger head.
+        # A key leaves ``rem`` when taken, and a coefficient that cancels to 0
+        # stays until then
+        keys = sorted(rem)
+        side: list[int] = []
         quot: dict[int, int] = {}
-        while heap:
-            r_key = -heappop(heap)
+        while keys or side:
+            if side and (not keys or -side[0] > keys[-1]):
+                r_key = -heappop(side)
+            else:
+                r_key = keys.pop()
             r_coef = rem.pop(r_key)
             if not r_coef:
                 continue
@@ -402,7 +442,7 @@ class LaurentPoly:
                 old = rem.get(k)
                 if old is None:
                     rem[k] = q_coef * c
-                    heappush(heap, -k)
+                    heappush(side, -k)
                 else:
                     rem[k] = old + q_coef * c
         # the quotient's top is the difference of the tops
@@ -434,15 +474,16 @@ class LaurentPoly:
         img_list = [images.get(name) for name in self.vars.names]
         shifts = [max(0, -min(col)) for col in cols]
         power = cache(lambda i, e: img_list[i] ** e)
-        acc: dict[tuple[int, ...], int] = {}
+        zero = (0,) * len(target)
+        values = []
         for exp, coef in terms.items():
-            shifted = map(add, exp, shifts)
-            term = LaurentPoly.product(
-                target, (power(i, e) for i, e in enumerate(shifted) if e)
-            )
-            for e, c in term.terms.items():
-                acc[e] = acc.get(e, 0) + coef * c
-        numerator = LaurentPoly(target, acc)
+            # the coefficient is the first factor: it scales one image power
+            factors = [LaurentPoly._make(target, zero, 8, {0: coef})]
+            factors += [power(i, e) for i, e in enumerate(map(add, exp, shifts)) if e]
+            term = LaurentPoly.product(target, factors)
+            if term:
+                values.append(term)
+        numerator = values[0]._sum(values[1:], 1) if values else LaurentPoly(target, {})
         if not any(shifts):
             return numerator
         denominator = LaurentPoly.product(

@@ -293,6 +293,14 @@ def test_exact_div_against_long_division_oracle(pair):
 def test_exact_div_goldens():
     y1, y2 = LaurentPoly.var(T2, "y1"), LaurentPoly.var(T2, "y2")
     assert (y1 * y1 - y2 * y2).exact_div(y1 - y2) == y1 + y2
+    # the first quotient term adds y1 * y2, a key the numerator lacks, which
+    # the walk must take between the numerator's keys; without the cancelling
+    # term there is no quotient
+    assert (y1 * y1 - y2 * y2).exact_div(y1 + y2) == y1 - y2
+    assert (y1**3 - y2**3).exact_div(y1 - y2) == y1 * y1 + y1 * y2 + y2 * y2
+    for num, den in [(y1 * y1, y1 - y2), (y1 * y1, y1 + y2), (y1**3, y1 - y2)]:
+        with pytest.raises(NotDivisibleError):
+            num.exact_div(den)
     # monomials are units of the Laurent ring, so they always divide
     assert (y1 + y2).exact_div(y1) == LaurentPoly(T2, {(0, 0): 1, (-1, 1): 1})
     one = LaurentPoly.one(T2)
@@ -691,8 +699,9 @@ def test_term_pair_limit_counts_unordered_pairs_of_a_square(monkeypatch):
 
 
 def test_mu_i_pass_keeps_values_packed(monkeypatch, wild3):
-    """A chain pass unpacks nothing and packs at most the initial variables:
-    no operation converts its operands or its result."""
+    """A chain pass packs and unpacks nothing: no operation converts its
+    operands or its result, not even the products that widen their digits on
+    the multiplication-heavy word."""
     calls = {"_pack": 0, "_unpack": 0}
     for name in calls:
 
@@ -701,8 +710,32 @@ def test_mu_i_pass_keeps_values_packed(monkeypatch, wild3):
             return original(*args)
 
         monkeypatch.setattr(laurent, name, counting)
-    word = ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3))
-    report = run_mu_i(word)
-    assert report.steps_checked == len(report.plan.steps)
-    assert calls["_unpack"] == 0
-    assert calls["_pack"] <= word.r
+    for letters in [(2, 3, 1, 3, 2, 3, 2, 1, 3), (3, 2, 3, 2, 1, 3, 2, 1, 3)]:
+        report = run_mu_i(ReducedWord(wild3, letters))
+        assert report.steps_checked == len(report.plan.steps)
+        assert calls == {"_pack": 0, "_unpack": 0}
+
+
+# values with 8-bit digits, and values with 16-bit digits: a far monomial
+# beside at least one other term puts the top digit at 138 or more
+narrow_t3 = small_polys(T3, -3, 4, 5)
+sixteen_bit_t3 = st.tuples(small_polys(T3, -3, 4, 4).filter(bool), monomials(T3, 50, 60)).map(
+    lambda t: t[0] + t[1]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(narrow_t3, st.sampled_from([16, 24])),
+        st.tuples(sixteen_bit_t3, st.just(24)),
+    ),
+    st.tuples(*[st.integers(0, 6)] * 3),
+)
+def test_widened_keys_match_packing_the_exponent_tuples(case, drop):
+    """Moving each digit to a wider width, over the base or over one lowered
+    by ``drop``, gives the keys that packing the exponent tuples gives."""
+    p, bits = case
+    assert (p._bits, bits) in {(8, 16), (8, 24), (16, 24)}
+    base = tuple(map(sub, p._base, drop))
+    assert p._rebased(base, bits) == laurent._pack(p.terms, base, bits)

@@ -244,10 +244,17 @@ def _reachability_documents(monkeypatch) -> list[list[str]]:
     workloads = importlib.import_module("workloads")
     a3 = {"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
     target = {"vars": ["y1", "y4"], "terms": [{"exp": [2, -1], "coef": "3"}]}
+    # the image of y4 has terms of degrees 2 and 1: squaring it up to the 64th
+    # power and adding the image of y6 widen 8-bit digits to 16 bits
+    wide = {
+        "vars": ["y4", "y6"],
+        "terms": [{"exp": [64, 0], "coef": "1"}, {"exp": [0, 1], "coef": "1"}],
+    }
     matrix = {"vertices": 3, "mutable": [1, 2], "rows": [[0, 1], [-1, 0], [1, -1]]}
     extra = [
         ("mutate", {"matrix": matrix, "path": [1, 2]}, "--mode", "specialized"),
         ("pbw", dict(a3, targets=[["V", 4], ["M", 5, 2], ["laurent", target]])),
+        ("pbw", dict(a3, targets=[["laurent", wide]])),
         ("identities", dict(a3, pairs=[[1, 1], [2, 2]])),
         ("phi-eval", dict(a3, pattern=[1, 2, 3], vars=["a", "b", "c"], positions=[4])),
     ]

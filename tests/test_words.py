@@ -473,6 +473,19 @@ def test_euler_cross_check_against_dual_basis(word_pbw6):
     )
 
 
+def test_a_sum_drops_zero_coefficients_from_its_own_copy():
+    """A sum keeps a copy of the terms it is given, without the zeros, with
+    or without a zero among them (``test_g_v_drops_words_that_cancel`` shows
+    the same for a lowering)."""
+    clean = {to_word((1, 2)): 3, to_word((2,)): -1}
+    mixed = {to_word((1,)): 0, **clean}
+    for terms in (clean, mixed):
+        u = WordSum(terms)
+        assert u.terms == clean and u.terms is not terms
+    assert mixed[to_word((1,))] == 0
+    assert WordSum().terms == {} and WordSum({"": 0}).terms == {}
+
+
 def test_wordsum_serialization_roundtrip():
     u = ws(((1, 2, 1), 4), ((2,), -1), ((), 3), ((12, 10), 10**20))
     assert wordsum_from_json(u.json_text()) == u
