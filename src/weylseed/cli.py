@@ -10,7 +10,7 @@ import json
 import random
 import sys
 from functools import partial
-from typing import Any
+from typing import Any, Iterator
 
 from . import acceptance
 from .cartan import CartanMatrix, QuiverOrientation, ReducedWord, _is_int
@@ -231,17 +231,30 @@ def _positions(doc: dict, word: ReducedWord) -> list[int]:
     return _int_list(doc.get("positions", list(range(1, word.r + 1))), "positions", 1, word.r)
 
 
-def cmd_euler_gen(doc, args) -> str:
-    """Writes its canonical text itself: a sum can hold tens of thousands of words."""
+def cmd_euler_gen(doc, args) -> Iterator[str]:
+    """Its canonical text in pieces: a sum can hold tens of thousands of words.
+
+    Every sum is lowered before the pieces start, so an ``EngineError`` comes
+    before any byte is written; each sum is formatted only as ``main`` writes
+    its pieces.
+    """
     word = _word_from_doc(doc)
-    out = []
+    sums = []
     for k in _positions(doc, word):
         try:
-            g = g_V(word, k)
+            sums.append((k, g_V(word, k)))
         except EngineError as exc:
             raise type(exc)(f"position {k}: {exc}") from exc
-        out.append('{"k":%d,"sum":%s,"words":%d}' % (k, g.json_text(), g.word_count()))
-    return '{"generating_functions":[' + ",".join(out) + "]}\n"
+
+    def pieces():
+        yield '{"generating_functions":['
+        for n, (k, g) in enumerate(sums):
+            yield '%s{"k":%d,"sum":' % ("," if n else "", k)
+            yield from g.json_text()
+            yield ',"words":%d}' % g.word_count()
+        yield "]}\n"
+
+    return pieces()
 
 
 def cmd_phi_eval(doc, args) -> dict:
@@ -373,17 +386,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = None if args.command == "selftest" else _load_doc(args)
-        # a command returns a document to dump, or its canonical text as a str
+        # a command returns a document to dump, or its canonical text in pieces
         result = COMMANDS[args.command](doc, args)
-        text = result if isinstance(result, str) else _dump(result)
+        pieces = [_dump(result)] if isinstance(result, dict) else result
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(pieces)
             except OSError as exc:
                 raise ValidationError(f"cannot write output: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

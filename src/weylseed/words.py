@@ -14,6 +14,7 @@ where they come in (``to_word``), and digits again only in ``json_text``.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cartan import MAX_RANK, CartanMatrix, ReducedWord, Weight, b_vector, fundamental_weight
@@ -71,30 +72,32 @@ class WordSum:
     def word_count(self) -> int:
         return len(self.terms)
 
-    def json_text(self) -> str:
-        """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]}.
+    def json_text(self) -> Iterator[str]:
+        """Canonical JSON text of {"terms": [{"coef": "c", "word": [...]}, ...]},
+        in pieces: ``{"terms":[``, one piece per run of terms that share a
+        head with a ``,`` between runs, then ``]}``.
 
         The terms come in (length, word) order: the words are sorted plainly,
         then stably by length.  A word is split after its first ceil(len / 2)
-        letters, and the digit text of each distinct head and tail is written
-        once, by one ``str.translate``, then looked up: a long sum holds far
-        fewer distinct halves than words.  Heads and tails have memos of
-        their own, since a head's text drops the leading comma and a tail's
-        keeps it.  The ``{"coef":"c","word":[`` prefix is memoized per
-        coefficient the same way.
+        letters, so the words of one head follow each other.  The digit text
+        of each head is written once per run, and that of each distinct tail
+        once in all, by one ``str.translate``: a long sum holds far fewer
+        distinct halves than words.  A head's text drops the leading comma
+        and a tail's keeps it.  The ``{"coef":"c","word":[`` prefix is
+        memoized per coefficient the same way as the tails.
         """
         terms = self.terms
         words = sorted(terms)
         words.sort(key=len)
-        heads = _Memo(lambda head: head.translate(_DIGITS)[1:])
         tails = _Memo(lambda tail: tail.translate(_DIGITS))
         prefixes = _Memo('{"coef":"%d","word":['.__mod__)
-        parts = [
-            "%s%s%s]}" % (prefixes[terms[w]], heads[w[:h]], tails[w[h:]])
-            for w in words
-            for h in ((len(w) + 1) // 2,)
-        ]
-        return '{"terms":[' + ",".join(parts) + "]}"
+        yield '{"terms":['
+        for n, (head, run) in enumerate(groupby(words, lambda w: w[: (len(w) + 1) // 2])):
+            if n:
+                yield ","
+            h, digits = len(head), head.translate(_DIGITS)[1:]
+            yield ",".join(["%s%s%s]}" % (prefixes[terms[w]], digits, tails[w[h:]]) for w in run])
+        yield "]}"
 
 
 def _shuffle_words(u: Word, v: Word) -> dict[Word, int]:

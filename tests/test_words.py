@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import re
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -67,7 +68,7 @@ def wordsum_json(u: WordSum) -> dict:
 
 
 def wordsum_from_json(text: str) -> WordSum:
-    """The inverse of ``WordSum.json_text``."""
+    """The inverse of the text that ``WordSum.json_text`` writes in pieces."""
     doc = json.loads(text)
     return WordSum({to_word(t["word"]): int(t["coef"]) for t in doc["terms"]})
 
@@ -488,7 +489,7 @@ def test_a_sum_drops_zero_coefficients_from_its_own_copy():
 
 def test_wordsum_serialization_roundtrip():
     u = ws(((1, 2, 1), 4), ((2,), -1), ((), 3), ((12, 10), 10**20))
-    assert wordsum_from_json(u.json_text()) == u
+    assert wordsum_from_json("".join(u.json_text())) == u
 
 
 @settings(max_examples=200, deadline=None)
@@ -504,7 +505,7 @@ def test_json_text_is_canonical_json_of_the_oracle(terms):
     20-digit coefficients, words of mixed lengths, the empty word and the zero
     sum."""
     oracle = WordSum(terms)
-    assert as_words(oracle).json_text() == json.dumps(
+    assert "".join(as_words(oracle).json_text()) == json.dumps(
         wordsum_json(oracle), sort_keys=True, separators=(",", ":")
     )
 
@@ -542,14 +543,27 @@ def test_json_text_memoized_halves_match_the_oracle(name):
     else:
         terms = JSON_TEXT_CASES[name]
     oracle = WordSum(terms)
-    assert as_words(oracle).json_text() == json.dumps(
+    assert "".join(as_words(oracle).json_text()) == json.dumps(
         wordsum_json(oracle), sort_keys=True, separators=(",", ":")
     )
 
 
 def test_json_text_of_the_zero_sum_and_the_unit():
-    assert WordSum().json_text() == '{"terms":[]}'
-    assert WordSum.unit().json_text() == '{"terms":[{"coef":"1","word":[]}]}'
+    assert list(WordSum().json_text()) == ['{"terms":[', "]}"]
+    assert "".join(WordSum.unit().json_text()) == '{"terms":[{"coef":"1","word":[]}]}'
+
+
+WORD_EVAL = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
+
+
+def test_json_text_of_a_long_sum_comes_in_small_pieces():
+    """The k = 6 sum of the word-eval document (58,625 words, 3.46 MB of
+    text) comes as one piece per head: many words a piece, none large."""
+    g = g_V(ReducedWord(CartanMatrix.from_edges(3, WORD_EVAL["edges"]), WORD_EVAL["word"]), 6)
+    pieces = list(g.json_text())
+    assert 1 < len(pieces) < g.word_count() == 58625
+    assert max(map(len, pieces)) <= 64 * 1024
+    assert wordsum_from_json("".join(pieces)) == g
 
 
 def decompositions_oracle(u: tuple, pattern) -> list[tuple[int, ...]]:
@@ -841,9 +855,40 @@ def test_word_limit_exits_3_naming_the_position(monkeypatch, capsys, command, li
     1,000 words at the k = 6 sum (58,625 words in full), and phi-eval, which
     keeps only the words its pattern reads, over 2 words at k = 3."""
     monkeypatch.setattr(words, "MAX_WORDS", limit)
-    doc = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [2, 3, 1, 2, 3, 1]}
-    assert main([command, "--inline", json.dumps(doc)]) == 3
-    assert json.loads(capsys.readouterr().err) == {
+    assert main([command, "--inline", json.dumps(WORD_EVAL)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
         "error": "TermLimitError",
         "detail": f"{detail}, over the limit of {limit}",
     }
+
+
+def test_word_limit_leaves_no_output_file(monkeypatch, capsys, tmp_path):
+    """``euler-gen`` lowers every sum before it writes a piece, so going over
+    the limit at k = 6 opens no output file."""
+    monkeypatch.setattr(words, "MAX_WORDS", 1000)
+    path = tmp_path / "out.json"
+    assert main(["euler-gen", "--inline", json.dumps(WORD_EVAL), "--output", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
+def test_euler_gen_peak_is_the_lowering_peak(capsys):
+    """Formatting adds at most 5% to the tracemalloc peak of lowering the
+    word-eval document's k = 6 sum: the text goes out one piece at a time."""
+    argv = ["euler-gen", "--inline", json.dumps(WORD_EVAL)]
+    word = ReducedWord(CartanMatrix.from_edges(3, WORD_EVAL["edges"]), WORD_EVAL["word"])
+    assert main(argv) == 0  # warm up
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        g_V(word, 6)
+        lowering = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        document = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out) > 3_400_000
+    assert document <= 1.05 * lowering
