@@ -14,7 +14,7 @@ from typing import Any, Iterator
 
 from . import acceptance
 from .cartan import CartanMatrix, QuiverOrientation, ReducedWord, _is_int
-from .errors import EngineError, ValidationError, WeylseedError
+from .errors import EngineError, ValidationError, WeylseedError, located
 from .homdata import (
     hom_tables,
     initial_delta_labels,
@@ -146,8 +146,9 @@ def _walk_labels(doc: dict, word: ReducedWord, labels, exchange) -> dict:
     """Exchange ``labels`` along ``path``, mutating the word's matrix once per step."""
     matrix = b_matrix(gamma_i(word))
     picks = []
-    for k in _int_list(doc.get("path", []), "path", 1, word.r):
-        move = exchange(matrix, labels, k)
+    for n, k in enumerate(_int_list(doc.get("path", []), "path", 1, word.r), start=1):
+        with located(f"step {n}, vertex {k}"):
+            move = exchange(matrix, labels, k)
         matrix, labels = matrix.mutate(k), move.labels
         picks.append("in" if move.picked_in_side else "out")
     return {"labels": [list(v) for v in labels], "sides": picks}
@@ -212,17 +213,17 @@ def cmd_pbw(doc, args) -> dict:
     results = []
     for n, target in enumerate(targets, start=1):
         kind, *rest = target if isinstance(target, list) and target else [None]
-        try:
+        with located(f"target {n}"):
             if kind == "V" and len(_int_list(rest, "V target", 1, word.r)) == 1:
                 poly = expander.expand_initial(rest[0])
             elif kind == "M" and len(_int_list(rest, "M target", 0, word.r + 1)) == 2:
-                poly = expander.expand(IntervalLabel(*rest))
+                label = IntervalLabel(*rest)
+                label.validate(word)
+                poly = expander.expand(label)
             elif kind == "laurent" and len(rest) == 1:
                 poly = expander.expand_laurent(LaurentPoly.from_json(rest[0]))
             else:
                 raise ValidationError(f"unknown expansion target {target!r}")
-        except EngineError as exc:
-            raise type(exc)(f"target {n}: {exc}") from exc
         results.append({"target": target, "poly": poly.to_json()})
     return {"expansions": results}
 
@@ -241,10 +242,8 @@ def cmd_euler_gen(doc, args) -> Iterator[str]:
     word = _word_from_doc(doc)
     sums = []
     for k in _positions(doc, word):
-        try:
+        with located(f"position {k}"):
             sums.append((k, g_V(word, k)))
-        except EngineError as exc:
-            raise type(exc)(f"position {k}: {exc}") from exc
 
     def pieces():
         yield '{"generating_functions":['
@@ -273,10 +272,8 @@ def cmd_phi_eval(doc, args) -> dict:
     letters = to_word(pattern)
     out = []
     for k in _positions(doc, word):
-        try:
+        with located(f"position {k}"):
             val = phi_eval(g_V(word, k, letters), letters, names)
-        except EngineError as exc:
-            raise type(exc)(f"position {k}: {exc}") from exc
         out.append({"k": k, "value": val.to_json()})
     return {"pattern": pattern, "values": out}
 

@@ -3,8 +3,10 @@
 Every bad user input raises ValidationError itself (CLI exit code 2, which
 prints only the message).  Violated internal contracts such as failed exact
 divisions raise a subclass of EngineError (exit code 3), whose diagnostic
-names the class.
+names the class.  ``located`` puts where an engine error happened, such as
+the step and vertex of a pass, before its detail, keeping its class.
 """
+from contextlib import contextmanager
 
 
 class WeylseedError(Exception):
@@ -49,3 +51,12 @@ class IdentityFailsError(EngineError):
 
 class MismatchError(EngineError):
     pass
+
+
+@contextmanager
+def located(where: str):
+    """Re-raise an EngineError of the block as its own class, "{where}: " first."""
+    try:
+        yield
+    except EngineError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

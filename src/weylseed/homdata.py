@@ -164,8 +164,6 @@ def _mutate_labels(
     k: int,
     weights: Sequence[int],
 ) -> MutationStep:
-    if len(labels) != matrix.r:
-        raise ValidationError("label count must match vertex count")
     in_sum, out_sum = _side_sums(matrix, labels, k)
     picked_in = sum(map(mul, in_sum, weights)) > sum(map(mul, out_sum, weights))
     picked, other = (in_sum, out_sum) if picked_in else (out_sum, in_sum)

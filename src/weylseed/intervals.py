@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cartan import ReducedWord
 from .errors import (
-    EngineError,
     IdentityFailsError,
     NotDivisibleError,
     NotPolynomialAfterSubstitutionError,
     StepMismatchError,
     ValidationError,
+    located,
 )
 from .homdata import hom_tables
 from .laurent import LaurentPoly, VarTable
@@ -109,38 +109,6 @@ def mu_i_plan(word: ReducedWord) -> MutationPlan:
     return MutationPlan(word.printed, tuple(steps), tuple(groups))
 
 
-def _identity_rhs(
-    word: ReducedWord, k: int, s: int
-) -> tuple[tuple[IntervalLabel, IntervalLabel], tuple[tuple[IntervalLabel, int], ...]]:
-    """The right-hand side of the pass-k exchange identity at chain position
-    s (letters of k and s must agree): the pair ([s+, k], [s, k+]) and the
-    product factors with their exponents.
-
-    The factors sit at the positions k_min(s) < t < s+ linked to s
-    (``crossing_links``): those above s, then those below, each in
-    increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
-    where k^j is the first position at or above k carrying j = i_t, or
-    r + 1 (the unit) when there is none.
-    """
-    chain, c = word.place(k)
-    chain_s, m = word.place(s)
-    if chain_s != chain:
-        raise ValidationError("positions must carry the same letter")
-    if m + 1 == len(chain):
-        raise ValidationError(f"position {s} is a final occurrence, never exchanged")
-    if m < c:
-        raise ValidationError(f"position {s} sits below {k} on the chain")
-    above, below = [], []
-    for t, q in crossing_links(word, s):
-        if t > chain[0]:
-            other, i = word.place(t)
-            low = bisect_left(other, k, 0, i + 1)
-            bottom = other[low] if low < len(other) else word.r + 1
-            (above if t > s else below).append((IntervalLabel(t, bottom), q))
-    pair = (IntervalLabel(chain[m + 1], k), IntervalLabel(s, chain[c + 1]))
-    return pair, tuple(above + below)
-
-
 def identity_sides(
     word: ReducedWord, k: int, s: int
 ) -> tuple[
@@ -149,14 +117,31 @@ def identity_sides(
     tuple[tuple[IntervalLabel, int], ...],
 ]:
     """The labels of the exchange identity for the pass-k mutation at chain
-    position s (letters of k and s must agree).
+    position s, a pair that ``identity_step`` accepts: the lhs pair
+    ([s, k], [s+, k+]), the rhs first-term pair ([s+, k], [s, k+]) and the
+    rhs product factors with their exponents.  Unit labels are kept and
+    must be dropped by consumers.
 
-    Returns (lhs pair, rhs first-term pair, rhs product factors with
-    exponents); unit labels are kept and must be dropped by consumers.
+    The factors sit at the positions k_min(s) < t < s+ linked to s
+    (``crossing_links``): those above s, then those below, each in
+    increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
+    where k^j is the first position at or above k carrying j = i_t, or
+    r + 1 (the unit) when there is none.
     """
-    pair, factors = _identity_rhs(word, k, s)
-    sp, kp = pair[0].b, pair[1].a
-    return (IntervalLabel(s, k), IntervalLabel(sp, kp)), pair, factors
+    chain, c = word.place(k)
+    sp, kp = chain[word.occ_index(s) + 1], chain[c + 1]
+    above, below = [], []
+    for t, q in crossing_links(word, s):
+        if t > chain[0]:
+            other, i = word.place(t)
+            low = bisect_left(other, k, 0, i + 1)
+            bottom = other[low] if low < len(other) else word.r + 1
+            (above if t > s else below).append((IntervalLabel(t, bottom), q))
+    return (
+        (IntervalLabel(s, k), IntervalLabel(sp, kp)),
+        (IntervalLabel(sp, k), IntervalLabel(s, kp)),
+        tuple(above + below),
+    )
 
 
 def expected_final_label(word: ReducedWord, v: int) -> IntervalLabel:
@@ -212,7 +197,7 @@ def _check_exchange(
     weight_minus: Sequence[int],
 ) -> None:
     """Check the label bags of ``sides`` and their weights against the step's identity."""
-    rhs_pair, factors = _identity_rhs(word, step.group, step.before.b)
+    rhs_pair, factors = identity_sides(word, step.group, step.before.b)[1:]
     pair, product = _label_bag((lab, 1) for lab in rhs_pair), _label_bag(factors)
     weighed = []
     for side in sides:
@@ -279,10 +264,8 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
         sides = matrix.neighbors(v)
         _check_exchange(word, labels, sides, step, weight, weight_minus)
         if max_seed_steps is None or step.index <= max_seed_steps:
-            try:
+            with located(f"step {step.index}, vertex {v}"):
                 cluster[v - 1] = exchange(cluster, v, sides)
-            except EngineError as exc:
-                raise type(exc)(f"step {step.index}, vertex {v}: {exc}") from exc
             label_values[step.after] = cluster[v - 1]
         matrix = matrix.mutate(v)
         labels[v - 1] = step.after
@@ -309,6 +292,16 @@ def identity_step(word: ReducedWord, k: int, s: int) -> int:
     return 1 + m + sum(_pass_length(word, kp) for kp in range(1, k))
 
 
+def _product(
+    table: VarTable,
+    value: Callable[[IntervalLabel], LaurentPoly],
+    pairs: Iterable[tuple[IntervalLabel, int]],
+) -> LaurentPoly:
+    """The product of value(label) ** q over the (label, q) pairs; unit labels
+    are the constant one and are left out."""
+    return LaurentPoly.product(table, (value(lab) ** q for lab, q in pairs if not lab.is_unit))
+
+
 def verify_identity(
     word: ReducedWord,
     k: int,
@@ -329,14 +322,9 @@ def verify_identity(
             raise ValidationError(f"label {lab} was not produced by the pass")
         return label_values[lab]
 
-    # unit labels are the constant one and are left out of every product
-    lhs = LaurentPoly.product(table, (value(lab) for lab in lhs_pair if not lab.is_unit))
-    rhs1 = LaurentPoly.product(table, (value(lab) for lab in rhs_pair if not lab.is_unit))
-    rhs2 = LaurentPoly.product(
-        table, (value(lab) ** q for lab, q in factors if not lab.is_unit)
-    )
-    ok = lhs == rhs1 + rhs2
-    if not ok:
+    lhs = _product(table, value, ((lab, 1) for lab in lhs_pair))
+    rhs1 = _product(table, value, ((lab, 1) for lab in rhs_pair))
+    if lhs != rhs1 + _product(table, value, factors):
         raise IdentityFailsError(
             f"identity at (k={k}, s={s}) fails: {lhs_pair} vs {rhs_pair} + {factors}"
         )
@@ -365,7 +353,6 @@ class PBWExpander:
 
     def expand(self, label: IntervalLabel) -> LaurentPoly:
         word = self.word
-        label.validate(word)
         if label.is_unit:
             return LaurentPoly.one(self.table)
         if label in self._cache:
@@ -378,17 +365,11 @@ class PBWExpander:
         # label = [b_prev^+, a] is rhs_pair[0] of the exchange identity at
         # (k=a, s=b_prev)
         lhs_pair, rhs_pair, factors = identity_sides(word, label.a, b_prev)
-        expand = self.expand
-        lhs = LaurentPoly.product(
-            self.table, (expand(lab) for lab in lhs_pair if not lab.is_unit)
-        )
-        rhs2 = LaurentPoly.product(
-            self.table, (expand(lab) ** q for lab, q in factors if not lab.is_unit)
-        )
-        out = lhs - rhs2
+        lhs = _product(self.table, self.expand, ((lab, 1) for lab in lhs_pair))
+        out = lhs - _product(self.table, self.expand, factors)
         if not rhs_pair[1].is_unit:
             try:
-                out = out.exact_div(expand(rhs_pair[1]))
+                out = out.exact_div(self.expand(rhs_pair[1]))
             except NotDivisibleError as exc:
                 raise NotPolynomialAfterSubstitutionError(
                     f"expansion of {label} is not polynomial"

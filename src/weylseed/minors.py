@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cartan import ReducedWord
-from .errors import MismatchError, ValidationError
+from .errors import MismatchError, ValidationError, located
 from .laurent import LaurentPoly, VarTable
 from .words import g_V, phi_eval, to_word
 
@@ -81,7 +81,8 @@ def cross_validate(
     out = []
     for k, (rows, cols) in enumerate(specs, start=1):
         lhs = passes[rows].get(cols)
-        rhs = phi_eval(g_V(word, k, pattern), pattern, var_names)
+        with located(f"position {k}"):
+            rhs = phi_eval(g_V(word, k, pattern), pattern, var_names)
         if lhs != rhs:
             raise MismatchError(
                 f"position {k}: minor with rows {list(rows)} and columns "

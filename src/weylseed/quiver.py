@@ -25,33 +25,23 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cartan import QuiverOrientation, ReducedWord, _is_int
-from .errors import EngineError, ValidationError
+from .errors import ValidationError, located
 from .laurent import LaurentPoly, VarTable
 
 
 @dataclass(frozen=True)
 class Quiver:
-    """Vertices 1..r, a frozen subset, and an arrow multiset."""
+    """Vertices 1..r, a frozen subset, and an arrow multiset.
+
+    Its arrows are not checked here: ``gamma_i`` builds them valid by
+    construction, and ``coefficient_free_matrix`` takes them from arrows that
+    ``QuiverOrientation.from_arrows`` has checked, merges repeats and
+    rejects a 2-cycle itself.
+    """
 
     r: int
     frozen: frozenset[int]
     arrows: tuple[tuple[int, int, int], ...]  # (source, target, multiplicity)
-
-    def __post_init__(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        for s, t, m in self.arrows:
-            if not (1 <= s <= self.r and 1 <= t <= self.r):
-                raise ValidationError(f"arrow {(s, t)} out of range")
-            if s == t:
-                raise ValidationError("loops are not allowed")
-            if m < 1:
-                raise ValidationError("arrow multiplicity must be positive")
-            if (s, t) in seen:
-                raise ValidationError("duplicate arrow entry; merge multiplicities")
-            seen.add((s, t))
-        for s, t, _ in self.arrows:
-            if (t, s) in seen and not (s in self.frozen and t in self.frozen):
-                raise ValidationError(f"2-cycle between {s} and {t}")
 
     @property
     def mutable(self) -> tuple[int, ...]:
@@ -275,8 +265,6 @@ class Seed:
     __slots__ = ("matrix", "cluster")
 
     def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly]):
-        if len(cluster) != matrix.r:
-            raise ValidationError("cluster size must match vertex count")
         self.matrix = matrix
         self.cluster = tuple(cluster)
 
@@ -300,10 +288,8 @@ class Seed:
         """The seed after each step of ``path``; an engine error names the step and vertex."""
         seed = self
         for step, k in enumerate(path, start=1):
-            try:
+            with located(f"step {step}, vertex {k}"):
                 seed = seed.mutate(k)
-            except EngineError as exc:
-                raise type(exc)(f"step {step}, vertex {k}: {exc}") from exc
             yield seed
 
     def specialize_frozen(self) -> tuple[LaurentPoly, ...]:
@@ -384,6 +370,9 @@ def coefficient_free_matrix(orientation: QuiverOrientation) -> ExchangeMatrix:
     mult: dict[tuple[int, int], int] = {}
     for s, t, m in orientation.arrows:
         mult[(s, t)] = mult.get((s, t), 0) + m
+    for s, t in mult:
+        if (t, s) in mult:
+            raise ValidationError(f"2-cycle between {s} and {t}")
     arrows = tuple((s, t, m) for (s, t), m in mult.items())
     return b_matrix(Quiver(orientation.cartan.n, frozenset(), arrows))
 

@@ -349,13 +349,10 @@ def phi_eval(
     q of the result is the parameter of the q-th factor.  The coefficient of
     t^a is the flag Euler characteristic for exponents a, i.e. the word
     coefficient divided by the product of factorials; integrality of that
-    division is asserted.
+    division is asserted.  ``var_names`` holds one name per pattern letter.
     """
-    p = len(pattern)
     if var_names is None:
-        var_names = [f"t{q}" for q in range(1, p + 1)]
-    elif len(var_names) != p:
-        raise ValidationError("need one variable name per pattern letter")
+        var_names = [f"t{q}" for q in range(1, len(pattern) + 1)]
     terms: dict[tuple[int, ...], int] = {}
     for u, coef in g.terms.items():
         for a in _decompositions(u, pattern):

@@ -8,6 +8,7 @@ from weylseed import cli, intervals, laurent, quiver
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import MAX_RANK, CartanMatrix, ReducedWord
 from weylseed.cli import _dump, main
+from weylseed.errors import MismatchError
 from weylseed.laurent import LaurentPoly
 from weylseed.quiver import Seed, SeedRegistry
 from weylseed.words import g_V
@@ -159,6 +160,30 @@ def test_dimvec_commands(capsys):
     assert parsed["labels"][0] == [1, 6, 6, 11, 22, 16, 36]
     code, out = run(capsys, "delta-dimvec", "--inline", json.dumps(doc))
     assert code == 0 and json.loads(out)["labels"][0] == [1, 4, 0, 0, 0, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "command, exchange", [("dimvec", "mutate_dimvec"), ("delta-dimvec", "mutate_delta_dimvec")]
+)
+def test_label_walk_error_names_the_step(monkeypatch, capsys, command, exchange):
+    """An engine error in a label exchange names the step and the vertex, as
+    ``mutate``, ``walk`` and ``mu-i`` do: the second exchange fails here."""
+    real, calls = getattr(cli, exchange), []
+
+    def failing(matrix, labels, k, **kw):
+        calls.append(k)
+        if len(calls) == 2:
+            raise MismatchError(f"exchange at vertex {k} fails")
+        return real(matrix, labels, k, **kw)
+
+    monkeypatch.setattr(cli, exchange, failing)
+    assert main([command, "--inline", json.dumps(dict(GAMMA7, path=[4, 1, 2]))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "MismatchError",
+        "detail": "step 2, vertex 1: exchange at vertex 1 fails",
+    }
 
 
 def test_mu_i_plan_only_e8(capsys):
@@ -628,6 +653,11 @@ REPEATED_EXPONENT = {"vars": ["y1"], "terms": [{"exp": [1], "coef": "1"}, {"exp"
         ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[0]))],
         ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[1.0]))],
         ["euler-gen", "--inline", json.dumps(dict(A2_WORD, positions=[True]))],
+        # pairs and labels are checked where they enter, not in the engine
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=[[1, 2]]))],
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=[[1, 3]]))],
+        ["identities", "--inline", json.dumps(dict(A2_WORD, pairs=[[3, 1]]))],
+        ["pbw", "--inline", json.dumps(dict(A2_WORD, targets=[["M", 2, 1]]))],
     ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, argv):

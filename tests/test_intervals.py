@@ -222,22 +222,22 @@ def test_check_reads_each_plan_step_identity(monkeypatch):
     words += [
         random_reduced_word(rng, rng.choice(TAME_POOL), rng.randint(2, 12)) for _ in range(30)
     ]
-    rhs = intervals._identity_rhs
+    sides = intervals.identity_sides
     for word in words:
         seen = []
 
         def recorded(w, k, s):
-            seen.append((k, s, rhs(w, k, s)))
+            seen.append((k, s, sides(w, k, s)))
             return seen[-1][2]
 
-        monkeypatch.setattr(intervals, "_identity_rhs", recorded)
+        monkeypatch.setattr(intervals, "identity_sides", recorded)
         run_mu_i(word, max_seed_steps=0)
         monkeypatch.undo()
         assert [(k, s) for k, s, _ in seen] == [
             (step.group, step.before.b) for step in mu_i_plan(word).steps
         ]
         for k, s, out in seen:
-            assert out == identity_sides(word, k, s)[1:] == identity_sides_by_scan(word, k, s)[1:]
+            assert out[1:] == identity_sides(word, k, s)[1:] == identity_sides_by_scan(word, k, s)[1:]
 
 
 def test_verify_identities_a4(word_a4_shift):
@@ -397,14 +397,14 @@ def test_label_check_stops_where_the_dense_rule_does(monkeypatch):
 def test_neighborhood_mismatch_names_both_bags(monkeypatch, word_a4_shift):
     """A wrong identity pattern stops the pass with the label bag of each side
     and the expected pair and factor bags: the factor rule that the check
-    shares with ``identity_sides`` doubles every exponent."""
-    rhs = intervals._identity_rhs
+    reads from ``identity_sides`` doubles every exponent."""
+    sides = intervals.identity_sides
 
     def doubled(word, k, s):
-        pair, factors = rhs(word, k, s)
-        return pair, tuple((lab, 2 * q) for lab, q in factors)
+        lhs, pair, factors = sides(word, k, s)
+        return lhs, pair, tuple((lab, 2 * q) for lab, q in factors)
 
-    monkeypatch.setattr(intervals, "_identity_rhs", doubled)
+    monkeypatch.setattr(intervals, "identity_sides", doubled)
     with pytest.raises(StepMismatchError) as info:
         run_mu_i(word_a4_shift, max_seed_steps=0)
     assert re.fullmatch(

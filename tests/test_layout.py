@@ -69,6 +69,27 @@ def test_only_quiver_reads_matrix_columns():
     assert readers == []
 
 
+def test_only_located_and_main_catch_engine_errors():
+    """``errors.located`` is the one rule that puts a step, position or target
+    before an engine error's detail, and ``cli.main`` the one place that
+    turns the error into exit 3: no other function has ``except EngineError``."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so inner ones own their body
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        sites += [
+            f"{path.name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and "EngineError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+        ]
+    assert sites == ["cli.py:main", "errors.py:located"]
+
+
 def test_only_cartan_reads_private_word_attributes():
     """The chain tables of ``ReducedWord`` stay behind its module: no other
     package module reads a private attribute or method of the class, so

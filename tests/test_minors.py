@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from weylseed import minors
+from weylseed import minors, words
 from weylseed.acceptance import random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord
 from weylseed.cli import main
@@ -302,3 +302,22 @@ def test_minor_check_mismatch_names_sizes_not_values(monkeypatch, capsys):
         "detail": "position 1: minor with rows [1] and columns [2] (6 terms) "
         "differs from its evaluation (7 terms)",
     }
+
+
+def test_minor_check_names_the_position_of_a_lowering_failure(monkeypatch, capsys):
+    """A lowering over the word limit names its position in ``minor-check``
+    as in ``phi-eval``, which evaluates the same sums on the same pattern."""
+    monkeypatch.setattr(words, "MAX_WORDS", 3)
+    doc = json.dumps(a_doc(3, (1, 2, 1, 3, 2, 1)))
+    diagnostics = []
+    for command in ("phi-eval", "minor-check"):
+        assert main([command, "--inline", doc]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diagnostics.append(json.loads(captured.err))
+    assert diagnostics == 2 * [
+        {
+            "error": "TermLimitError",
+            "detail": "position 5: lowering by letter 2, round 1 of 1: 4 words, over the limit of 3",
+        }
+    ]
