@@ -10,8 +10,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ValidationError
@@ -21,6 +21,8 @@ Root = tuple[int, ...]
 MAX_RANK = 500
 # A weight lam as its coroot pairings (lam(alpha_1^vee), ..., lam(alpha_n^vee)).
 Weight = tuple[int, ...]
+# A crossing link (t, q, chain of t, index of t on it); see ReducedWord.links.
+Link = tuple[int, int, tuple[int, ...], int]
 
 
 def _is_int(x) -> bool:
@@ -206,11 +208,39 @@ class ReducedWord:
         """k[i_k]: occurrences of the letter of k strictly before k."""
         return self.place(k)[1]
 
-    def last_below(self, p: int, j: int) -> int:
-        """The last position below p carrying letter j; 0 when there is none."""
-        chain = self.chain(j)
-        i = bisect_left(chain, p)
-        return chain[i - 1] if i else 0
+    def links(self, s: int) -> tuple[Link, ...]:
+        """The crossing links of s, in increasing t: (t, q_{i_s, i_t}, the
+        chain of t, the index of t on it) for the positions t != s with
+        t+ >= s+ > t and q nonzero.
+
+        Such a t is the last occurrence of its letter below s+, so each letter
+        joined to i_s gives at most one link; on the chain of s only t = s
+        qualifies, and it is not joined to itself.
+        """
+        self.letter(s)  # range check
+        return self._links[s - 1]
+
+    @cached_property
+    def _links(self) -> tuple[tuple[Link, ...], ...]:
+        """The link table, built on first read in one upward sweep over the
+        positions p = 1..r+1: when the sweep reaches p = s+, the last
+        occurrence below p of each letter joined to i_s is a link of s."""
+        pos, chains, occ = self._pos, self._chains, self._occ
+        adjacent = {j: self.cartan.adjacent(j) for j in chains}
+        last: dict[int, int] = {}  # letter -> its last position below the sweep
+        table: list[tuple[Link, ...]] = [()] * self.r
+
+        def close(s: int) -> None:
+            found = sorted((last[j], q) for j, q in adjacent[pos[s - 1]] if j in last)
+            table[s - 1] = tuple((t, q, chains[pos[t - 1]], occ[t - 1]) for t, q in found)
+
+        for p, (letter, s) in enumerate(zip(pos, self._k_minus), start=1):
+            if s:  # p = s+
+                close(s)
+            last[letter] = p
+        for chain in chains.values():
+            close(chain[-1])  # s+ = r + 1
+        return tuple(table)
 
     def k_minus(self, k: int) -> int:
         """The previous position on the chain of k; 0 at its start."""

@@ -45,6 +45,11 @@ from .quiver import (
 )
 from .words import g_V, phi_eval, to_word
 
+# Largest accepted `walk --depth`: the output lists the whole path, and each
+# step mutates a seed whose Laurent values may grow, so work and bytes grow
+# with the depth.
+MAX_WALK_DEPTH = 10**4
+
 
 def _dump(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -113,6 +118,8 @@ def cmd_mutate(doc, args) -> dict:
 
 
 def cmd_walk(doc, args) -> dict:
+    if args.depth > MAX_WALK_DEPTH:
+        raise ValidationError(f"walk depth {args.depth} exceeds the limit of {MAX_WALK_DEPTH}")
     seed = Seed.from_word(_word_from_doc(doc))
     rng, mutable, path = random.Random(args.seed), seed.matrix.mutable, []
     registry = SeedRegistry()

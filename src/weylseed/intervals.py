@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cartan import ReducedWord
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .homdata import hom_tables
 from .laurent import LaurentPoly, VarTable
-from .quiver import ExchangeMatrix, Seed, b_matrix, crossing_links, exchange, gamma_i
+from .quiver import ExchangeMatrix, Seed, b_matrix, exchange, gamma_i
 
 
 class IntervalLabel(NamedTuple):
@@ -49,6 +50,11 @@ class IntervalLabel(NamedTuple):
         return "1" if self.is_unit else f"M[{self.b},{self.a}]"
 
 
+# IntervalLabel((b, a)) built by tuple.__new__ in C, skipping the Python-level
+# __new__ of a NamedTuple; the step check builds several labels per step
+_label = partial(tuple.__new__, IntervalLabel)
+
+
 class PlanStep(NamedTuple):
     index: int  # 1-based position in the plan
     group: int  # word position whose chain pass this step belongs to
@@ -64,6 +70,9 @@ class PlanStep(NamedTuple):
             "before": [self.before.b, self.before.a],
             "after": [self.after.b, self.after.a],
         }
+
+
+_step = partial(tuple.__new__, PlanStep)  # PlanStep((index, ...)) built in C
 
 
 @dataclass(frozen=True)
@@ -102,9 +111,9 @@ def mu_i_plan(word: ReducedWord) -> MutationPlan:
         chain, c = word.place(k)
         group = chain[: _pass_length(word, k)]
         for i, vertex in enumerate(group, start=c):  # chain[i] is k^(i - c)
-            before = IntervalLabel(chain[i], k)
-            after = IntervalLabel(chain[i + 1], chain[c + 1])
-            steps.append(PlanStep(len(steps) + 1, k, vertex, before, after))
+            before = _label((chain[i], k))
+            after = _label((chain[i + 1], chain[c + 1]))
+            steps.append(_step((len(steps) + 1, k, vertex, before, after)))
         groups.append(group)
     return MutationPlan(word.printed, tuple(steps), tuple(groups))
 
@@ -123,23 +132,22 @@ def identity_sides(
     must be dropped by consumers.
 
     The factors sit at the positions k_min(s) < t < s+ linked to s
-    (``crossing_links``): those above s, then those below, each in
+    (``ReducedWord.links``): those above s, then those below, each in
     increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
     where k^j is the first position at or above k carrying j = i_t, or
     r + 1 (the unit) when there is none.
     """
     chain, c = word.place(k)
-    sp, kp = chain[word.occ_index(s) + 1], chain[c + 1]
+    sp, kp = word.k_plus(s), chain[c + 1]
     above, below = [], []
-    for t, q in crossing_links(word, s):
+    for t, q, other, i in word.links(s):
         if t > chain[0]:
-            other, i = word.place(t)
             low = bisect_left(other, k, 0, i + 1)
             bottom = other[low] if low < len(other) else word.r + 1
-            (above if t > s else below).append((IntervalLabel(t, bottom), q))
+            (above if t > s else below).append((_label((t, bottom)), q))
     return (
-        (IntervalLabel(s, k), IntervalLabel(sp, kp)),
-        (IntervalLabel(sp, k), IntervalLabel(s, kp)),
+        (_label((s, k)), _label((sp, kp))),
+        (_label((sp, k)), _label((s, kp))),
         tuple(above + below),
     )
 
@@ -179,15 +187,6 @@ class MuIReport:
         return True
 
 
-def _label_bag(pairs: Iterable[tuple[IntervalLabel, int]]) -> dict[IntervalLabel, int]:
-    """Multiset of the non-unit labels, each with its summed multiplicity."""
-    bag: dict[IntervalLabel, int] = {}
-    for lab, mult in pairs:
-        if not lab.is_unit:
-            bag[lab] = bag.get(lab, 0) + mult
-    return bag
-
-
 def _check_exchange(
     word: ReducedWord,
     labels: Sequence[IntervalLabel],
@@ -198,7 +197,10 @@ def _check_exchange(
 ) -> None:
     """Check the label bags of ``sides`` and their weights against the step's identity."""
     rhs_pair, factors = identity_sides(word, step.group, step.before.b)[1:]
-    pair, product = _label_bag((lab, 1) for lab in rhs_pair), _label_bag(factors)
+    # the non-unit labels with their multiplicities; the two pair labels, and
+    # the factors, have distinct tops b, so no label repeats within a bag
+    pair = {lab: 1 for lab in rhs_pair if lab.a <= lab.b}
+    product = {lab: q for lab, q in factors if lab.a <= lab.b}
     weighed = []
     for side in sides:
         bag: dict[IntervalLabel, int] = {}

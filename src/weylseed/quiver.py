@@ -55,24 +55,6 @@ class Quiver:
         }
 
 
-def crossing_links(word: ReducedWord, s: int) -> list[tuple[int, int]]:
-    """(t, q_{i_s, i_t}) for the positions t with t+ >= s+ > t, t != s and
-    q nonzero, in increasing t.
-
-    Such a t is the last occurrence of its letter below s+, so each letter
-    joined to i_s gives at most one t, found by one bisection of its chain.
-    On the chain of s itself only t = s qualifies.
-    """
-    sp = word.k_plus(s)
-    links = []
-    for j, q in word.cartan.adjacent(word.letter(s)):
-        t = word.last_below(sp, j)
-        if t:
-            links.append((t, q))
-    links.sort()
-    return links
-
-
 def gamma_i(word: ReducedWord) -> Quiver:
     """The quiver attached to a reduced word.
 
@@ -85,7 +67,7 @@ def gamma_i(word: ReducedWord) -> Quiver:
         sm = word.k_minus(s)
         if sm > 0:
             arrows.append((s, sm, 1))
-        arrows += [(s, t, q) for t, q in crossing_links(word, s) if t > s]
+        arrows += [(s, t, q) for t, q, _, _ in word.links(s) if t > s]
     return Quiver(word.r, word.frozen_positions(), tuple(sorted(arrows)))
 
 
@@ -200,7 +182,8 @@ class ExchangeMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.r, self.mutable, tuple(frozenset(c.items()) for c in self.cols.values())))
+        # equal columns list their entries in the same, increasing order
+        return hash((self.r, self.mutable, tuple(tuple(c.items()) for c in self.cols.values())))
 
     def to_json(self) -> dict:
         cols = [self.cols[v] for v in self.mutable]

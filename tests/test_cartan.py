@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,8 +262,8 @@ def test_word_index_maps(word_gamma7):
 
 
 def test_word_index_tables_against_scans(wild3):
-    """k+, k-, place and last_below read tables and chain bisections built
-    once per word; each is compared with a scan of the word's letters."""
+    """k+, k-, place and links read tables built once per word; each is
+    compared with a scan of the word's letters."""
     rng = random.Random(15)
     e8 = CartanMatrix.from_edges(
         8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
@@ -282,10 +283,59 @@ def test_word_index_tables_against_scans(wild3):
             assert w.k_plus(k) == (up[1] if len(up) > 1 else r + 1)
             assert w.k_minus(k) == (down[-1] if down else 0)
             assert w.place(k) == (tuple(down + up), len(down))
-        for p in range(1, r + 2):
-            for j in range(1, w.cartan.n + 1):
-                below = [t for t in range(1, p) if pos[t - 1] == j]
-                assert w.last_below(p, j) == (below[-1] if below else 0)
+        for s in range(1, r + 1):
+            sp = w.k_plus(s)
+            links = []
+            for t in range(1, sp):
+                q = w.cartan.q(pos[s - 1], pos[t - 1])
+                if t != s and q and w.k_plus(t) >= sp:
+                    chain = tuple(u for u in range(1, r + 1) if pos[u - 1] == pos[t - 1])
+                    links.append((t, q, chain, chain.index(t)))
+            assert w.links(s) == tuple(links)
+
+
+def crossing_links(word: ReducedWord, s: int) -> tuple:
+    """Oracle: the links of s found per call, one bisection per letter j
+    joined to i_s for the last occurrence of j below s+."""
+    sp = word.k_plus(s)
+    links = []
+    for j, q in word.cartan.adjacent(word.letter(s)):
+        chain = word.chain(j)
+        i = bisect_left(chain, sp)
+        if i:
+            links.append((chain[i - 1], q, chain, i - 1))
+    return tuple(sorted(links))
+
+
+def test_link_table_against_bisection_oracle():
+    """The one-sweep link table gives, at every position, the links that
+    per-call bisections find: on E8 ``(8..1)×15``, the three wild chain-pass
+    words, affine D4 ``[5,1,2,3,4]×2`` and 40 random tame and wild words."""
+    e8 = CartanMatrix.from_edges(
+        8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
+    )
+    wild = CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)])
+    affine_d4 = CartanMatrix.from_edges(5, [(1, 5, 1), (2, 5, 1), (3, 5, 1), (4, 5, 1)])
+    words = [
+        ReducedWord(e8, tuple(range(8, 0, -1)) * 15),
+        ReducedWord(wild, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)),
+        ReducedWord(wild, (2, 3, 1, 3, 2, 3, 2, 1, 3)),
+        ReducedWord(wild, (3, 2, 3, 2, 1, 3, 2, 1, 3)),
+        ReducedWord(affine_d4, (5, 1, 2, 3, 4) * 2),
+    ]
+    rng = random.Random(29)
+    words += [
+        random_reduced_word(rng, CARTAN_POOL[n % len(CARTAN_POOL)], rng.randint(1, 12))
+        for n in range(40)
+    ]
+    assert sum(w.r for w in words) > 250
+    for w in words:
+        assert [w.links(s) for s in range(1, w.r + 1)] == [
+            crossing_links(w, s) for s in range(1, w.r + 1)
+        ]
+    for s in (0, words[0].r + 1):
+        with pytest.raises(ValidationError, match="out of range"):
+            words[0].links(s)
 
 
 def test_rank_limit():

@@ -600,6 +600,25 @@ def test_rank_above_the_limit_exits_2(capsys, rank):
         assert captured.err.startswith(f"error: rank {rank} exceeds the limit of {MAX_RANK}")
 
 
+def test_walk_depth_above_the_limit_exits_2(monkeypatch, capsys):
+    """``walk --depth`` is checked against ``MAX_WALK_DEPTH`` before the word
+    is read (an empty document gets no further): at the limit the walk runs,
+    one step past it exits 2 naming the limit, also at the module's own
+    limit."""
+    doc = json.dumps({"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [1, 2, 1, 3, 2, 1]})
+    for depth in (cli.MAX_WALK_DEPTH + 1, 10**9):
+        assert main(["walk", "--inline", "{}", "--depth", str(depth)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: walk depth {depth} exceeds the limit of {cli.MAX_WALK_DEPTH}\n"
+    monkeypatch.setattr(cli, "MAX_WALK_DEPTH", 40)
+    code, out = run(capsys, "walk", "--inline", doc, "--depth", "40")
+    assert code == 0 and len(json.loads(out)["final_provenance"]) == 40
+    assert main(["walk", "--inline", doc, "--depth", "41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: walk depth 41 exceeds the limit of 40\n"
+
+
 A2_WORD = {"rank": 2, "edges": [[1, 2, 1]], "word": [1, 2, 1]}
 BAD_LAURENT = [
     {},

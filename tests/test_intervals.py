@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,7 @@ from weylseed.homdata import (
 from weylseed.intervals import (
     IntervalLabel,
     PBWExpander,
+    PlanStep,
     expected_final_label,
     identity_sides,
     identity_step,
@@ -204,6 +206,57 @@ def test_identity_sides_against_two_range_scan(word_wild10):
             assert identity_sides(w, step.group, step.before.b) == expected
             factors_seen += len(expected[2])
     assert factors_seen > 1000
+
+
+def test_identity_and_plan_labels_are_interval_labels(word_wild10):
+    """``identity_sides`` and ``mu_i_plan`` return ``IntervalLabel`` and
+    ``PlanStep`` instances, equal to and printed like those their
+    constructors build."""
+    assert repr(identity_sides(word_wild10, 2, 6)) == (
+        "((M[6,2], M[8,6]), (M[8,2], M[6,6]), ((M[7,3], 3), (M[4,4], 2)))"
+    )
+    assert repr(identity_sides(word_wild10, 2, 2)) == (
+        "((M[2,2], M[6,6]), (M[6,2], 1), ((M[4,4], 2), (M[5,3], 3)))"
+    )
+    plan = mu_i_plan(word_wild10)
+    assert repr(plan.steps[1]) == (
+        "PlanStep(index=2, group=1, vertex=3, before=M[3,1], after=M[5,3])"
+    )
+    labels = []
+    for step in plan.steps:
+        assert type(step) is PlanStep and step == PlanStep(*step)
+        lhs, rhs_pair, factors = identity_sides(word_wild10, step.group, step.before.b)
+        labels += [step.before, step.after, *lhs, *rhs_pair, *(lab for lab, _ in factors)]
+    assert all(type(lab) is IntervalLabel for lab in labels)
+    assert [repr(lab) for lab in labels] == [repr(IntervalLabel(lab.b, lab.a)) for lab in labels]
+    assert {lab.is_unit for lab in labels} == {False, True}
+
+
+def test_link_table_built_once_per_word(monkeypatch, word_pbw6):
+    """The step checks of a ``mu-i`` run read links at every step and
+    ``gamma_i`` at every position, yet each word sweeps its link table once:
+    the E8 combinatorial pass plus ``gamma_i``, and a fully tracked pass
+    plus ``verify_identity`` and ``PBWExpander`` on every step."""
+    builds = []
+    sweep = ReducedWord._links.func
+
+    def counted(self):
+        builds.append(self)
+        return sweep(self)
+
+    table = cached_property(counted)
+    table.__set_name__(ReducedWord, "_links")
+    monkeypatch.setattr(ReducedWord, "_links", table)
+    e8 = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
+    assert run_mu_i(e8, max_seed_steps=0).steps_checked == 840
+    gamma_i(e8)
+    word = ReducedWord(word_pbw6.cartan, word_pbw6.printed)  # the fixture is shared
+    report = run_mu_i(word)
+    expander = PBWExpander(word)
+    for step in report.plan.steps:
+        assert verify_identity(word, step.group, step.before.b, report.label_values)["ok"]
+        expander.expand(step.after)
+    assert builds == [e8, word]
 
 
 def test_check_reads_each_plan_step_identity(monkeypatch):

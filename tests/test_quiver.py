@@ -166,6 +166,29 @@ def test_matrix_mutate_involution_random():
         assert m.mutate(k).mutate(k) == m
 
 
+def test_equal_matrices_hash_alike(word_wild10):
+    """``__hash__`` reads each column's entries in order, so equal matrices
+    must list them in the same, increasing order: the checking constructor
+    against ``b_matrix`` and against random matrices rebuilt from their rows,
+    and ``mutate(k).mutate(k)`` round trips over random matrices."""
+    rng = random.Random(47)
+    words = [E8_WORD, word_wild10]
+    words += [random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(1, 12)) for _ in range(20)]
+    matrices = [b_matrix(gamma_i(w)) for w in words]
+    for _ in range(300):
+        r = rng.randint(2, 10)
+        matrices.append(random_matrix(rng, r, rng.randint(0, r - 2)))
+    round_trips = 0
+    for m in matrices:
+        rebuilt = ExchangeMatrix(m.r, m.mutable, dense_rows(m))
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+        for k in m.mutable:
+            back = m.mutate(k).mutate(k)
+            assert back == m and hash(back) == hash(m)
+            round_trips += 1
+    assert round_trips > 1000
+
+
 def dense_mutate(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Oracle: every entry from the mutation formula, rebuilt through the
     fully checking constructor."""
