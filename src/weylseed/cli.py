@@ -121,23 +121,20 @@ def cmd_walk(doc, args) -> dict:
     if args.depth > MAX_WALK_DEPTH:
         raise ValidationError(f"walk depth {args.depth} exceeds the limit of {MAX_WALK_DEPTH}")
     seed = Seed.from_word(_word_from_doc(doc))
-    rng, mutable, path = random.Random(args.seed), seed.matrix.mutable, []
+    mutable = seed.matrix.mutable
+    # each step draws a vertex other than the last one: fewer than two
+    # mutable vertices run out at step len(mutable) + 1
+    if len(mutable) < 2 and args.depth > len(mutable):
+        raise ValidationError(
+            f"walk step {len(mutable) + 1}: no vertex to mutate (mutable vertices: {len(mutable)})"
+        )
+    rng, path = random.Random(args.seed), []
+    for _ in range(args.depth):
+        path.append(rng.choice([k for k in mutable if k not in path[-1:]]))
     registry = SeedRegistry()
     registry.insert_if_absent(seed)
-
-    def draw():
-        """Each vertex drawn just before its step, never the one drawn last."""
-        for step in range(1, args.depth + 1):
-            choices = [k for k in mutable if k not in path[-1:]]
-            if not choices:
-                raise ValidationError(
-                    f"walk step {step}: no vertex to mutate (mutable vertices: {len(mutable)})"
-                )
-            path.append(rng.choice(choices))
-            yield path[-1]
-
-    for later in seed.walk(draw()):
-        registry.insert_if_absent(later, path[-1])
+    for later, k in zip(seed.walk(path), path):
+        registry.insert_if_absent(later, k)
     return {
         "steps": args.depth,
         "rng_seed": args.seed,

@@ -26,8 +26,8 @@ which is grlex order.  So:
 * a sum (also the numerator of a substitution, one operand per term)
   re-bases each operand to the componentwise minimum of the bases by
   adding one packed offset to each key.  Only a key that cancels can raise
-  a minimum or lower the top, and only then is the sum built again by the
-  constructor;
+  a minimum or lower the top, so a sum in which a key cancels is built again
+  by the constructor;
 * a key moves to a wider width digit by digit: widths are whole bytes, so
   each byte keeps its place within its digit, and that place over all the
   keys' little-endian bytes is one strided slice;
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from heapq import heappop, heappush
-from operator import add, and_, lshift, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .cartan import _is_int
@@ -287,19 +287,9 @@ class LaurentPoly:
                 else:
                     del out[key]
                     cancelled = True
-        if not out:
-            return LaurentPoly(self.vars, {})
         if cancelled:
-            # ``(key | guard) - ones`` borrows into the guard bit of each zero
-            # digit, so a guard bit left after the AND marks a risen minimum
-            shift = len(self.vars) * bits
-            ones = sum(1 << i for i in range(0, shift, bits))
-            guard = ones << bits - 1
-            if (
-                reduce(and_, [(key | guard) - ones for key in out]) & guard
-                or _width(max(out) >> shift) < bits
-            ):
-                return LaurentPoly(self.vars, dict(_unpack(out.items(), base, bits)))
+            # a minimum may have risen or the top narrowed: normalize again
+            return LaurentPoly(self.vars, dict(_unpack(out.items(), base, bits)))
         return LaurentPoly._make(self.vars, base, bits, out)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -14,10 +14,10 @@ rows exist only as the input of the checking constructor and the output of
 Matrix mutation at k (Fomin-Zelevinsky) changes b_ij only where b_ik and
 b_kj are both nonzero or one of i, j is k.  So it rewrites column k and the
 columns of k's mutable neighbors, shares every other column with its input,
-and costs O(deg(k)^2).  Skew-symmetry of the principal part is checked on
-every nonzero entry when a matrix is built from dense rows; after a mutation
-it is checked on the rewritten columns, the only ones whose entries change.
-``b_matrix`` is skew-symmetric by construction and is not checked.
+and costs O(deg(k)^2).  It keeps a skew-symmetric principal part
+skew-symmetric, so ``mutate`` and ``b_matrix`` build their columns
+skew-symmetric by construction, unchecked; only a matrix built from dense
+rows is checked, on every nonzero entry.
 """
 from __future__ import annotations
 
@@ -99,7 +99,11 @@ class ExchangeMatrix:
         }
         if len(self.cols) != len(self.mutable):
             raise ValidationError("mutable vertices must be distinct")
-        self._check_skew(self.mutable)
+        for v, col in self.cols.items():
+            for w, b in col.items():
+                col_w = self.cols.get(w)
+                if col_w is not None and col_w.get(v, 0) != -b:
+                    raise ValidationError("principal part is not skew-symmetric")
 
     @staticmethod
     def _of_columns(r: int, mutable: tuple[int, ...], cols: dict) -> "ExchangeMatrix":
@@ -107,15 +111,6 @@ class ExchangeMatrix:
         out = object.__new__(ExchangeMatrix)
         out.r, out.mutable, out.cols = r, mutable, cols
         return out
-
-    def _check_skew(self, vertices: Iterable[int]) -> None:
-        """b_wv = -b_vw for every nonzero b_wv in the given mutable columns."""
-        cols = self.cols
-        for v in vertices:
-            for w, b in cols[v].items():
-                col_w = cols.get(w)
-                if col_w is not None and col_w.get(v, 0) != -b:
-                    raise ValidationError("principal part is not skew-symmetric")
 
     @property
     def frozen(self) -> frozenset[int]:
@@ -138,12 +133,10 @@ class ExchangeMatrix:
         col_k = self.column(k)
         cols = self.cols.copy()
         cols[k] = {i: -b for i, b in col_k.items()}
-        changed = [k]
         for j in col_k:
             col_j = self.cols.get(j)
             if col_j is None:
                 continue  # frozen: no column
-            changed.append(j)
             # b_ij gains b_ik * |b_kj| when b_ik and b_kj have the same sign
             b_kj = col_j.get(k, 0)
             up, m = b_kj > 0, abs(b_kj)
@@ -160,9 +153,7 @@ class ExchangeMatrix:
                         del new[i]
             # an added vertex may break the increasing order; nothing else can
             cols[j] = dict(sorted(new.items())) if grown else new
-        out = ExchangeMatrix._of_columns(self.r, self.mutable, cols)
-        out._check_skew(changed)
-        return out
+        return ExchangeMatrix._of_columns(self.r, self.mutable, cols)
 
     def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(vertex, multiplicity) pairs with arrows vertex -> k, then with
@@ -320,29 +311,18 @@ class SeedRegistry:
         at that vertex away from a seed already inserted, whose other
         variables are in the buckets already.
         """
-        key = (seed.matrix, seed.cluster)
-        if key in self.seen:
+        size = len(self.seen)
+        self.seen.add((seed.matrix, seed.cluster))
+        if len(self.seen) == size:
             return False
-        self.seen.add(key)
         for pos in seed.matrix.mutable if mutated is None else (mutated,):
             den = denominator_vector(seed, pos)
-            content = seed.cluster[pos - 1]
             bucket = self.by_denominator.setdefault(den, set())
-            if content not in bucket and bucket:
+            size = len(bucket)
+            bucket.add(seed.cluster[pos - 1])
+            if 0 < size < len(bucket):
                 self.collisions.append(den)
-            bucket.add(content)
         return True
-
-
-def _is_linear_type_a(orientation: QuiverOrientation) -> bool:
-    cartan = orientation.cartan
-    if not cartan.n or not cartan.is_type_a():
-        return False  # the empty word squares to itself, which is reduced
-    # linearly oriented: every inner vertex has one in- and one out-arrow
-    # along the path, i.e. arrows all point the same way along 1-2-...-n
-    ups = all((i, i + 1, 1) in orientation.arrows for i in range(1, cartan.n))
-    downs = all((i + 1, i, 1) in orientation.arrows for i in range(1, cartan.n))
-    return ups or downs
 
 
 def coefficient_free_matrix(orientation: QuiverOrientation) -> ExchangeMatrix:
@@ -363,22 +343,22 @@ def coefficient_free_matrix(orientation: QuiverOrientation) -> ExchangeMatrix:
 def acyclic_double(orientation: QuiverOrientation) -> ReducedWord:
     """The squared Coxeter word of an acyclic quiver.
 
-    Vertices must be numbered so arrows go i -> j with i < j.  For a linearly
-    oriented type A quiver the squared word is not reduced and the
-    construction is refused.
+    Vertices must be numbered so arrows go i -> j with i < j, which orients
+    the type A path 1 - 2 - ... - n linearly; there the squared word is not
+    reduced and the construction is refused.  The empty word squares to
+    itself, which is reduced.
     """
     if not orientation.is_acyclic():
         raise ValidationError("quiver has an oriented cycle")
     for s, t, _ in orientation.arrows:
         if s >= t:
             raise ValidationError("arrows must go i -> j with i < j")
-    if _is_linear_type_a(orientation):
+    cartan = orientation.cartan
+    if cartan.n and cartan.is_type_a():
         raise ValidationError(
             "squared Coxeter word is not reduced for linearly oriented type A"
         )
-    n = orientation.cartan.n
-    printed = tuple(range(n, 0, -1)) * 2
-    return ReducedWord(orientation.cartan, printed)
+    return ReducedWord(cartan, tuple(range(cartan.n, 0, -1)) * 2)
 
 
 def y_dagger(seed: Seed) -> Seed:

@@ -263,6 +263,42 @@ def test_walk_too_few_mutable_vertices(capsys):
     assert code == 0 and json.loads(out)["final_provenance"] == [1]
 
 
+@pytest.mark.parametrize(
+    "word, depth, code, err, out",
+    [
+        ([1], 0, 0, "", '{"denominator_collisions":[],"distinct_seeds":1,"final_provenance":[],"rng_seed":20240801,"steps":0}\n'),
+        ([1], 1, 2, "error: walk step 1: no vertex to mutate (mutable vertices: 0)\n", ""),
+        ([1, 2, 1], 1, 0, "", '{"denominator_collisions":[],"distinct_seeds":2,"final_provenance":[1],"rng_seed":20240801,"steps":1}\n'),
+        ([1, 2, 1], 2, 2, "error: walk step 2: no vertex to mutate (mutable vertices: 1)\n", ""),
+    ],
+)
+def test_walk_with_fewer_than_two_mutable_vertices(capsys, word, depth, code, err, out):
+    """Words with 0 and 1 mutable vertices at the depth that still walks and
+    one step deeper, whose step has no vertex to draw: exit code, stderr and
+    stdout as the walk that drew each vertex just before its step printed."""
+    doc = {"rank": 2, "edges": [[1, 2, 1]], "word": word}
+    assert main(["walk", "--inline", json.dumps(doc), "--depth", str(depth)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_walk_paths_of_an_a3_word(capsys):
+    """``final_provenance`` of A3 ``[1,2,1,3,2,1]`` at depth 8, seeds 1-5, as
+    drawn one vertex before each step: the path drawn up front makes the
+    same ``rng.choice`` calls."""
+    doc = json.dumps({"rank": 3, "edges": [[1, 2, 1], [2, 3, 1]], "word": [1, 2, 1, 3, 2, 1]})
+    expected = {
+        1: [1, 2, 4, 1, 4, 2, 4, 2],
+        2: [1, 2, 1, 4, 1, 4, 2, 1],
+        3: [1, 2, 4, 2, 1, 2, 4, 2],
+        4: [1, 4, 1, 4, 2, 1, 2, 1],
+        5: [4, 2, 4, 1, 4, 1, 2, 1],
+    }
+    for rng_seed, path in expected.items():
+        code, out = run(capsys, "walk", "--inline", doc, "--depth", "8", "--seed", str(rng_seed))
+        result = json.loads(out)
+        assert code == 0 and result["final_provenance"] == path and result["distinct_seeds"] == 9
+
+
 def reference_walk(doc: dict, depth: int, rng_seed: int) -> dict | None:
     """Oracle: the walk document built by drawing each vertex between two
     mutations and registering every mutable position of every seed; None

@@ -650,6 +650,29 @@ def normal_fields(x):
     return y._base, y._bits, y._packed
 
 
+def test_sums_in_which_a_key_cancels_are_built_by_the_constructor():
+    """A sum in which a key cancels is built again by the constructor, field
+    by field: whether every minimum and the width stay, the top narrows, a
+    minimum rises, or nothing is left."""
+    y1, y2 = (LaurentPoly.var(T2, name) for name in ("y1", "y2"))
+    one = LaurentPoly.one(T2)
+    cases = [
+        # every minimum (0, 0) and the width 8 stay
+        ((y1**2 + y1 * y2 + y2**2) - y1 * y2, {(2, 0): 1, (0, 2): 1}),
+        # the top degree 200 needs 16-bit digits; 2 fits in 8 again
+        ((y1**200 + y1 * y2 + one) - y1**200, {(1, 1): 1, (0, 0): 1}),
+        # the minimum of y1 rises from -1 to 0
+        ((y1 + y2 + one.exact_div(y1)) - one.exact_div(y1), {(1, 0): 1, (0, 1): 1}),
+        ((y1 + y2) - (y2 + y1), {}),
+    ]
+    for value, terms in cases:
+        built = LaurentPoly(T2, terms)
+        assert value.terms == terms
+        assert value.vars is built.vars
+        assert (value._base, value._bits, value._packed) == (built._base, built._bits, built._packed)
+    assert cases[1][0]._bits == 8 and (y1**200 + y1 * y2 + one)._bits == 16
+
+
 t2_values = st.one_of(
     small_polys(),
     grown_polys,

@@ -69,10 +69,9 @@ def test_only_quiver_reads_matrix_columns():
     assert readers == []
 
 
-def test_only_located_and_main_catch_engine_errors():
-    """``errors.located`` is the one rule that puts a step, position or target
-    before an engine error's detail, and ``cli.main`` the one place that
-    turns the error into exit 3: no other function has ``except EngineError``."""
+def _sites(is_site) -> list[str]:
+    """``file:function`` of each package node for which ``is_site`` holds;
+    ``<module>`` for a node outside every function."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -81,12 +80,50 @@ def test_only_located_and_main_catch_engine_errors():
             if isinstance(fn, ast.FunctionDef):
                 owner.update((node, fn.name) for node in ast.walk(fn))
         sites += [
-            f"{path.name}:{owner.get(node, '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ExceptHandler)
-            and node.type is not None
-            and "EngineError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree) if is_site(node)
         ]
+    return sites
+
+
+def test_skew_symmetry_is_checked_only_on_entry():
+    """The dense-row constructor is the one owner of the skew-symmetry check:
+    its message is raised in ``ExchangeMatrix.__init__`` and nowhere else,
+    and ``mutate``, which keeps a matrix skew-symmetric, calls no function
+    or class of ``quiver`` but the column reader and the unchecked wrapper."""
+    message = "principal part is not skew-symmetric"
+    assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == message) == [
+        "quiver.py:__init__"
+    ]
+    tree = ast.parse((PACKAGE / "quiver.py").read_text(encoding="utf-8"))
+    matrix = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExchangeMatrix"
+    )
+    init, mutate = (
+        next(node for node in matrix.body if isinstance(node, ast.FunctionDef) and node.name == name)
+        for name in ("__init__", "mutate")
+    )
+    assert message in {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(mutate)
+        if isinstance(node, ast.Call)
+    }
+    assert called & defined == {"column", "_of_columns"}
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(mutate))
+
+
+def test_only_located_and_main_catch_engine_errors():
+    """``errors.located`` is the one rule that puts a step, position or target
+    before an engine error's detail, and ``cli.main`` the one place that
+    turns the error into exit 3: no other function has ``except EngineError``."""
+    sites = _sites(
+        lambda node: isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "EngineError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    )
     assert sites == ["cli.py:main", "errors.py:located"]
 
 

@@ -295,11 +295,31 @@ def test_matrix_rejects_non_skew_principal_part():
         ExchangeMatrix.from_json(doc)
 
 
-def test_matrix_mutate_checks_skew_symmetry_near_k():
-    m = ExchangeMatrix(3, (1, 2, 3), [[0, -1, 0], [1, 0, -1], [0, 1, 0]])
-    m.cols[2] = {1: -1, 3: 2}  # b_32 != -b_23, next to 2
-    with pytest.raises(ValidationError, match="skew"):
-        m.mutate(2)
+def test_mutation_keeps_the_principal_part_skew_symmetric(wild3):
+    """Matrix mutation keeps a skew-symmetric principal part skew-symmetric,
+    so ``mutate`` builds its columns unchecked: each result, rebuilt through
+    the checking constructor from its ``to_json`` rows, equals itself.  Over
+    300 random matrices along random paths of up to 8 steps, and along the
+    full ``mu_i_plan`` of E8 ``(8..1)×15`` and of the three wild
+    ``chain-pass`` words."""
+    rng = random.Random(30)
+    paths = []
+    for _ in range(300):
+        r = rng.randint(2, 10)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        paths.append((m, [rng.choice(m.mutable) for _ in range(rng.randint(1, 8))]))
+    words = [
+        E8_WORD,
+        ReducedWord(wild3, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)),
+        ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3)),
+        ReducedWord(wild3, (3, 2, 3, 2, 1, 3, 2, 1, 3)),
+    ]
+    for word in words:
+        paths.append((b_matrix(gamma_i(word)), [step.vertex for step in mu_i_plan(word).steps]))
+    for m, path in paths:
+        for k in path:
+            m = m.mutate(k)
+            assert ExchangeMatrix.from_json(m.to_json()) == m
 
 
 def test_matrix_from_json_rejects_malformed_documents():
