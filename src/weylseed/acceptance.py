@@ -122,8 +122,8 @@ def check_seed_walks(seed: int, words: int, depth: int) -> bool:
         grading = _word_grading(word)
         tables = hom_tables(word)
         seed_state = Seed.from_word(word)
-        dims = initial_dimvec_labels(tables)
-        deltas = initial_delta_labels(word)
+        dims, dim_totals = initial_dimvec_labels(tables)
+        deltas, delta_totals = initial_delta_labels(tables)
         if not seed_state.matrix.mutable:
             continue
         last = None
@@ -137,11 +137,12 @@ def check_seed_walks(seed: int, words: int, depth: int) -> bool:
                 return False
             if nxt.cluster[k - 1].multidegree(grading) is None:
                 return False
-            move_d = mutate_dimvec(seed_state.matrix, dims, k)
-            move_a = mutate_delta_dimvec(seed_state.matrix, deltas, k, tables.d_delta)
+            move_d = mutate_dimvec(seed_state.matrix, dims, dim_totals, k)
+            move_a = mutate_delta_dimvec(seed_state.matrix, deltas, delta_totals, k)
             if tables.dimvec_of_delta(move_a.new_label) != move_d.new_label:
                 return False
-            dims, deltas = move_d.labels, move_a.labels
+            dims, dim_totals = move_d.labels, move_d.totals
+            deltas, delta_totals = move_a.labels, move_a.totals
             seed_state = nxt
             last = k
     return True

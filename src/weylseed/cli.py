@@ -9,10 +9,8 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
 from typing import Any, Iterator
 
-from . import acceptance
 from .cartan import CartanMatrix, QuiverOrientation, ReducedWord, _is_int
 from .errors import EngineError, ValidationError, WeylseedError, located
 from .homdata import (
@@ -146,14 +144,16 @@ def cmd_walk(doc, args) -> dict:
     }
 
 
-def _walk_labels(doc: dict, word: ReducedWord, labels, exchange) -> dict:
-    """Exchange ``labels`` along ``path``, mutating the word's matrix once per step."""
+def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> dict:
+    """Exchange the labels and totals of ``start`` along ``path``, mutating
+    the word's matrix once per step."""
     matrix = b_matrix(gamma_i(word))
+    labels, totals = start
     picks = []
     for n, k in enumerate(_int_list(doc.get("path", []), "path", 1, word.r), start=1):
         with located(f"step {n}, vertex {k}"):
-            move = exchange(matrix, labels, k)
-        matrix, labels = matrix.mutate(k), move.labels
+            move = exchange(matrix, labels, totals, k)
+        matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
         picks.append("in" if move.picked_in_side else "out")
     return {"labels": [list(v) for v in labels], "sides": picks}
 
@@ -168,8 +168,7 @@ def cmd_dimvec(doc, args) -> dict:
 def cmd_delta_dimvec(doc, args) -> dict:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
-    exchange = partial(mutate_delta_dimvec, d_delta=tables.d_delta)
-    walk = _walk_labels(doc, word, initial_delta_labels(word), exchange)
+    walk = _walk_labels(doc, word, initial_delta_labels(tables), mutate_delta_dimvec)
     return {"d_delta": list(tables.d_delta), **walk}
 
 
@@ -314,6 +313,8 @@ def cmd_acyclic(doc, args) -> dict:
 
 
 def cmd_selftest(doc, args) -> dict:
+    from . import acceptance  # only selftest reads it; other commands skip its import
+
     summary = acceptance.quick_selftest(seed=args.seed)
     if not all(summary.values()):
         raise EngineError(f"selftest failed: {summary}")

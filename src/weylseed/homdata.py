@@ -4,11 +4,18 @@ dimension vectors and filtration-multiplicity vectors.
 
 Both label exchanges keep the neighbor sum with the larger weighted total; for
 dimension vectors it must dominate the other sum, or MismatchError is raised.
+The total is linear in the label, so a walk carries each label's total beside
+it: entry sums for dimension vectors, and for filtration multiplicities the
+d_delta weights, which start as the chain prefix sums ``d_delta_prefix`` that
+the chain pass weighs its interval labels with.  An exchange picks its side
+from deg(k) scalar totals, sums the labels of that side only (and of the other
+side for the dominance check) and sets the new total to the picked total minus
+the old one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from operator import add, ge, mul, sub
 from typing import Sequence
@@ -67,6 +74,16 @@ class HomTables:
             vv.append(tuple(vv_row))
         return tuple(vv)
 
+    @cached_property
+    def d_delta_prefix(self) -> Vec:
+        """Entry k (1-based; entry 0 is 0) sums d_delta over the chain
+        positions k, k-, k--, ...: the d_delta weight of the interval label
+        [k, k_min], and weight[b] - weight[a-] is the weight of [b, a]."""
+        word, prefix = self.word, [0]
+        for k, d in enumerate(self.d_delta, start=1):
+            prefix.append(d + prefix[word.k_minus(k)])
+        return tuple(prefix)
+
     def dimvec_of_delta(self, a: Sequence[int]) -> Vec:
         """Image of a filtration-multiplicity vector under the VM columns."""
         return tuple(sum(map(mul, row, a)) for row in self.VM)
@@ -113,100 +130,103 @@ def ringel_form_delta(word: ReducedWord, k: int, s: int) -> int:
     return sym_form(word.cartan, word.beta(k), word.beta(s))
 
 
-def initial_dimvec_labels(tables: HomTables) -> tuple[Vec, ...]:
-    """Dimension vectors of the projectives, i.e. the VV columns."""
-    return tuple(zip(*tables.VV))
+def initial_dimvec_labels(tables: HomTables) -> tuple[tuple[Vec, ...], Vec]:
+    """Dimension vectors of the projectives, i.e. the VV columns, and their
+    entry sums."""
+    labels = tuple(zip(*tables.VV))
+    return labels, tuple(map(sum, labels))
 
 
-def interval_indicator(word: ReducedWord, b: int, a: int) -> Vec:
-    """Indicator of the chain positions b, b-, b--, ... that are >= a (a >= 1);
-    the zero vector when a > b."""
-    vec = [0] * word.r
-    cur = b
-    while cur >= a:
-        vec[cur - 1] = 1
-        cur = word.k_minus(cur)
-    return tuple(vec)
-
-
-def initial_delta_labels(word: ReducedWord) -> tuple[Vec, ...]:
-    """Interval indicator of positions k, k-, ..., k_min for each k."""
-    return tuple(interval_indicator(word, k, word.k_min(k)) for k in range(1, word.r + 1))
-
-
-def _vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(map(add, a, b))
-
-
-def _side_sums(matrix: ExchangeMatrix, labels: Sequence[Vec], k: int) -> list[Vec]:
-    """Arrow-weighted sums of the neighbor labels: into k, then out of k."""
-    sums = []
-    for pairs in matrix.neighbors(k):
-        terms = [
-            labels[v - 1] if mult == 1 else tuple(map(mul, repeat(mult), labels[v - 1]))
-            for v, mult in pairs
-        ]
-        sums.append(reduce(_vec_add, terms) if terms else (0,) * matrix.r)
-    return sums
+def initial_delta_labels(tables: HomTables) -> tuple[tuple[Vec, ...], Vec]:
+    """Interval indicators of positions k, k-, ..., k_min for each k, and
+    their d_delta totals, the chain prefix sums.  One sweep up each chain
+    sets one more entry for each position."""
+    word = tables.word
+    labels: list[Vec] = [()] * word.r
+    for j in range(1, word.cartan.n + 1):
+        vec = [0] * word.r
+        for k in word.chain(j):
+            vec[k - 1] = 1
+            labels[k - 1] = tuple(vec)
+    return tuple(labels), tables.d_delta_prefix[1:]
 
 
 @dataclass(frozen=True)
 class MutationStep:
     new_label: Vec
     labels: tuple[Vec, ...]
+    totals: Vec
     picked_in_side: bool
-    dominated: bool
 
 
-def _mutate_labels(
+def _side_total(pairs: list[tuple[int, int]], totals: Sequence[int]) -> int:
+    return sum(mult * totals[v - 1] for v, mult in pairs)
+
+
+def _side_sum(pairs: list[tuple[int, int]], labels: Sequence[Vec], r: int) -> Vec:
+    """Arrow-weighted sum of the labels at ``pairs``."""
+    acc = None
+    for v, mult in pairs:
+        term = labels[v - 1] if mult == 1 else tuple(map(mul, repeat(mult), labels[v - 1]))
+        acc = term if acc is None else tuple(map(add, acc, term))
+    return (0,) * r if acc is None else acc
+
+
+def _exchange(
     matrix: ExchangeMatrix,
     labels: Sequence[Vec],
+    totals: Sequence[int],
     k: int,
-    weights: Sequence[int],
+    dominant: bool,
 ) -> MutationStep:
-    in_sum, out_sum = _side_sums(matrix, labels, k)
-    picked_in = sum(map(mul, in_sum, weights)) > sum(map(mul, out_sum, weights))
-    picked, other = (in_sum, out_sum) if picked_in else (out_sum, in_sum)
-    dominated = all(map(ge, picked, other))
-    new_label = tuple(map(sub, picked, labels[k - 1]))
+    """Minus the old label plus the neighbor sum of the larger total (the
+    in-side only when strictly larger); with ``dominant`` that sum must
+    dominate the other one coordinatewise.  Totals are linear in the labels,
+    so the new total is the picked total minus the old one."""
+    ins, outs = matrix.neighbors(k)
+    in_total, out_total = _side_total(ins, totals), _side_total(outs, totals)
+    picked_in = in_total > out_total
+    if picked_in:
+        (picked, high), (other, low) = (ins, in_total), (outs, out_total)
+    else:
+        (picked, high), (other, low) = (outs, out_total), (ins, in_total)
+    picked_sum = _side_sum(picked, labels, matrix.r)
+    new_label = tuple(map(sub, picked_sum, labels[k - 1]))
     if min(new_label) < 0:
         raise NegativeEntryError(
             f"mutation at {k} left the reachable component: {new_label}"
         )
-    new_labels = list(labels)
-    new_labels[k - 1] = new_label
-    return MutationStep(new_label, tuple(new_labels), picked_in, dominated)
-
-
-def mutate_dimvec(
-    matrix: ExchangeMatrix, labels: Sequence[Vec], k: int
-) -> MutationStep:
-    """Exchange the dimension-vector label at a mutable vertex.
-
-    The replacement is minus the old label plus the neighbor sum with the
-    larger total.  That sum must dominate the other one coordinatewise;
-    otherwise the exchange raises MismatchError naming the vertex and both
-    totals.  The matrix is only read: the caller mutates it at k.
-    """
-    move = _mutate_labels(matrix, labels, k, (1,) * matrix.r)
-    if not move.dominated:
-        low, high = sorted(map(sum, _side_sums(matrix, labels, k)))
+    if dominant and not all(map(ge, picked_sum, _side_sum(other, labels, matrix.r))):
         raise MismatchError(
             f"dimension-vector exchange at vertex {k}: total {high} does not dominate total {low}"
         )
-    return move
+    new_labels, new_totals = list(labels), list(totals)
+    new_labels[k - 1] = new_label
+    new_totals[k - 1] = high - totals[k - 1]
+    return MutationStep(new_label, tuple(new_labels), tuple(new_totals), picked_in)
+
+
+def mutate_dimvec(
+    matrix: ExchangeMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
+) -> MutationStep:
+    """Exchange the dimension-vector label at a mutable vertex.
+
+    ``totals`` holds the entry sums of ``labels``.  The replacement is minus
+    the old label plus the neighbor sum with the larger total.  That sum must
+    dominate the other one coordinatewise; otherwise the exchange raises
+    MismatchError naming the vertex and both totals.  The matrix is only
+    read: the caller mutates it at k.
+    """
+    return _exchange(matrix, labels, totals, k, dominant=True)
 
 
 def mutate_delta_dimvec(
-    matrix: ExchangeMatrix,
-    labels: Sequence[Vec],
-    k: int,
-    d_delta: Sequence[int],
+    matrix: ExchangeMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
 ) -> MutationStep:
     """Same exchange on filtration-multiplicity vectors.
 
-    The side is selected purely by the neighbor sums weighted with the total
-    dimensions of the standard modules; unlike the dimension-vector rule the
-    chosen side need not dominate the other one coordinatewise.
+    ``totals`` holds the labels weighted with the total dimensions d_delta
+    of the standard modules; unlike the dimension-vector rule the chosen side
+    need not dominate the other one coordinatewise.
     """
-    return _mutate_labels(matrix, labels, k, d_delta)
+    return _exchange(matrix, labels, totals, k, dominant=False)

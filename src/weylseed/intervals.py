@@ -236,7 +236,8 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     [s, k].  On one chain [s+, k] + [s, k+] = [s, k] + [s+, k+], so the pair
     side leaves [s+, k+]; the factors lie on other chains and leave -1 at s.
     So the weights must pick the pair side: [b, a] weighs weight[b] -
-    weight[a-], with weight[k] the sum of d_delta over the chain up to k.
+    weight[a-], with weight[k] the sum of d_delta over the chain up to k
+    (``HomTables.d_delta_prefix``, which the dense exchange also starts from).
 
     Laurent cluster tracking can be cut off after ``max_seed_steps`` steps
     (0 tracks none); the combinatorial checks always run the full plan.
@@ -251,10 +252,8 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     plan = mu_i_plan(word)
     matrix = b_matrix(gamma_i(word))
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
-    weight, weight_minus = [0] * (word.r + 1), [0] * (word.r + 1)  # weight_minus[k] = weight[k-]
-    for k, d in enumerate(hom_tables(word).d_delta, start=1):
-        weight_minus[k] = weight[word.k_minus(k)]
-        weight[k] = d + weight_minus[k]
+    weight = hom_tables(word).d_delta_prefix
+    weight_minus = [0] + [weight[word.k_minus(k)] for k in range(1, word.r + 1)]  # weight[k-]
     cluster = list(Seed.initial(matrix).cluster)
     label_values = dict(zip(labels, cluster))
     for step in plan.steps:

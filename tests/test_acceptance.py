@@ -212,12 +212,10 @@ def test_criterion_5_dimension_vector_mutation():
     w = ReducedWord(de, (1, 3, 2, 1, 3, 2, 1))
     tables = hom_tables(w)
     matrix = b_matrix(gamma_i(w))
-    move = mutate_dimvec(matrix, initial_dimvec_labels(tables), 4)
+    move = mutate_dimvec(matrix, *initial_dimvec_labels(tables), 4)
     assert move.picked_in_side  # 70 > 69
     assert move.new_label == (0, 2, 2, 4, 8, 6, 13)
-    dmove = mutate_delta_dimvec(
-        matrix, initial_delta_labels(w), 4, tables.d_delta
-    )
+    dmove = mutate_delta_dimvec(matrix, *initial_delta_labels(tables), 4)
     assert dmove.new_label == (0, 2, 0, 0, 0, 0, 1)
     ok("5 dimension-vector mutation")
 

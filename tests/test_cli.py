@@ -1,6 +1,6 @@
 import json
 import random
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 
@@ -170,11 +170,11 @@ def test_label_walk_error_names_the_step(monkeypatch, capsys, command, exchange)
     ``mutate``, ``walk`` and ``mu-i`` do: the second exchange fails here."""
     real, calls = getattr(cli, exchange), []
 
-    def failing(matrix, labels, k, **kw):
+    def failing(matrix, labels, totals, k):
         calls.append(k)
         if len(calls) == 2:
             raise MismatchError(f"exchange at vertex {k} fails")
-        return real(matrix, labels, k, **kw)
+        return real(matrix, labels, totals, k)
 
     monkeypatch.setattr(cli, exchange, failing)
     assert main([command, "--inline", json.dumps(dict(GAMMA7, path=[4, 1, 2]))]) == 3
@@ -405,7 +405,7 @@ def test_mu_i_perturbed_d_delta_exits_3_naming_the_side_weights(monkeypatch, cap
     def perturbed(word):
         d_delta = list(tables(word).d_delta)
         d_delta[2] += 10
-        return SimpleNamespace(d_delta=tuple(d_delta))
+        return replace(tables(word), d_delta=tuple(d_delta))
 
     monkeypatch.setattr(intervals, "hom_tables", perturbed)
     assert main(["mu-i", "--inline", json.dumps(PBW6)]) == 3

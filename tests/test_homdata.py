@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import random
+from collections import Counter
+from operator import ge, mul, sub
 
 import pytest
 
 from weylseed.acceptance import CARTAN_POOL, random_reduced_word
-from weylseed.cartan import CartanMatrix, ReducedWord, sym_form
-from weylseed.errors import MismatchError, NegativeEntryError
+from weylseed.cartan import CartanMatrix, ReducedWord, dim_V, sym_form
+from weylseed.errors import EngineError, MismatchError, NegativeEntryError
 from weylseed.cli import main
 from weylseed.homdata import (
     HomTables,
@@ -18,11 +20,15 @@ from weylseed.homdata import (
     mutate_dimvec,
     ringel_form_delta,
 )
+from weylseed.intervals import mu_i_plan
 from weylseed.quiver import ExchangeMatrix, b_matrix, gamma_i
 
 E8 = CartanMatrix.from_edges(
     8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
 )
+WILD3 = CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)])
+E8_WORD = ReducedWord(E8, tuple(range(8, 0, -1)) * 15)
+WILD_WORD = ReducedWord(WILD3, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3))
 
 # columns of dim Hom(V_k, M_s) for the word (1,3,2,1,3,2,1), vertex order
 DELTA_COLUMNS = {
@@ -170,8 +176,8 @@ def test_ringel_form_expansion_identity(word_mut7):
 def test_mutate_dimvec_printed(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
-    labels = initial_dimvec_labels(tables)
-    move = mutate_dimvec(matrix, labels, 4)
+    labels, totals = initial_dimvec_labels(tables)
+    move = mutate_dimvec(matrix, labels, totals, 4)
     assert move.picked_in_side  # the 70 > 69 selection
     assert move.new_label == (0, 2, 2, 4, 8, 6, 13)
 
@@ -179,25 +185,26 @@ def test_mutate_dimvec_printed(word_mut7):
 def test_mutate_delta_dimvec_printed(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
-    labels = initial_delta_labels(word_mut7)
-    move = mutate_delta_dimvec(matrix, labels, 4, tables.d_delta)
+    labels, totals = initial_delta_labels(tables)
+    move = mutate_delta_dimvec(matrix, labels, totals, 4)
     assert move.new_label == (0, 2, 0, 0, 0, 0, 1)
 
 
 def test_initial_delta_labels_are_intervals(word_mut7):
-    labels = initial_delta_labels(word_mut7)
+    labels, totals = initial_delta_labels(hom_tables(word_mut7))
     assert labels[3] == (1, 0, 0, 1, 0, 0, 0)  # positions 4 and 1
     assert labels[6] == (1, 0, 0, 1, 0, 0, 1)
+    assert totals[3] == 27 + 8 and totals[6] == 27 + 8 + 1  # d_delta over those positions
 
 
 def test_mutation_involution(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
-    labels = initial_dimvec_labels(tables)
-    once = mutate_dimvec(matrix, labels, 4)
+    labels, totals = initial_dimvec_labels(tables)
+    once = mutate_dimvec(matrix, labels, totals, 4)
     mutated = matrix.mutate(4)
-    back = mutate_dimvec(mutated, once.labels, 4)
-    assert back.labels == labels
+    back = mutate_dimvec(mutated, once.labels, once.totals, 4)
+    assert back.labels == labels and back.totals == totals
     assert mutated.mutate(4) == matrix
 
 
@@ -216,40 +223,41 @@ def test_two_path_consistency_random_walks():
             continue
         tables = hom_tables(word)
         matrix = b_matrix(gamma_i(word))
-        dims = initial_dimvec_labels(tables)
-        deltas = initial_delta_labels(word)
+        dims, dim_totals = initial_dimvec_labels(tables)
+        deltas, delta_totals = initial_delta_labels(tables)
         if not matrix.mutable:
             continue
         last = None
         for _ in range(5):
             choices = [k for k in matrix.mutable if k != last]
             k = rng.choice(choices)
-            md = mutate_dimvec(matrix, dims, k)
-            ma = mutate_delta_dimvec(matrix, deltas, k, tables.d_delta)
-            assert md.dominated
+            # mutate_dimvec raises MismatchError unless the picked side dominates
+            md = mutate_dimvec(matrix, dims, dim_totals, k)
+            ma = mutate_delta_dimvec(matrix, deltas, delta_totals, k)
             assert tables.dimvec_of_delta(ma.new_label) == md.new_label
             matrix, dims, deltas = matrix.mutate(k), md.labels, ma.labels
+            dim_totals, delta_totals = md.totals, ma.totals
             last = k
 
 
 def test_negative_entry_aborts(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
-    labels = list(initial_dimvec_labels(tables))
+    labels = list(initial_dimvec_labels(tables)[0])
     labels[0] = (100,) * 7  # corrupt the data so the exchange goes negative
     with pytest.raises(NegativeEntryError):
-        mutate_dimvec(matrix, tuple(labels), 1)
+        mutate_dimvec(matrix, tuple(labels), tuple(map(sum, labels)), 1)
 
 
 def test_non_dominating_exchange_raises():
     """The larger side (total 5) does not dominate the other (total 1).
     Filtration-multiplicity labels need not dominate, so that rule accepts it."""
     matrix = ExchangeMatrix(3, (1,), [[0], [-1], [1]])
-    labels = ((0, 0, 0), (5, 0, 0), (0, 1, 0))
+    labels, totals = ((0, 0, 0), (5, 0, 0), (0, 1, 0)), (0, 5, 1)
     with pytest.raises(MismatchError, match=r"vertex 1: total 5 does not dominate total 1"):
-        mutate_dimvec(matrix, labels, 1)
-    move = mutate_delta_dimvec(matrix, labels, 1, (1, 1, 1))
-    assert move.new_label == (5, 0, 0) and not move.dominated
+        mutate_dimvec(matrix, labels, totals, 1)
+    move = mutate_delta_dimvec(matrix, labels, totals, 1)  # d_delta = (1, 1, 1)
+    assert move.new_label == (5, 0, 0) and move.picked_in_side and move.totals == (5, 5, 1)
 
 
 def test_d_delta_closed_form_is_the_vm_column_sum():
@@ -292,3 +300,168 @@ def test_only_dimvec_builds_the_vm_and_vv_tables(monkeypatch):
         assert built == []
         assert main(["dimvec", "--inline", walk]) == 0
     assert {"VM", "VV"} <= set(built)
+
+
+def reference_exchange(matrix, labels, k, weights, dominant):
+    """Oracle: the exchange decided from both full arrow-weighted neighbor
+    sums, each weighed by a dot product with ``weights``; the in-side only
+    when strictly heavier.  Returns the new labels and whether the in-side
+    was picked, or raises as the engine must."""
+    sums = []
+    for pairs in matrix.neighbors(k):
+        total = (0,) * matrix.r
+        for v, mult in pairs:
+            total = tuple(x + mult * y for x, y in zip(total, labels[v - 1]))
+        sums.append(total)
+    in_sum, out_sum = sums
+    picked_in = sum(map(mul, in_sum, weights)) > sum(map(mul, out_sum, weights))
+    picked, other = (in_sum, out_sum) if picked_in else (out_sum, in_sum)
+    new_label = tuple(map(sub, picked, labels[k - 1]))
+    if min(new_label) < 0:
+        raise NegativeEntryError(f"mutation at {k} left the reachable component: {new_label}")
+    if dominant and not all(map(ge, picked, other)):
+        low, high = sorted(map(sum, sums))
+        raise MismatchError(
+            f"dimension-vector exchange at vertex {k}: total {high} does not dominate total {low}"
+        )
+    new_labels = list(labels)
+    new_labels[k - 1] = new_label
+    return tuple(new_labels), picked_in
+
+
+def weighed(labels, weights):
+    return tuple(sum(map(mul, label, weights)) for label in labels)
+
+
+def walk_against_reference(matrix, labels, totals, weights, path, dominant, tally):
+    """Walk ``path`` with the engine exchange and with the oracle, stopping at
+    the first error; every outcome must agree, and the carried totals must
+    equal the labels weighed afresh."""
+    exchange = mutate_dimvec if dominant else mutate_delta_dimvec
+    assert totals == weighed(labels, weights)
+    for k in path:
+        in_total, out_total = (sum(q * totals[v - 1] for v, q in side) for side in matrix.neighbors(k))
+        tally["tie"] += in_total == out_total
+        try:
+            expected = reference_exchange(matrix, labels, k, weights, dominant)
+        except EngineError as exc:
+            with pytest.raises(EngineError) as info:
+                exchange(matrix, labels, totals, k)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            tally[type(exc).__name__] += 1
+            return
+        move = exchange(matrix, labels, totals, k)
+        assert (move.labels, move.picked_in_side) == expected
+        assert move.new_label == move.labels[k - 1]
+        assert move.totals == weighed(move.labels, weights)
+        tally["step"] += 1
+        matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
+
+
+def random_path(rng, matrix, depth):
+    return [rng.choice(matrix.mutable) for _ in range(depth)]
+
+
+def test_carried_totals_pick_the_side_of_the_full_sum_rule():
+    """Both label walks agree step by step with the full-sum oracle, from the
+    initial labels: random words over every pool matrix, the E8 60-step plan
+    path and the whole plan and random walks of the wild word."""
+    rng = random.Random(31)
+    walks = []
+    for cartan in CARTAN_POOL:
+        for _ in range(12):
+            word = random_reduced_word(rng, cartan, rng.randint(2, 9))
+            walks.append((word, None))
+    walks.append((E8_WORD, [step.vertex for step in mu_i_plan(E8_WORD).steps[:60]]))
+    walks.append((WILD_WORD, [step.vertex for step in mu_i_plan(WILD_WORD).steps]))
+    walks += [(WILD_WORD, None)] * 4
+    tally = Counter()
+    for word, path in walks:
+        tables = hom_tables(word)
+        matrix = b_matrix(gamma_i(word))
+        if not matrix.mutable:
+            continue
+        for dominant, start, weights in (
+            (True, initial_dimvec_labels(tables), (1,) * word.r),
+            (False, initial_delta_labels(tables), tables.d_delta),
+        ):
+            steps = path or random_path(rng, matrix, 12)
+            walk_against_reference(matrix, *start, weights, steps, dominant, tally)
+    assert tally["step"] > 1000
+
+
+def test_carried_totals_match_the_full_sum_rule_on_arbitrary_labels():
+    """Small random labels on the word matrices reach ties and both errors;
+    the carried-total exchange agrees with the oracle on each of them, with
+    the same error class and message."""
+    rng = random.Random(37)
+    tally = Counter()
+    for cartan in (*CARTAN_POOL, WILD3):
+        for _ in range(20):
+            word = random_reduced_word(rng, cartan, rng.randint(2, 9))
+            matrix = b_matrix(gamma_i(word))
+            if not matrix.mutable:
+                continue
+            for dominant, weights in ((True, (1,) * word.r), (False, hom_tables(word).d_delta)):
+                labels = tuple(
+                    tuple(rng.randint(0, 2) for _ in range(word.r)) for _ in range(word.r)
+                )
+                walk_against_reference(
+                    matrix, labels, weighed(labels, weights), weights,
+                    random_path(rng, matrix, 8), dominant, tally,
+                )
+    assert min(tally["tie"], tally["NegativeEntryError"], tally["MismatchError"]) > 5
+
+
+def test_negative_entry_is_raised_before_the_dominance_mismatch():
+    """The in-side (total 5) is picked and does not dominate the out-side, and
+    taking the old label off it leaves -4: the negative entry is reported."""
+    matrix = ExchangeMatrix(3, (1,), [[0], [-1], [1]])
+    labels, totals = ((9, 0, 0), (5, 0, 0), (0, 1, 0)), (9, 5, 1)
+    with pytest.raises(NegativeEntryError, match=r"mutation at 1 left .*: \(-4, 0, 0\)"):
+        reference_exchange(matrix, labels, 1, (1, 1, 1), True)
+    with pytest.raises(NegativeEntryError, match=r"mutation at 1 left .*: \(-4, 0, 0\)"):
+        mutate_dimvec(matrix, labels, totals, 1)
+
+
+RIGIDITY_WORDS = (
+    E8_WORD,
+    ReducedWord(CARTAN_POOL[4], (4, 1, 2, 3) * 3),
+    ReducedWord(CartanMatrix.from_edges(2, [(1, 2, 2)]), (1, 2, 1, 2, 1, 2, 1)),
+    WILD_WORD,
+)
+
+
+def rigidity_mismatches(word) -> int:
+    """Pairs k, s with VV[k][s] + VV[s][k] != (dim V_k, dim V_s)."""
+    vv = hom_tables(word).VV
+    dims = [dim_V(word, k) for k in range(1, word.r + 1)]
+    return sum(
+        vv[k][s] + vv[s][k] != sym_form(word.cartan, dims[k], dims[s])
+        for k in range(word.r)
+        for s in range(k, word.r)
+    )
+
+
+@pytest.mark.parametrize("word", RIGIDITY_WORDS, ids=["E8", "D4", "affine-A1", "wild"])
+def test_hom_tables_are_rigid(word):
+    """T = V_1 + ... + V_r is rigid, so by Crawley-Boevey's formula (2000,
+    Lemma 1) dim Hom(V_k, V_s) + dim Hom(V_s, V_k) = (dim V_k, dim V_s)."""
+    assert rigidity_mismatches(word) == 0
+
+
+def test_rigidity_catches_a_vm_without_the_agreeing_letters_one(monkeypatch):
+    """A VM that leaves out the 1 where the letters of k > s agree breaks
+    rigidity on every word."""
+    built = HomTables.VM.func
+
+    def without_one(self):
+        letters = self.word.positions
+        return tuple(
+            tuple(x - (k > s and letters[k] == letters[s]) for s, x in enumerate(row))
+            for k, row in enumerate(built(self))
+        )
+
+    monkeypatch.setattr(HomTables, "VM", property(without_one))
+    for word in RIGIDITY_WORDS:
+        assert rigidity_mismatches(word) > 0, word.printed

@@ -1,8 +1,8 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 from functools import cached_property
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +13,6 @@ from weylseed.errors import NegativeEntryError, StepMismatchError, ValidationErr
 from weylseed.homdata import (
     hom_tables,
     initial_delta_labels,
-    interval_indicator,
     mutate_delta_dimvec,
 )
 from weylseed.intervals import (
@@ -386,18 +385,29 @@ def test_cut_off_keeps_one_matrix_path(wild3, a4):
         assert len(reports[0].label_values) == word.r
 
 
+def interval_indicator(word: ReducedWord, b: int, a: int) -> tuple[int, ...]:
+    """Indicator of the chain positions b, b-, b--, ... that are >= a (a >= 1)."""
+    vec = [0] * word.r
+    cur = b
+    while cur >= a:
+        vec[cur - 1] = 1
+        cur = word.k_minus(cur)
+    return tuple(vec)
+
+
 def dense_stop(word: ReducedWord, d_delta) -> int | None:
     """Oracle: the step at which the dense filtration-multiplicity exchange
     stops the pass, or None.  Each vertex carries a length-r vector, starting
     from the indicators of the initial intervals; every exchange along the
     plan must leave the indicator of the step's new label."""
     matrix = b_matrix(gamma_i(word))
-    deltas = initial_delta_labels(word)
+    deltas, totals = initial_delta_labels(replace(hom_tables(word), d_delta=tuple(d_delta)))
     for step in mu_i_plan(word).steps:
         try:
-            deltas = mutate_delta_dimvec(matrix, deltas, step.vertex, d_delta).labels
+            move = mutate_delta_dimvec(matrix, deltas, totals, step.vertex)
         except NegativeEntryError:
             return step.index
+        deltas, totals = move.labels, move.totals
         if deltas[step.vertex - 1] != interval_indicator(word, *step.after):
             return step.index
         matrix = matrix.mutate(step.vertex)
@@ -406,7 +416,8 @@ def dense_stop(word: ReducedWord, d_delta) -> int | None:
 
 def label_stop(monkeypatch, word: ReducedWord, d_delta) -> int | None:
     """The step at which ``run_mu_i`` stops when it reads ``d_delta``, or None."""
-    monkeypatch.setattr(intervals, "hom_tables", lambda w: SimpleNamespace(d_delta=tuple(d_delta)))
+    tables = hom_tables(word)
+    monkeypatch.setattr(intervals, "hom_tables", lambda w: replace(tables, d_delta=tuple(d_delta)))
     try:
         run_mu_i(word, max_seed_steps=0)
     except StepMismatchError as exc:
