@@ -86,6 +86,17 @@ def _int_list(value, what: str, lo: int, hi: int) -> list[int]:
     return value
 
 
+def _path(doc: dict, matrix: ExchangeMatrix) -> list[int]:
+    """The document's mutation path, checked to run over mutable vertices
+    of ``matrix`` only."""
+    path = _int_list(doc.get("path", []), "path", 1, matrix.r)
+    frozen = matrix.frozen
+    for n, k in enumerate(path, start=1):
+        if k in frozen:
+            raise ValidationError(f"path step {n}: vertex {k} is frozen")
+    return path
+
+
 def _cluster_json(seed: Seed, mode: str) -> list:
     cluster = seed.specialize_frozen() if mode == "specialized" else seed.cluster
     return [x.to_json() for x in cluster]
@@ -102,7 +113,7 @@ def cmd_mutate(doc, args) -> dict:
         seed = Seed.initial(ExchangeMatrix.from_json(doc["matrix"]))
     else:
         seed = Seed.from_word(_word_from_doc(doc))
-    path = _int_list(doc.get("path", []), "path", 1, seed.matrix.r)
+    path = _path(doc, seed.matrix)
     for seed in seed.walk(path):
         pass
     return {
@@ -150,7 +161,7 @@ def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> dict:
     matrix = b_matrix(gamma_i(word))
     labels, totals = start
     picks = []
-    for n, k in enumerate(_int_list(doc.get("path", []), "path", 1, word.r), start=1):
+    for n, k in enumerate(_path(doc, matrix), start=1):
         with located(f"step {n}, vertex {k}"):
             move = exchange(matrix, labels, totals, k)
         matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
@@ -172,20 +183,21 @@ def cmd_delta_dimvec(doc, args) -> dict:
     return {"d_delta": list(tables.d_delta), **walk}
 
 
-def cmd_mu_i(doc, args) -> dict:
+def cmd_mu_i(doc, args) -> tuple[str, ...]:
+    """Its canonical text in pieces: the plan's own text, then the report's
+    (``"plan"`` sorts before ``"report"``)."""
     word = _word_from_doc(doc)
     if args.plan_only:
-        return {"plan": mu_i_plan(word).to_json()}
+        return '{"plan":', mu_i_plan(word).json_text(), "}\n"
     report = run_mu_i(word, max_seed_steps=args.depth)
-    return {
-        "plan": report.plan.to_json(),
-        "report": {
-            "steps_checked": report.steps_checked,
-            "final_labels": [[lab.b, lab.a] for lab in report.final_labels],
-            "final_labels_ok": report.final_labels_expected(word),
-            "chains_reversed": report.final_chains_reversed(word),
-        },
+    checks = {
+        "steps_checked": report.steps_checked,
+        "final_labels": [[lab.b, lab.a] for lab in report.final_labels],
+        "final_labels_ok": report.final_labels_expected(word),
+        "chains_reversed": report.final_chains_reversed(word),
     }
+    # the dump of {"report": checks} without its opening brace
+    return '{"plan":', report.plan.json_text(), ",", _dump({"report": checks})[1:]
 
 
 def cmd_identities(doc, args) -> dict:

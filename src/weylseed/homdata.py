@@ -2,6 +2,12 @@
 standard-module data, the Ringel form on standards, and mutation of
 dimension vectors and filtration-multiplicity vectors.
 
+The r x r tables VM and VV are built a row at a time, each row one int of
+fixed-width lanes, one per position, as the Laurent layer packs exponents
+into one key: about 2n big-integer multiply-adds a row.  Every entry is a
+dimension, so each lane keeps its top bit free; reading a row whose top bits
+are not clear raises MismatchError naming the row.
+
 Both label exchanges keep the neighbor sum with the larger weighted total; for
 dimension vectors it must dominate the other sum, or MismatchError is raised.
 The total is linear in the label, so a walk carries each label's total beside
@@ -14,6 +20,7 @@ the old one.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -26,6 +33,11 @@ from .quiver import ExchangeMatrix
 
 Vec = tuple[int, ...]
 
+# memoryview formats of 1-, 2-, 4- and 8-byte unsigned lanes; a big-endian
+# row lists its lanes last first
+_NATIVE_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
 
 @dataclass(frozen=True)
 class HomTables:
@@ -34,8 +46,8 @@ class HomTables:
     Column s of VM is the dimension vector of the standard module attached
     to position s; VV columns are its partial chain sums.  d_delta holds the
     total dimensions of the standards (column sums of VM).  VM and VV are
-    built on first read, so a caller that needs only d_delta never builds
-    an r x r table.
+    built on first read, both from the packed rows of ``_rows``, so a
+    caller that needs only d_delta never builds an r x r table.
     """
 
     word: ReducedWord
@@ -43,36 +55,80 @@ class HomTables:
     d_delta: Vec
 
     @cached_property
+    def _rows(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The lane width in bytes and the VM and VV rows, each row one int
+        whose lane s - 1 (``width`` bytes, position 1 least significant)
+        holds entry s.
+
+        For k > s, dim Hom(V_k, M_s) is the chain sum of (beta_k', beta_s)
+        over k' = k, k-, k--, ... while k' > s, plus 1 when the letters
+        agree; as k- carries the letter of k, VM_k = sum over s < k of
+        (beta_k, beta_s) e_s, plus VM_{k-}, plus e_k.  The form is
+        sum_j (C beta_k)_j beta_s[j], so the first part is
+        sum_j (C beta_k)_j T_j with T_j packing beta_s[j] for s < k.  VV
+        sums VM over the chain of s up to s: with E_k the chain positions at
+        or above k, VV_k = sum_j (C beta_k)_j S_j + VV_{k-} + E_k, where S_j
+        sums beta_t[j] E_t over t < k.  Every entry is a dimension at most
+        max(d_delta_prefix), which sets the width with a free top bit:
+        1, 2, 4 or 8 bytes, or whole bytes beyond 8.
+        """
+        word = self.word
+        width = (max(self.d_delta_prefix).bit_length() + 8) // 8
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()
+        bits = 8 * width
+        above = [0] * (word.r + 1)  # E_k
+        for j in range(1, word.cartan.n + 1):
+            lanes = 0
+            for k in reversed(word.chain(j)):
+                lanes |= 1 << bits * (k - 1)
+                above[k] = lanes
+        t, s = [0] * word.cartan.n, [0] * word.cartan.n  # T_j and S_j
+        vm, vv = [0], [0]  # row 0 stands for k- = 0
+        for k, (c_beta, beta) in enumerate(zip(self.c_betas, word.betas), start=1):
+            km, shift, chain_up = word.k_minus(k), bits * (k - 1), above[k]
+            vm.append(sum(map(mul, c_beta, t), vm[km] + (1 << shift)))
+            vv.append(sum(map(mul, c_beta, s), vv[km] + chain_up))
+            for j, b in enumerate(beta):
+                if b:
+                    t[j] += b << shift
+                    s[j] += b * chain_up
+        return width, tuple(vm[1:]), tuple(vv[1:])
+
+    def _decoded(self, name: str, rows: tuple[int, ...]) -> tuple[Vec, ...]:
+        """The entries of packed ``rows``, after a guard test on each row."""
+        width, r = self._rows[0], self.word.r
+        size, bits = r * width, 8 * width
+        # the top bit of every lane and every bit above the last one: a
+        # negative or oversized entry sets one of them
+        guard = int.from_bytes((1 << bits - 1).to_bytes(width, "little") * r, "little")
+        guard -= 1 << 8 * size
+        fmt = _NATIVE_LANES.get(width)
+        out = []
+        for k, row in enumerate(rows, start=1):
+            if row & guard:
+                raise MismatchError(
+                    f"{name} row {k}: an entry is negative or above {(1 << bits - 1) - 1}"
+                )
+            if fmt is None:
+                raw = memoryview(row.to_bytes(size, "little"))
+                out.append(
+                    tuple([int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)])
+                )
+            else:
+                lanes = memoryview(row.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
+                out.append(tuple(lanes[::-1] if _BIG_ENDIAN else lanes))
+        return tuple(out)
+
+    @cached_property
     def VM(self) -> tuple[Vec, ...]:
-        """dim Hom(V_k, M_s) is 0 for k < s, 1 for k = s, and for k > s the
-        chain sum of (beta_k', beta_s) over k' = k, k-, k--, ... while k' > s,
-        plus 1 when the letters agree.  As k- carries the letter of k, this
-        is VM[k][s] = (beta_k, beta_s) + VM[k-][s] when k- > s, and each form
-        value is one dot product with C beta_s."""
-        word, c_betas = self.word, self.c_betas
-        r, letters = word.r, word.positions
-        vm = [[0] * r for _ in range(r)]
-        for k in range(1, r + 1):
-            beta_k, km, letter = word.betas[k - 1], word.k_minus(k), letters[k - 1]
-            row, prev = vm[k - 1], vm[km - 1]  # prev is read only when km > s >= 1
-            for s in range(1, k):
-                form = sum(map(mul, beta_k, c_betas[s - 1]))
-                row[s - 1] = form + (prev[s - 1] if km > s else letter == letters[s - 1])
-            row[k - 1] = 1
-        return tuple(map(tuple, vm))
+        """Row k - 1 holds dim Hom(V_k, M_s) for s = 1..r."""
+        return self._decoded("VM", self._rows[1])
 
     @cached_property
     def VV(self) -> tuple[Vec, ...]:
-        """VV[k][s] = VM[k][s] + VV[k][s-], summing VM over the chain of s."""
-        k_minus = [self.word.k_minus(s) for s in range(1, self.word.r + 1)]
-        vv = []
-        for vm_row in self.VM:
-            vv_row = list(vm_row)
-            for s, sm in enumerate(k_minus):
-                if sm:
-                    vv_row[s] += vv_row[sm - 1]
-            vv.append(tuple(vv_row))
-        return tuple(vv)
+        """Row k - 1 holds dim Hom(V_k, V_s) for s = 1..r."""
+        return self._decoded("VV", self._rows[2])
 
     @cached_property
     def d_delta_prefix(self) -> Vec:

@@ -9,6 +9,7 @@ dropped from products.
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -62,17 +63,11 @@ class PlanStep(NamedTuple):
     before: IntervalLabel
     after: IntervalLabel
 
-    def to_json(self) -> dict:
-        return {
-            "step": self.index,
-            "group": self.group,
-            "vertex": self.vertex,
-            "before": [self.before.b, self.before.a],
-            "after": [self.after.b, self.after.a],
-        }
-
 
 _step = partial(tuple.__new__, PlanStep)  # PlanStep((index, ...)) built in C
+
+# the canonical JSON of nested int sequences: arrays without spaces
+_compact = partial(json.dumps, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,23 @@ class MutationPlan:
     def length(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> dict:
-        return {
-            "word": list(self.word_printed),
-            "length": self.length,
-            "groups": [list(g) for g in self.groups],
-            "steps": [s.to_json() for s in self.steps],
-        }
+    def json_text(self) -> str:
+        """The plan's canonical JSON (keys sorted, no spaces): the word, the
+        length, the groups, and each step with its labels as [b, a] pairs,
+        one ``%`` format per step."""
+        steps = ",".join(
+            [
+                '{"after":[%d,%d],"before":[%d,%d],"group":%d,"step":%d,"vertex":%d}'
+                % (after_b, after_a, before_b, before_a, group, index, vertex)
+                for index, group, vertex, (before_b, before_a), (after_b, after_a) in self.steps
+            ]
+        )
+        return '{"groups":%s,"length":%d,"steps":[%s],"word":%s}' % (
+            _compact(self.groups),
+            self.length,
+            steps,
+            _compact(self.word_printed),
+        )
 
 
 def _pass_length(word: ReducedWord, k: int) -> int:

@@ -722,6 +722,25 @@ def test_malformed_fields_exit_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["mutate", "dimvec", "delta-dimvec"])
+def test_frozen_vertex_in_path_exits_2_naming_the_step(capsys, command):
+    """Positions 5, 6 and 7 of (1,3,2,1,3,2,1) hold the last occurrence of
+    their letter, so they are frozen: a path through one is rejected where
+    the document is read, naming its place in the path and the vertex."""
+    doc = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [1, 3, 2, 1, 3, 2, 1]}
+    assert main([command, "--inline", json.dumps(dict(doc, path=[4, 1, 6, 2]))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: path step 3: vertex 6 is frozen\n"
+
+
+def test_frozen_vertex_of_a_matrix_document_exits_2(capsys):
+    doc = {"matrix": {"vertices": 3, "mutable": [1, 2], "rows": [[0, 1], [-1, 0], [1, 1]]}}
+    assert main(["mutate", "--inline", json.dumps(dict(doc, path=[3]))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: path step 1: vertex 3 is frozen\n"
+
+
 def test_selftest_command(capsys):
     code, out = run(capsys, "selftest", "--seed", "7")
     summary = json.loads(out)["selftest"]

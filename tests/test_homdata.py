@@ -3,6 +3,7 @@ import io
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from operator import ge, mul, sub
 
 import pytest
@@ -86,12 +87,48 @@ def test_hom_tables_against_chain_walk_oracle():
     words = [random_reduced_word(rng, c, rng.randint(1, 14)) for c in pool * 4]
     e8_word = ReducedWord(E8, tuple(range(8, 0, -1)) * 15)
     words += [ReducedWord(E8, e8_word.printed[e8_word.r - k:]) for k in (1, 9, 23, 40, 77)]
+    # wild words whose entries need lanes of 4, 8 and more than 8 bytes
+    words += [random_reduced_word(rng, WILD3, length) for length in (20, 32, 50)]
+    widths = set()
     for word in words:
         tables = hom_tables(word)
         vm, vv = chain_walk_tables(word)
         assert [list(row) for row in tables.VM] == vm
         assert [list(row) for row in tables.VV] == vv
         assert tables.d_delta == tuple(sum(col) for col in zip(*vm))
+        widths.add(tables._rows[0])
+    # every memoryview lane width and the byte-slice decode beyond 8 bytes
+    assert {1, 2, 4, 8} < widths and max(widths) > 8, widths
+
+
+def with_negative_vm_entry(tables):
+    """``tables`` with C beta_2 lowered by 5 where beta_1 = alpha_1 lives,
+    so that VM[2][1] = (beta_2, beta_1) - 5 = -5 on the word (1,3,2,1,3,2,1)."""
+    c_betas = list(tables.c_betas)
+    c_betas[1] = (c_betas[1][0] - 5,) + c_betas[1][1:]
+    return replace(tables, c_betas=tuple(c_betas))
+
+
+def test_guard_bits_stop_a_negative_entry_at_its_row(word_mut7, monkeypatch, capsys):
+    """A row whose entry is negative sets a lane's top bit: reading the table
+    raises MismatchError naming the row, and ``dimvec`` exits 3 with nothing
+    on stdout instead of printing a wrong table."""
+    bad = with_negative_vm_entry(hom_tables(word_mut7))
+    with pytest.raises(MismatchError, match=r"^VM row 2: an entry is negative or above 127$"):
+        bad.VM
+    with pytest.raises(MismatchError, match=r"^VV row 2: "):
+        bad.VV
+    real = hom_tables
+    monkeypatch.setattr("weylseed.cli.hom_tables", lambda word: with_negative_vm_entry(real(word)))
+    doc = {"rank": 3, "edges": [[1, 2, 2], [2, 3, 1]], "word": [1, 3, 2, 1, 3, 2, 1]}
+    assert main(["dimvec", "--inline", json.dumps(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the walk reads its labels, the VV columns, before the tables are printed
+    assert json.loads(captured.err) == {
+        "error": "MismatchError",
+        "detail": "VV row 2: an entry is negative or above 127",
+    }
 
 
 def test_hom_tables_unitriangular(word_mut7):
@@ -452,7 +489,8 @@ def test_hom_tables_are_rigid(word):
 
 def test_rigidity_catches_a_vm_without_the_agreeing_letters_one(monkeypatch):
     """A VM that leaves out the 1 where the letters of k > s agree breaks
-    rigidity on every word."""
+    rigidity on every word.  VV is built beside VM, not from it, so the hook
+    also sets VV to the chain sums of that VM."""
     built = HomTables.VM.func
 
     def without_one(self):
@@ -462,6 +500,18 @@ def test_rigidity_catches_a_vm_without_the_agreeing_letters_one(monkeypatch):
             for k, row in enumerate(built(self))
         )
 
+    def chain_sums(self):
+        k_minus = [self.word.k_minus(s) for s in range(1, self.word.r + 1)]
+        rows = []
+        for vm_row in self.VM:
+            row = list(vm_row)
+            for s, sm in enumerate(k_minus):
+                if sm:
+                    row[s] += row[sm - 1]
+            rows.append(tuple(row))
+        return tuple(rows)
+
     monkeypatch.setattr(HomTables, "VM", property(without_one))
+    monkeypatch.setattr(HomTables, "VV", property(chain_sums))
     for word in RIGIDITY_WORDS:
         assert rigidity_mismatches(word) > 0, word.printed

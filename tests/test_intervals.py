@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from dataclasses import replace
@@ -644,8 +645,53 @@ def test_pbw_grading_matches_dim(word_pbw6, word_a4_shift):
             assert poly.multidegree(grading) == dim_V(w, k)
 
 
+def plan_dict(plan) -> dict:
+    """Oracle: the plan as a JSON document built from its fields."""
+    return {
+        "word": list(plan.word_printed),
+        "length": plan.length,
+        "groups": [list(g) for g in plan.groups],
+        "steps": [
+            {
+                "step": step.index,
+                "group": step.group,
+                "vertex": step.vertex,
+                "before": [step.before.b, step.before.a],
+                "after": [step.after.b, step.after.a],
+            }
+            for step in plan.steps
+        ],
+    }
+
+
+def test_plan_text_is_the_canonical_dump_of_the_plan_document():
+    """``json_text`` writes the canonical dump of ``plan_dict``: on the E8
+    word, the three chain-pass words, a word with an empty plan and random
+    words over every pool matrix."""
+    rng = random.Random(32)
+    words = [
+        ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
+        *(
+            ReducedWord(CartanMatrix.from_edges(3, WILD3_EDGES), printed)
+            for printed in (
+                (1, 2, 3, 1, 3, 1, 2, 3, 1, 3),
+                (2, 3, 1, 3, 2, 3, 2, 1, 3),
+                (3, 2, 3, 2, 1, 3, 2, 1, 3),
+            )
+        ),
+        ReducedWord(CARTAN_POOL[0], (1, 2)),
+    ]
+    words += [random_reduced_word(rng, c, rng.randint(0, 12)) for c in CARTAN_POOL * 3]
+    assert mu_i_plan(words[4]).length == 0
+    for word in words:
+        plan = mu_i_plan(word)
+        assert plan.json_text() == json.dumps(
+            plan_dict(plan), sort_keys=True, separators=(",", ":")
+        ), word.printed
+
+
 def test_plan_serialization(word_pbw6):
-    doc = mu_i_plan(word_pbw6).to_json()
+    doc = json.loads(mu_i_plan(word_pbw6).json_text())
     assert doc["length"] == len(doc["steps"]) == 3
     assert doc["steps"][0] == {
         "step": 1,
