@@ -34,6 +34,7 @@ from .quiver import (
     ExchangeMatrix,
     Seed,
     SeedRegistry,
+    WorkingMatrix,
     acyclic_double,
     b_matrix,
     coefficient_free_matrix,
@@ -86,7 +87,7 @@ def _int_list(value, what: str, lo: int, hi: int) -> list[int]:
     return value
 
 
-def _path(doc: dict, matrix: ExchangeMatrix) -> list[int]:
+def _path(doc: dict, matrix: ExchangeMatrix | WorkingMatrix) -> list[int]:
     """The document's mutation path, checked to run over mutable vertices
     of ``matrix`` only."""
     path = _int_list(doc.get("path", []), "path", 1, matrix.r)
@@ -157,14 +158,15 @@ def cmd_walk(doc, args) -> dict:
 
 def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> dict:
     """Exchange the labels and totals of ``start`` along ``path``, mutating
-    the word's matrix once per step."""
-    matrix = b_matrix(gamma_i(word))
+    a working copy of the word's matrix in place once per step."""
+    matrix = WorkingMatrix(b_matrix(gamma_i(word)))
     labels, totals = start
     picks = []
     for n, k in enumerate(_path(doc, matrix), start=1):
         with located(f"step {n}, vertex {k}"):
             move = exchange(matrix, labels, totals, k)
-        matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
+        matrix.mutate(k)
+        labels, totals = move.labels, move.totals
         picks.append("in" if move.picked_in_side else "out")
     return {"labels": [list(v) for v in labels], "sides": picks}
 

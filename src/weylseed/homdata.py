@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .cartan import ReducedWord, sym_form
 from .errors import MismatchError, NegativeEntryError, ValidationError
-from .quiver import ExchangeMatrix
+from .quiver import ExchangeMatrix, WorkingMatrix
 
 Vec = tuple[int, ...]
 
@@ -229,7 +229,7 @@ def _side_sum(pairs: list[tuple[int, int]], labels: Sequence[Vec], r: int) -> Ve
 
 
 def _exchange(
-    matrix: ExchangeMatrix,
+    matrix: ExchangeMatrix | WorkingMatrix,
     labels: Sequence[Vec],
     totals: Sequence[int],
     k: int,
@@ -263,7 +263,7 @@ def _exchange(
 
 
 def mutate_dimvec(
-    matrix: ExchangeMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
+    matrix: ExchangeMatrix | WorkingMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
 ) -> MutationStep:
     """Exchange the dimension-vector label at a mutable vertex.
 
@@ -277,7 +277,7 @@ def mutate_dimvec(
 
 
 def mutate_delta_dimvec(
-    matrix: ExchangeMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
+    matrix: ExchangeMatrix | WorkingMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
 ) -> MutationStep:
     """Same exchange on filtration-multiplicity vectors.
 

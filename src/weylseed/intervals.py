@@ -26,7 +26,7 @@ from .errors import (
 )
 from .homdata import hom_tables
 from .laurent import LaurentPoly, VarTable
-from .quiver import ExchangeMatrix, Seed, b_matrix, exchange, gamma_i
+from .quiver import ExchangeMatrix, Seed, WorkingMatrix, b_matrix, exchange, gamma_i
 
 
 class IntervalLabel(NamedTuple):
@@ -246,20 +246,24 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
 
     Laurent cluster tracking can be cut off after ``max_seed_steps`` steps
     (0 tracks none); the combinatorial checks always run the full plan.
-    Each step reads the mutated vertex's neighbourhood once, for the check
-    and for the exchange, and mutates the exchange matrix once.  Exchange
-    supports blow up quickly on wild Cartan data, so callers verifying
-    specific identities should cut the symbolic part at the step they need.
+    The pass owns one ``WorkingMatrix`` and reads no matrix but the current
+    one, so it mutates that matrix in place and keeps no snapshot.  Each step
+    reads the mutated vertex's neighbourhood once, for the check and for the
+    exchange, with ``neighbors`` sorting the column as it is read, and
+    mutates the matrix once.  Exchange supports blow up quickly on wild
+    Cartan data, so callers verifying specific identities should cut the
+    symbolic part at the step they need.
     An engine error raised by the exchange, such as a product over
     ``MAX_TERM_PAIRS``, is re-raised as the same class with the step and the
     vertex before its detail.
     """
     plan = mu_i_plan(word)
-    matrix = b_matrix(gamma_i(word))
+    initial = b_matrix(gamma_i(word))
+    matrix = WorkingMatrix(initial)
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
     weight = hom_tables(word).d_delta_prefix
     weight_minus = [0] + [weight[word.k_minus(k)] for k in range(1, word.r + 1)]  # weight[k-]
-    cluster = list(Seed.initial(matrix).cluster)
+    cluster = list(Seed.initial(initial).cluster)
     label_values = dict(zip(labels, cluster))
     for step in plan.steps:
         v = step.vertex
@@ -273,13 +277,13 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
             with located(f"step {step.index}, vertex {v}"):
                 cluster[v - 1] = exchange(cluster, v, sides)
             label_values[step.after] = cluster[v - 1]
-        matrix = matrix.mutate(v)
+        matrix.mutate(v)
         labels[v - 1] = step.after
     return MuIReport(
         plan=plan,
         final_labels=tuple(labels),
         label_values=label_values,
-        final_matrix=matrix,
+        final_matrix=matrix.matrix(),
         steps_checked=plan.length,
     )
 

@@ -7,17 +7,20 @@ between two frozen vertices are intentionally not representable: they are
 not needed for seed mutation and are not controlled by it.
 
 Each column is stored sparsely, as the map from i to b_ik over its nonzero
-entries in increasing i, so the neighbors of k are column k itself.  Dense
-rows exist only as the input of the checking constructor and the output of
-``to_json``.
+entries in no particular order, so the neighbors of k are column k itself;
+``neighbors`` sorts the column when it is read.  Dense rows exist only as the
+input of the checking constructor and the output of ``to_json``.
 
 Matrix mutation at k (Fomin-Zelevinsky) changes b_ij only where b_ik and
-b_kj are both nonzero or one of i, j is k.  So it rewrites column k and the
-columns of k's mutable neighbors, shares every other column with its input,
-and costs O(deg(k)^2).  It keeps a skew-symmetric principal part
-skew-symmetric, so ``mutate`` and ``b_matrix`` build their columns
-skew-symmetric by construction, unchecked; only a matrix built from dense
-rows is checked, on every nonzero entry.
+b_kj are both nonzero or one of i, j is k.  One rule, ``_mutate_columns``,
+rewrites column k and the columns of k's mutable neighbors in place in
+O(deg(k)^2).  ``ExchangeMatrix.mutate`` applies it to copies of those
+columns and shares every other column with its input; a ``WorkingMatrix``,
+owned by one mutation path, applies it to its own columns with no copies.
+Mutation keeps a skew-symmetric principal part skew-symmetric, so the rule
+and ``b_matrix`` build their columns skew-symmetric by construction,
+unchecked; only a matrix built from dense rows is checked, on every nonzero
+entry.
 """
 from __future__ import annotations
 
@@ -71,13 +74,67 @@ def gamma_i(word: ReducedWord) -> Quiver:
     return Quiver(word.r, word.frozen_positions(), tuple(sorted(arrows)))
 
 
-class ExchangeMatrix:
-    """Integer matrix with one sparse column per mutable vertex.
+def _mutate_columns(cols: dict[int, dict[int, int]], k: int, col_k: dict[int, int]) -> None:
+    """Matrix mutation at k on ``cols`` itself, ``col_k`` being ``cols[k]``.
 
-    ``cols[k]`` maps each vertex i with b_ik != 0 to b_ik, in increasing i.
+    For each arrow i -> k of multiplicity m and each arrow k -> j of
+    multiplicity n, b_ji (in column i) gains m*n and b_ij (in column j) loses
+    m*n, where those columns are mutable; then every entry at k changes sign.
+    An entry that becomes nonzero is added at the end of its column.
     """
+    ins = [(i, b) for i, b in col_k.items() if b < 0]
+    outs = [(j, b) for j, b in col_k.items() if b > 0]
+    for u, b_uk in col_k.items():
+        col_u = cols.get(u)
+        if col_u is None:
+            continue  # frozen: no column
+        # b_uw gains |b_uk| * b_wk over the other side w of k
+        m = abs(b_uk)
+        for w, b_wk in outs if b_uk < 0 else ins:
+            b = col_u.get(w, 0) + m * b_wk
+            if b:
+                col_u[w] = b
+            else:
+                del col_u[w]
+        col_u[k] = -col_u[k]
+    for u, b_uk in col_k.items():
+        col_k[u] = -b_uk
+
+
+class _Columns:
+    """One sparse column per mutable vertex: ``cols[k]`` maps each vertex i
+    with b_ik != 0 to b_ik, in no particular order."""
 
     __slots__ = ("r", "mutable", "cols")
+
+    @property
+    def frozen(self) -> frozenset[int]:
+        return frozenset(range(1, self.r + 1)) - set(self.mutable)
+
+    def column(self, k: int) -> dict[int, int]:
+        """The nonzero entries b_ik of column k, which callers must not change."""
+        try:
+            return self.cols[k]
+        except KeyError:
+            raise ValidationError(f"vertex {k} is frozen or absent") from None
+
+    def entry(self, i: int, k: int) -> int:
+        """b_ik = #(k -> i) - #(i -> k); k must be mutable."""
+        return self.column(k).get(i, 0)
+
+    def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(vertex, multiplicity) pairs with arrows vertex -> k, then with
+        k -> vertex, each in increasing vertex order: column k is sorted as
+        it is read."""
+        entries = sorted(self.column(k).items())
+        return [(i, -b) for i, b in entries if b < 0], [(i, b) for i, b in entries if b > 0]
+
+
+class ExchangeMatrix(_Columns):
+    """Integer matrix with one sparse column per mutable vertex, never
+    changed once built."""
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -112,57 +169,18 @@ class ExchangeMatrix:
         out.r, out.mutable, out.cols = r, mutable, cols
         return out
 
-    @property
-    def frozen(self) -> frozenset[int]:
-        return frozenset(range(1, self.r + 1)) - set(self.mutable)
-
-    def column(self, k: int) -> dict[int, int]:
-        """The nonzero entries b_ik of column k, which callers must not change."""
-        try:
-            return self.cols[k]
-        except KeyError:
-            raise ValidationError(f"vertex {k} is frozen or absent") from None
-
-    def entry(self, i: int, k: int) -> int:
-        """b_ik = #(k -> i) - #(i -> k); k must be mutable."""
-        return self.column(k).get(i, 0)
-
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation at k, rewriting only column k and the columns of
-        its mutable neighbors, straight from column k."""
-        col_k = self.column(k)
+        """Matrix mutation at k on copies of column k and of the columns of
+        its mutable neighbors; every other column is shared."""
+        col_k = self.column(k).copy()
         cols = self.cols.copy()
-        cols[k] = {i: -b for i, b in col_k.items()}
         for j in col_k:
-            col_j = self.cols.get(j)
-            if col_j is None:
-                continue  # frozen: no column
-            # b_ij gains b_ik * |b_kj| when b_ik and b_kj have the same sign
-            b_kj = col_j.get(k, 0)
-            up, m = b_kj > 0, abs(b_kj)
-            new = col_j.copy()
-            new[k] = -b_kj
-            grown = False
-            for i, b_ik in col_k.items():
-                if (b_ik > 0) is up:
-                    b = new.get(i, 0) + b_ik * m
-                    if b:
-                        grown = grown or i not in new
-                        new[i] = b
-                    else:
-                        del new[i]
-            # an added vertex may break the increasing order; nothing else can
-            cols[j] = dict(sorted(new.items())) if grown else new
+            col_j = cols.get(j)
+            if col_j is not None:
+                cols[j] = col_j.copy()
+        cols[k] = col_k
+        _mutate_columns(cols, k, col_k)
         return ExchangeMatrix._of_columns(self.r, self.mutable, cols)
-
-    def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(vertex, multiplicity) pairs with arrows vertex -> k, then with
-        k -> vertex, each in increasing vertex order."""
-        col = self.column(k)
-        return (
-            [(i, -b) for i, b in col.items() if b < 0],
-            [(i, b) for i, b in col.items() if b > 0],
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,8 +191,8 @@ class ExchangeMatrix:
         )
 
     def __hash__(self) -> int:
-        # equal columns list their entries in the same, increasing order
-        return hash((self.r, self.mutable, tuple(tuple(c.items()) for c in self.cols.values())))
+        # equal columns may list their entries in different orders
+        return hash((self.r, self.mutable, tuple(frozenset(c.items()) for c in self.cols.values())))
 
     def to_json(self) -> dict:
         cols = [self.cols[v] for v in self.mutable]
@@ -201,6 +219,25 @@ class ExchangeMatrix:
         return ExchangeMatrix(r, mutable, rows)
 
 
+class WorkingMatrix(_Columns):
+    """A copy of an exchange matrix that one mutation path owns and mutates
+    in place, for a loop that reads each matrix only before the next step."""
+
+    __slots__ = ()
+
+    def __init__(self, matrix: ExchangeMatrix):
+        self.r, self.mutable = matrix.r, matrix.mutable
+        self.cols = {v: col.copy() for v, col in matrix.cols.items()}
+
+    def mutate(self, k: int) -> None:
+        """Matrix mutation at k, in place."""
+        _mutate_columns(self.cols, k, self.column(k))
+
+    def matrix(self) -> ExchangeMatrix:
+        """The matrix reached, handed its columns: the path's last read."""
+        return ExchangeMatrix._of_columns(self.r, self.mutable, self.cols)
+
+
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices.
 
@@ -216,8 +253,6 @@ def b_matrix(quiver: Quiver) -> ExchangeMatrix:
             cols[s][t] = m
         if t in cols:
             cols[t][s] = -m
-    for v, col in cols.items():
-        cols[v] = dict(sorted(col.items()))
     return ExchangeMatrix._of_columns(quiver.r, mutable, cols)
 
 

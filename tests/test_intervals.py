@@ -28,7 +28,7 @@ from weylseed.intervals import (
     verify_identity,
 )
 from weylseed.laurent import LaurentPoly
-from weylseed.quiver import ExchangeMatrix, Seed, b_matrix, gamma_i
+from weylseed.quiver import ExchangeMatrix, Seed, WorkingMatrix, b_matrix, gamma_i
 
 E8_EDGES = [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
 WILD3_EDGES = [(1, 2, 3), (1, 3, 2), (2, 3, 2)]
@@ -336,11 +336,12 @@ def test_e8_combinatorial_pass():
 
 
 def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
-    """``run_mu_i`` reads ``neighbors(v)`` once per plan step, for the check
-    and the exchange together, and ``ExchangeMatrix.mutate`` never reads it:
-    on the E8 combinatorial pass and on a fully tracked wild pass."""
+    """``run_mu_i`` reads ``neighbors(v)`` of its working matrix once per plan
+    step, for the check and the exchange together, and ``mutate`` never
+    reads it; the pass makes no ``ExchangeMatrix.mutate`` snapshot.  On the
+    E8 combinatorial pass and on a fully tracked wild pass."""
     reads, inside = [], [0]
-    neighbors, mutate = ExchangeMatrix.neighbors, ExchangeMatrix.mutate
+    neighbors, mutate = WorkingMatrix.neighbors, WorkingMatrix.mutate
 
     def counting_neighbors(self, k):
         reads.append(inside[0])
@@ -353,8 +354,10 @@ def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(ExchangeMatrix, "neighbors", counting_neighbors)
-    monkeypatch.setattr(ExchangeMatrix, "mutate", counting_mutate)
+    monkeypatch.setattr(WorkingMatrix, "neighbors", counting_neighbors)
+    monkeypatch.setattr(WorkingMatrix, "mutate", counting_mutate)
+    snapshots = []
+    monkeypatch.setattr(ExchangeMatrix, "mutate", lambda self, k: snapshots.append(k))
     e8 = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
     wild = ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3))
     for word, cut in ((e8, 0), (wild, None)):
@@ -362,6 +365,7 @@ def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
         report = run_mu_i(word, max_seed_steps=cut)
         assert len(reads) == report.plan.length
         assert not any(reads)  # none from inside mutate
+    assert snapshots == []
 
 
 def test_cut_off_keeps_one_matrix_path(wild3, a4):

@@ -87,9 +87,11 @@ def _sites(is_site) -> list[str]:
 
 def test_skew_symmetry_is_checked_only_on_entry():
     """The dense-row constructor is the one owner of the skew-symmetry check:
-    its message is raised in ``ExchangeMatrix.__init__`` and nowhere else,
-    and ``mutate``, which keeps a matrix skew-symmetric, calls no function
-    or class of ``quiver`` but the column reader and the unchecked wrapper."""
+    its message is raised in ``ExchangeMatrix.__init__`` and nowhere else.
+    ``mutate``, which keeps a matrix skew-symmetric, calls no function or
+    class of ``quiver`` but the column reader, the one in-place mutation rule
+    and the unchecked wrapper; the rule calls none at all, and neither
+    raises."""
     message = "principal part is not skew-symmetric"
     assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == message) == [
         "quiver.py:__init__"
@@ -102,17 +104,25 @@ def test_skew_symmetry_is_checked_only_on_entry():
         next(node for node in matrix.body if isinstance(node, ast.FunctionDef) and node.name == name)
         for name in ("__init__", "mutate")
     )
+    rule = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_mutate_columns"
+    )
     assert message in {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
     defined = {
         node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    called = {
-        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-        for node in ast.walk(mutate)
-        if isinstance(node, ast.Call)
-    }
-    assert called & defined == {"column", "_of_columns"}
-    assert not any(isinstance(node, ast.Raise) for node in ast.walk(mutate))
+
+    def called(fn):
+        return {
+            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+        }
+
+    assert called(mutate) & defined == {"column", "_mutate_columns", "_of_columns"}
+    assert called(rule) & defined == set()
+    for fn in (mutate, rule):
+        assert not any(isinstance(node, ast.Raise) for node in ast.walk(fn))
 
 
 def test_only_located_and_main_catch_engine_errors():

@@ -18,6 +18,7 @@ from weylseed.quiver import (
     Quiver,
     Seed,
     SeedRegistry,
+    WorkingMatrix,
     acyclic_double,
     b_matrix,
     coefficient_free_matrix,
@@ -167,8 +168,8 @@ def test_matrix_mutate_involution_random():
 
 
 def test_equal_matrices_hash_alike(word_wild10):
-    """``__hash__`` reads each column's entries in order, so equal matrices
-    must list them in the same, increasing order: the checking constructor
+    """``__hash__`` reads each column as a set of entries, so equal matrices
+    hash alike whatever order their columns hold: the checking constructor
     against ``b_matrix`` and against random matrices rebuilt from their rows,
     and ``mutate(k).mutate(k)`` round trips over random matrices."""
     rng = random.Random(47)
@@ -580,3 +581,67 @@ def test_mutation_shares_every_column_it_does_not_rewrite(word_wild10):
             shared = [v for v in m.mutable if mutated.cols[v] is m.cols[v]]
             assert sorted(shared) == sorted(set(m.mutable) - rewritten)
             m = mutated
+
+
+def test_hash_does_not_depend_on_column_order(word_wild10):
+    """A matrix whose columns were filled in reversed order, by ``b_matrix``
+    from the reversed arrow list or by reversing each column of a random
+    matrix, equals the original and hashes alike."""
+    rng = random.Random(53)
+    words = [E8_WORD, word_wild10]
+    words += [random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(2, 12)) for _ in range(30)]
+    pairs = []
+    for w in words:
+        quiver = gamma_i(w)
+        backwards = Quiver(quiver.r, quiver.frozen, quiver.arrows[::-1])
+        pairs.append((b_matrix(quiver), b_matrix(backwards)))
+    for _ in range(100):
+        r = rng.randint(3, 10)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        flipped = {v: dict(reversed(col.items())) for v, col in m.cols.items()}
+        pairs.append((m, ExchangeMatrix._of_columns(m.r, m.mutable, flipped)))
+    reordered = 0
+    for m, other in pairs:
+        assert other == m and hash(other) == hash(m)
+        reordered += [list(c) for c in m.cols.values()] != [list(c) for c in other.cols.values()]
+    assert reordered > 100
+
+
+CHAIN_PASS_WORDS = (
+    (1, 2, 3, 1, 3, 1, 2, 3, 1, 3),
+    (2, 3, 1, 3, 2, 3, 2, 1, 3),
+    (3, 2, 3, 2, 1, 3, 2, 1, 3),
+)
+
+
+def test_working_matrix_against_oracles(wild3):
+    """A ``WorkingMatrix`` mutated in place reads, at every step, the
+    neighbours of the mutated vertex that the two-scan oracle reads, and ends
+    at the matrix that the folds of ``ExchangeMatrix.mutate`` and of
+    ``dense_mutate`` reach, with its start matrix unchanged: along the E8
+    plan, the plans of the three chain-pass words, random paths on random
+    word quivers and random matrices."""
+    rng = random.Random(61)
+    paths = [(b_matrix(gamma_i(E8_WORD)), [step.vertex for step in mu_i_plan(E8_WORD).steps])]
+    for printed in CHAIN_PASS_WORDS:
+        word = ReducedWord(wild3, printed)
+        paths.append((b_matrix(gamma_i(word)), [step.vertex for step in mu_i_plan(word).steps]))
+    for _ in range(30):
+        m = b_matrix(gamma_i(random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(4, 12))))
+        if m.mutable:
+            paths.append((m, [rng.choice(m.mutable) for _ in range(15)]))
+    for _ in range(40):
+        r = rng.randint(3, 12)
+        m = random_matrix(rng, r, rng.randint(0, r - 2))
+        paths.append((m, [rng.choice(m.mutable) for _ in range(15)]))
+    for start, path in paths:
+        before = dense_rows(start)
+        working, folded, dense = WorkingMatrix(start), start, start
+        for k in path:
+            assert working.neighbors(k) == (in_neighbors(dense, k), out_neighbors(dense, k))
+            working.mutate(k)
+            folded, dense = folded.mutate(k), dense_mutate(dense, k)
+        final = working.matrix()
+        assert final == folded == dense and hash(final) == hash(folded) == hash(dense)
+        assert dense_rows(final) == dense_rows(dense)
+        assert dense_rows(start) == before
