@@ -1,5 +1,10 @@
 """Command-line front end with deterministic JSON input and output.
 
+Every command prints one canonical JSON document: keys sorted, no spaces.
+``gamma``, ``dimvec``, ``delta-dimvec``, ``mu-i`` and ``euler-gen`` write that
+text themselves and return it in pieces; the other commands return a dict for
+``_dump``.
+
 Exit codes: 0 on success, 2 on input validation problems, 3 on violated
 engine contracts (failed exactness or consistency assertions).
 """
@@ -9,7 +14,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .cartan import CartanMatrix, QuiverOrientation, ReducedWord, _is_int
 from .errors import EngineError, ValidationError, WeylseedError, located
@@ -23,6 +28,7 @@ from .homdata import (
 from .intervals import (
     IntervalLabel,
     PBWExpander,
+    _compact,
     identity_step,
     mu_i_plan,
     run_mu_i,
@@ -42,7 +48,7 @@ from .quiver import (
     gamma_i,
     y_dagger,
 )
-from .words import g_V, phi_eval, to_word
+from .words import _Memo, g_V, phi_eval, to_word
 
 # Largest accepted `walk --depth`: the output lists the whole path, and each
 # step mutates a seed whose Laurent values may grow, so work and bytes grow
@@ -51,7 +57,14 @@ MAX_WALK_DEPTH = 10**4
 
 
 def _dump(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _compact(doc, sort_keys=True) + "\n"
+
+
+def _int_rows(rows: Iterable[Iterable[int]]) -> str:
+    """The canonical JSON of int rows, ``[[a,b],[c]]``: each distinct entry
+    is formatted once, through a memo of int -> str."""
+    text = _Memo(str).__getitem__
+    return "[%s]" % ",".join(["[%s]" % ",".join(map(text, row)) for row in rows])
 
 
 def _load_doc(args) -> dict:
@@ -103,10 +116,13 @@ def _cluster_json(seed: Seed, mode: str) -> list:
     return [x.to_json() for x in cluster]
 
 
-def cmd_gamma(doc, args) -> dict:
-    word = _word_from_doc(doc)
-    quiver = gamma_i(word)
-    return {"quiver": quiver.to_json(), "b_matrix": b_matrix(quiver).to_json()}
+def cmd_gamma(doc, args) -> tuple[str]:
+    quiver = gamma_i(_word_from_doc(doc))
+    matrix, quiver_text = b_matrix(quiver).to_json(), _compact(quiver.to_json(), sort_keys=True)
+    return (
+        '{"b_matrix":{"mutable":%s,"rows":%s,"vertices":%d},"quiver":%s}\n'
+        % (_compact(matrix["mutable"]), _int_rows(matrix["rows"]), matrix["vertices"], quiver_text),
+    )
 
 
 def cmd_mutate(doc, args) -> dict:
@@ -156,9 +172,10 @@ def cmd_walk(doc, args) -> dict:
     }
 
 
-def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> dict:
+def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> tuple[tuple, list[str]]:
     """Exchange the labels and totals of ``start`` along ``path``, mutating
-    a working copy of the word's matrix in place once per step."""
+    a working copy of the word's matrix in place once per step; the labels
+    reached and the side picked at each step."""
     matrix = WorkingMatrix(b_matrix(gamma_i(word)))
     labels, totals = start
     picks = []
@@ -168,21 +185,29 @@ def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> dict:
         matrix.mutate(k)
         labels, totals = move.labels, move.totals
         picks.append("in" if move.picked_in_side else "out")
-    return {"labels": [list(v) for v in labels], "sides": picks}
+    return labels, picks
 
 
-def cmd_dimvec(doc, args) -> dict:
+def cmd_dimvec(doc, args) -> tuple[str]:
+    """The walk reads the VV columns before any table is written."""
     word = _word_from_doc(doc)
     tables = hom_tables(word)
-    walk = _walk_labels(doc, word, initial_dimvec_labels(tables), mutate_dimvec)
-    return {"tables": tables.to_json(), **walk}
+    labels, sides = _walk_labels(doc, word, initial_dimvec_labels(tables), mutate_dimvec)
+    vm, vv, d_delta = _int_rows(tables.VM), _int_rows(tables.VV), _compact(tables.d_delta)
+    return (
+        '{"labels":%s,"sides":%s,"tables":{"VM":%s,"VV":%s,"d_delta":%s,"word":%s}}\n'
+        % (_int_rows(labels), _compact(sides), vm, vv, d_delta, _compact(word.printed)),
+    )
 
 
-def cmd_delta_dimvec(doc, args) -> dict:
+def cmd_delta_dimvec(doc, args) -> tuple[str]:
     word = _word_from_doc(doc)
     tables = hom_tables(word)
-    walk = _walk_labels(doc, word, initial_delta_labels(tables), mutate_delta_dimvec)
-    return {"d_delta": list(tables.d_delta), **walk}
+    labels, sides = _walk_labels(doc, word, initial_delta_labels(tables), mutate_delta_dimvec)
+    return (
+        '{"d_delta":%s,"labels":%s,"sides":%s}\n'
+        % (_compact(tables.d_delta), _int_rows(labels), _compact(sides)),
+    )
 
 
 def cmd_mu_i(doc, args) -> tuple[str, ...]:

@@ -6,7 +6,9 @@ The r x r tables VM and VV are built a row at a time, each row one int of
 fixed-width lanes, one per position, as the Laurent layer packs exponents
 into one key: about 2n big-integer multiply-adds a row.  Every entry is a
 dimension, so each lane keeps its top bit free; reading a row whose top bits
-are not clear raises MismatchError naming the row.
+are not clear raises MismatchError naming the row.  The decoded tables and the
+labels are tuples of int rows, which the CLI writes as JSON text directly;
+this module has no JSON form of its own.
 
 Both label exchanges keep the neighbor sum with the larger weighted total; for
 dimension vectors it must dominate the other sum, or MismatchError is raised.
@@ -143,14 +145,6 @@ class HomTables:
     def dimvec_of_delta(self, a: Sequence[int]) -> Vec:
         """Image of a filtration-multiplicity vector under the VM columns."""
         return tuple(sum(map(mul, row, a)) for row in self.VM)
-
-    def to_json(self) -> dict:
-        return {
-            "word": list(self.word.printed),
-            "VM": [list(row) for row in self.VM],
-            "VV": [list(row) for row in self.VV],
-            "d_delta": list(self.d_delta),
-        }
 
 
 def hom_tables(word: ReducedWord) -> HomTables:

@@ -195,12 +195,13 @@ class ExchangeMatrix(_Columns):
         return hash((self.r, self.mutable, tuple(frozenset(c.items()) for c in self.cols.values())))
 
     def to_json(self) -> dict:
-        cols = [self.cols[v] for v in self.mutable]
-        return {
-            "vertices": self.r,
-            "mutable": list(self.mutable),
-            "rows": [[col.get(i, 0) for col in cols] for i in range(1, self.r + 1)],
-        }
+        """Dense rows over all vertices, filled from the nonzero entries of
+        each column."""
+        rows = [[0] * len(self.mutable) for _ in range(self.r)]
+        for c, v in enumerate(self.mutable):
+            for i, b in self.cols[v].items():
+                rows[i - 1][c] = b
+        return {"vertices": self.r, "mutable": list(self.mutable), "rows": rows}
 
     @staticmethod
     def from_json(doc: Mapping) -> "ExchangeMatrix":

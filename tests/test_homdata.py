@@ -11,7 +11,7 @@ import pytest
 from weylseed.acceptance import CARTAN_POOL, random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V, sym_form
 from weylseed.errors import EngineError, MismatchError, NegativeEntryError
-from weylseed.cli import main
+from weylseed.cli import _dump, main
 from weylseed.homdata import (
     HomTables,
     hom_tables,
@@ -77,7 +77,10 @@ def chain_walk_tables(word):
     return vm, vv
 
 
-def test_hom_tables_against_chain_walk_oracle():
+def chain_walk_oracle_words() -> list[ReducedWord]:
+    """Random words over three matrices, suffixes of the E8 word, and last
+    wild words of 20, 32 and 50 letters, whose entries need lanes of 4, 8
+    and more than 8 bytes."""
     rng = random.Random(17)
     pool = [
         CartanMatrix.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]),
@@ -85,10 +88,13 @@ def test_hom_tables_against_chain_walk_oracle():
         CartanMatrix.from_edges(3, [(1, 2, 3), (1, 3, 2), (2, 3, 2)]),
     ]
     words = [random_reduced_word(rng, c, rng.randint(1, 14)) for c in pool * 4]
-    e8_word = ReducedWord(E8, tuple(range(8, 0, -1)) * 15)
-    words += [ReducedWord(E8, e8_word.printed[e8_word.r - k:]) for k in (1, 9, 23, 40, 77)]
-    # wild words whose entries need lanes of 4, 8 and more than 8 bytes
+    words += [ReducedWord(E8, E8_WORD.printed[E8_WORD.r - k:]) for k in (1, 9, 23, 40, 77)]
     words += [random_reduced_word(rng, WILD3, length) for length in (20, 32, 50)]
+    return words
+
+
+def test_hom_tables_against_chain_walk_oracle():
+    words = chain_walk_oracle_words()
     widths = set()
     for word in words:
         tables = hom_tables(word)
@@ -337,6 +343,87 @@ def test_only_dimvec_builds_the_vm_and_vv_tables(monkeypatch):
         assert built == []
         assert main(["dimvec", "--inline", walk]) == 0
     assert {"VM", "VV"} <= set(built)
+
+
+def word_doc(word, path) -> dict:
+    cartan = word.cartan
+    edges = [
+        [i, j, cartan.q(i, j)]
+        for i in range(1, cartan.n + 1)
+        for j in range(i + 1, cartan.n + 1)
+        if cartan.q(i, j)
+    ]
+    return {"rank": cartan.n, "edges": edges, "word": list(word.printed), "path": path}
+
+
+def gamma_document(word) -> dict:
+    """Oracle: the ``gamma`` document as dicts, the matrix rows read entry by
+    entry."""
+    quiver = gamma_i(word)
+    matrix = b_matrix(quiver)
+    rows = [[matrix.entry(i, v) for v in matrix.mutable] for i in range(1, word.r + 1)]
+    return {
+        "quiver": quiver.to_json(),
+        "b_matrix": {"vertices": word.r, "mutable": list(matrix.mutable), "rows": rows},
+    }
+
+
+def label_documents(word, path) -> tuple[dict, dict]:
+    """Oracle: the ``dimvec`` and ``delta-dimvec`` documents as dicts, each
+    label walk stepping through immutable matrices."""
+    tables = hom_tables(word)
+    docs = []
+    for (labels, totals), exchange in (
+        (initial_dimvec_labels(tables), mutate_dimvec),
+        (initial_delta_labels(tables), mutate_delta_dimvec),
+    ):
+        matrix, sides = b_matrix(gamma_i(word)), []
+        for k in path:
+            move = exchange(matrix, labels, totals, k)
+            matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
+            sides.append("in" if move.picked_in_side else "out")
+        docs.append({"labels": [list(v) for v in labels], "sides": sides})
+    dimvec, delta = docs
+    dimvec["tables"] = {
+        "word": list(word.printed),
+        "VM": [list(row) for row in tables.VM],
+        "VV": [list(row) for row in tables.VV],
+        "d_delta": list(tables.d_delta),
+    }
+    delta["d_delta"] = list(tables.d_delta)
+    return dimvec, delta
+
+
+def test_table_commands_write_the_dump_of_their_documents(capsys):
+    """``gamma``, ``dimvec`` and ``delta-dimvec`` write their own text; it is
+    byte for byte the canonical dump of the oracle documents: on the E8 word
+    with the 60-step plan path, the empty word, a word with every vertex
+    frozen, random pool words with random paths (empty ones included), and
+    the 50-letter wild word, whose lanes are wider than 8 bytes."""
+    rng = random.Random(34)
+    cases = [(E8_WORD, [step.vertex for step in mu_i_plan(E8_WORD).steps[:60]])]
+    # no position, and no mutable vertex: empty tables and empty matrix rows
+    cases += [(ReducedWord(CARTAN_POOL[1], printed), []) for printed in ((), (1, 2, 3))]
+    for cartan in CARTAN_POOL * 3:
+        word = random_reduced_word(rng, cartan, rng.randint(0, 12))
+        mutable = b_matrix(gamma_i(word)).mutable
+        depth = rng.randint(0, 6) if mutable else 0
+        cases.append((word, [rng.choice(mutable) for _ in range(depth)]))
+    wild = chain_walk_oracle_words()[-1]
+    assert wild.r == 50 and hom_tables(wild)._rows[0] > 8
+    assert max(map(max, hom_tables(wild).VV)) > 2**30
+    cases.append((wild, [step.vertex for step in mu_i_plan(wild).steps[:8]]))
+    assert sum(not path for _, path in cases) >= 2
+    negative = False
+    for word, path in cases:
+        doc = json.dumps(word_doc(word, path))
+        expected = dict(zip(("dimvec", "delta-dimvec"), label_documents(word, path)))
+        expected["gamma"] = gamma_document(word)
+        negative |= any(min(row, default=0) < 0 for row in expected["gamma"]["b_matrix"]["rows"])
+        for command, document in expected.items():
+            assert main([command, "--inline", doc]) == 0
+            assert capsys.readouterr().out == _dump(document), (command, word.printed, path)
+    assert negative
 
 
 def reference_exchange(matrix, labels, k, weights, dominant):
