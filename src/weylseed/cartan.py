@@ -21,8 +21,8 @@ Root = tuple[int, ...]
 MAX_RANK = 500
 # A weight lam as its coroot pairings (lam(alpha_1^vee), ..., lam(alpha_n^vee)).
 Weight = tuple[int, ...]
-# A crossing link (t, q, chain of t, index of t on it); see ReducedWord.links.
-Link = tuple[int, int, tuple[int, ...], int]
+# A crossing link (t, q, letter of t); see ReducedWord.links.
+Link = tuple[int, int, int]
 
 
 def _is_int(x) -> bool:
@@ -209,9 +209,8 @@ class ReducedWord:
         return self.place(k)[1]
 
     def links(self, s: int) -> tuple[Link, ...]:
-        """The crossing links of s, in increasing t: (t, q_{i_s, i_t}, the
-        chain of t, the index of t on it) for the positions t != s with
-        t+ >= s+ > t and q nonzero.
+        """The crossing links of s, in increasing t: (t, q_{i_s, i_t}, i_t)
+        for the positions t != s with t+ >= s+ > t and q nonzero.
 
         Such a t is the last occurrence of its letter below s+, so each letter
         joined to i_s gives at most one link; on the chain of s only t = s
@@ -225,14 +224,13 @@ class ReducedWord:
         """The link table, built on first read in one upward sweep over the
         positions p = 1..r+1: when the sweep reaches p = s+, the last
         occurrence below p of each letter joined to i_s is a link of s."""
-        pos, chains, occ = self._pos, self._chains, self._occ
+        pos, chains = self._pos, self._chains
         adjacent = {j: self.cartan.adjacent(j) for j in chains}
         last: dict[int, int] = {}  # letter -> its last position below the sweep
         table: list[tuple[Link, ...]] = [()] * self.r
 
         def close(s: int) -> None:
-            found = sorted((last[j], q) for j, q in adjacent[pos[s - 1]] if j in last)
-            table[s - 1] = tuple((t, q, chains[pos[t - 1]], occ[t - 1]) for t, q in found)
+            table[s - 1] = tuple(sorted((last[j], q, j) for j, q in adjacent[pos[s - 1]] if j in last))
 
         for p, (letter, s) in enumerate(zip(pos, self._k_minus), start=1):
             if s:  # p = s+
@@ -240,6 +238,23 @@ class ReducedWord:
             last[letter] = p
         for chain in chains.values():
             close(chain[-1])  # s+ = r + 1
+        return tuple(table)
+
+    def firsts(self, k: int) -> tuple[int, ...]:
+        """The first position at or above k carrying each letter j, at index
+        j (index 0 is unused), or r + 1 when there is none."""
+        self.letter(k)  # range check
+        return self._firsts[k - 1]
+
+    @cached_property
+    def _firsts(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``firsts``, built on first read in one downward sweep;
+        the table has r rows of n + 1 entries, the size of ``betas``."""
+        row = [self.r + 1] * (self.cartan.n + 1)
+        table: list[tuple[int, ...]] = [()] * self.r
+        for k in range(self.r, 0, -1):
+            row[self._pos[k - 1]] = k
+            table[k - 1] = tuple(row)
         return tuple(table)
 
     def k_minus(self, k: int) -> int:

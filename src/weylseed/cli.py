@@ -407,13 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmd["walk"].add_argument(
         "--depth", type=_non_negative_int, default=6, help="number of mutation steps"
     )
-    cmd["mu-i"].add_argument(
+    # --plan-only runs no pass, so it takes no --depth
+    mu_i = cmd["mu-i"].add_mutually_exclusive_group()
+    mu_i.add_argument(
         "--depth",
         type=_non_negative_int,
         default=None,
         help="plan steps tracked symbolically (default all)",
     )
-    cmd["mu-i"].add_argument(
+    mu_i.add_argument(
         "--plan-only",
         action="store_true",
         help="plan combinatorics without symbolic execution",

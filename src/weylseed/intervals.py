@@ -10,7 +10,6 @@ dropped from products.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -123,6 +122,29 @@ def mu_i_plan(word: ReducedWord) -> MutationPlan:
     return MutationPlan(word.printed, tuple(steps), tuple(groups))
 
 
+def identity_positions(
+    word: ReducedWord, k: int, s: int
+) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """The exchange identity for the pass-k mutation at chain position s,
+    [s, k] [s+, k+] = [s+, k] [s, k+] + the product of the factors [t, a]^q,
+    as the positions that fix its labels: s+, k+ and a (t, a, q) triple per
+    factor.  ``identity_sides`` turns them into labels.
+
+    The factors sit at the positions k_min(s) < t < s+ linked to s
+    (``ReducedWord.links``): those above s, then those below, each in
+    increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
+    where k^j = ``word.firsts(k)[j]`` is the first position at or above k
+    carrying j = i_t, or r + 1 (the unit) when there is none.
+    """
+    chain, c = word.place(k)
+    bottoms = word.firsts(k)
+    above, below = [], []
+    for t, q, j in word.links(s):
+        if t > chain[0]:
+            (above if t > s else below).append((t, bottoms[j], q))
+    return word.k_plus(s), chain[c + 1], tuple(above + below)
+
+
 def identity_sides(
     word: ReducedWord, k: int, s: int
 ) -> tuple[
@@ -130,30 +152,16 @@ def identity_sides(
     tuple[IntervalLabel, IntervalLabel],
     tuple[tuple[IntervalLabel, int], ...],
 ]:
-    """The labels of the exchange identity for the pass-k mutation at chain
-    position s, a pair that ``identity_step`` accepts: the lhs pair
-    ([s, k], [s+, k+]), the rhs first-term pair ([s+, k], [s, k+]) and the
-    rhs product factors with their exponents.  Unit labels are kept and
-    must be dropped by consumers.
-
-    The factors sit at the positions k_min(s) < t < s+ linked to s
-    (``ReducedWord.links``): those above s, then those below, each in
-    increasing t.  The factor at t is [t, k^j] with exponent q_{i_s, i_t},
-    where k^j is the first position at or above k carrying j = i_t, or
-    r + 1 (the unit) when there is none.
+    """The labels of ``identity_positions(word, k, s)``, a pair that
+    ``identity_step`` accepts: the lhs pair ([s, k], [s+, k+]), the rhs
+    first-term pair ([s+, k], [s, k+]) and the rhs product factors with their
+    exponents.  Unit labels are kept and must be dropped by consumers.
     """
-    chain, c = word.place(k)
-    sp, kp = word.k_plus(s), chain[c + 1]
-    above, below = [], []
-    for t, q, other, i in word.links(s):
-        if t > chain[0]:
-            low = bisect_left(other, k, 0, i + 1)
-            bottom = other[low] if low < len(other) else word.r + 1
-            (above if t > s else below).append((_label((t, bottom)), q))
+    sp, kp, factors = identity_positions(word, k, s)
     return (
         (_label((s, k)), _label((sp, kp))),
         (_label((sp, k)), _label((s, kp))),
-        tuple(above + below),
+        tuple([(_label((t, a)), q) for t, a, q in factors]),
     )
 
 
@@ -194,37 +202,51 @@ class MuIReport:
 
 def _check_exchange(
     word: ReducedWord,
+    matrix: WorkingMatrix,
     labels: Sequence[IntervalLabel],
-    sides: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    where: Mapping[IntervalLabel, int],
     step: PlanStep,
     weight: Sequence[int],
     weight_minus: Sequence[int],
 ) -> None:
-    """Check the label bags of ``sides`` and their weights against the step's identity."""
-    rhs_pair, factors = identity_sides(word, step.group, step.before.b)[1:]
-    # the non-unit labels with their multiplicities; the two pair labels, and
-    # the factors, have distinct tops b, so no label repeats within a bag
-    pair = {lab: 1 for lab in rhs_pair if lab.a <= lab.b}
-    product = {lab: q for lab, q in factors if lab.a <= lab.b}
-    weighed = []
-    for side in sides:
-        bag: dict[IntervalLabel, int] = {}
-        total = 0
-        for u, mult in side:
-            lab = labels[u - 1]  # a vertex label is never the unit
-            bag[lab] = bag.get(lab, 0) + mult
-            total += mult * (weight[lab.b] - weight_minus[lab.a])
-        weighed.append((bag, total))
-    (bag_in, w_in), (bag_out, w_out) = weighed
-    if [bag_in, bag_out] not in ([pair, product], [product, pair]):
+    """Check column v of ``matrix`` against the step's identity in O(deg v).
+
+    ``where`` maps each vertex label to its vertex; no two vertices share a
+    label, since the summands of a basic cluster-tilting object are pairwise
+    non-isomorphic.  Each non-unit label of the identity has its entry of
+    column v read through ``where``: the pair [s+, k], [s, k+] must carry
+    +-1 with one sign, each factor [t, a] must carry -+q on the other side,
+    and the column must have no other entry.  The label bags of the two
+    sides are built only for the message of a mismatch.
+    """
+    k, v, s = step.group, step.vertex, step.before.b
+    column = matrix.column(v)
+    sp, kp, factors = identity_positions(word, k, s)
+    sign = column.get(where.get((sp, k)))  # [s+, k] is never the unit: s+ <= r
+    fits = sign == 1 or sign == -1
+    entries, w_pair, w_factors = 1, weight[sp] - weight_minus[k], 0
+    if kp <= s:
+        fits = fits and column.get(where.get((s, kp))) == sign
+        entries, w_pair = 2, w_pair + weight[s] - weight_minus[kp]
+    for t, a, q in factors:
+        if a <= t:
+            fits = fits and column.get(where.get((t, a))) == -q * sign
+            entries, w_factors = entries + 1, w_factors + q * (weight[t] - weight_minus[a])
+    if not fits or len(column) != entries:
+        rhs_pair, product_labels = identity_sides(word, k, s)[1:]
+        pair = {lab: 1 for lab in rhs_pair if not lab.is_unit}
+        product = {lab: q for lab, q in product_labels if not lab.is_unit}
+        bag_in, bag_out = ({labels[u - 1]: mult for u, mult in side} for side in matrix.neighbors(v))
         raise StepMismatchError(
             f"step {step.index}: exchange neighborhoods do not match the identity pattern "
-            f"at vertex {step.vertex}: in-side {bag_in}, out-side {bag_out}; "
+            f"at vertex {v}: in-side {bag_in}, out-side {bag_out}; "
             f"expected pair {pair}, factors {product}"
         )
-    if (bag_in if w_in > w_out else bag_out) != pair:
+    # a negative sign puts the pair on the in-side, which wins only when strictly heavier
+    w_in, w_out = (w_pair, w_factors) if sign < 0 else (w_factors, w_pair)
+    if (w_in > w_out) != (sign < 0):
         raise StepMismatchError(
-            f"step {step.index}: d_delta weights pick the factor side at vertex {step.vertex}: "
+            f"step {step.index}: d_delta weights pick the factor side at vertex {v}: "
             f"in-side {w_in}, out-side {w_out}"
         )
 
@@ -232,27 +254,28 @@ def _check_exchange(
 def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     """Execute the chain-reversal pass, validating every step.
 
-    Each vertex holds only its interval label.  Checks per step: the mutated
-    vertex carries the predicted label before and after, the neighborhoods
-    match the identity pattern, and the filtration-multiplicity exchange
-    leaves the new label.  The multiplicities of [b, a] are 1 at the chain
-    positions b, b-, ..., a; the exchange keeps the side of larger
-    d_delta-weighted total (the in-side only when strictly heavier), minus
-    [s, k].  On one chain [s+, k] + [s, k+] = [s, k] + [s+, k+], so the pair
-    side leaves [s+, k+]; the factors lie on other chains and leave -1 at s.
-    So the weights must pick the pair side: [b, a] weighs weight[b] -
-    weight[a-], with weight[k] the sum of d_delta over the chain up to k
-    (``HomTables.d_delta_prefix``, which the dense exchange also starts from).
+    Each vertex holds only its interval label, and a label -> vertex map is
+    kept beside the labels.  Checks per step: the mutated vertex carries the
+    predicted label before and after, its column matches the identity
+    pattern (``_check_exchange``, one read per label of the identity), and
+    the filtration-multiplicity exchange leaves the new label.  The
+    multiplicities of [b, a] are 1 at the chain positions b, b-, ..., a; the
+    exchange keeps the side of larger d_delta-weighted total (the in-side
+    only when strictly heavier), minus [s, k].  On one chain [s+, k] +
+    [s, k+] = [s, k] + [s+, k+], so the pair side leaves [s+, k+]; the
+    factors lie on other chains and leave -1 at s.  So the weights must pick
+    the pair side: [b, a] weighs weight[b] - weight[a-], with weight[k] the
+    sum of d_delta over the chain up to k (``HomTables.d_delta_prefix``,
+    which the dense exchange also starts from).
 
     Laurent cluster tracking can be cut off after ``max_seed_steps`` steps
     (0 tracks none); the combinatorial checks always run the full plan.
     The pass owns one ``WorkingMatrix`` and reads no matrix but the current
-    one, so it mutates that matrix in place and keeps no snapshot.  Each step
-    reads the mutated vertex's neighbourhood once, for the check and for the
-    exchange, with ``neighbors`` sorting the column as it is read, and
-    mutates the matrix once.  Exchange supports blow up quickly on wild
-    Cartan data, so callers verifying specific identities should cut the
-    symbolic part at the step they need.
+    one, so it mutates that matrix in place and keeps no snapshot.  Only a
+    tracked step sorts the mutated vertex's column, through ``neighbors``,
+    for its Laurent exchange; the check reads the column unsorted.  Exchange
+    supports blow up quickly on wild Cartan data, so callers verifying
+    specific identities should cut the symbolic part at the step they need.
     An engine error raised by the exchange, such as a product over
     ``MAX_TERM_PAIRS``, is re-raised as the same class with the step and the
     vertex before its detail.
@@ -261,24 +284,27 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     initial = b_matrix(gamma_i(word))
     matrix = WorkingMatrix(initial)
     labels = [IntervalLabel(k, word.k_min(k)) for k in range(1, word.r + 1)]
+    where = {lab: v for v, lab in enumerate(labels, start=1)}
     weight = hom_tables(word).d_delta_prefix
     weight_minus = [0] + [weight[word.k_minus(k)] for k in range(1, word.r + 1)]  # weight[k-]
     cluster = list(Seed.initial(initial).cluster)
     label_values = dict(zip(labels, cluster))
+    tracked = plan.length if max_seed_steps is None else max_seed_steps
     for step in plan.steps:
         v = step.vertex
         if labels[v - 1] != step.before:
             raise StepMismatchError(
                 f"step {step.index}: vertex {v} carries {labels[v - 1]}, expected {step.before}"
             )
-        sides = matrix.neighbors(v)
-        _check_exchange(word, labels, sides, step, weight, weight_minus)
-        if max_seed_steps is None or step.index <= max_seed_steps:
+        _check_exchange(word, matrix, labels, where, step, weight, weight_minus)
+        if step.index <= tracked:
             with located(f"step {step.index}, vertex {v}"):
-                cluster[v - 1] = exchange(cluster, v, sides)
+                cluster[v - 1] = exchange(cluster, v, matrix.neighbors(v))
             label_values[step.after] = cluster[v - 1]
         matrix.mutate(v)
         labels[v - 1] = step.after
+        del where[step.before]
+        where[step.after] = v
     return MuIReport(
         plan=plan,
         final_labels=tuple(labels),

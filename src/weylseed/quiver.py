@@ -70,7 +70,7 @@ def gamma_i(word: ReducedWord) -> Quiver:
         sm = word.k_minus(s)
         if sm > 0:
             arrows.append((s, sm, 1))
-        arrows += [(s, t, q) for t, q, _, _ in word.links(s) if t > s]
+        arrows += [(s, t, q) for t, q, _ in word.links(s) if t > s]
     return Quiver(word.r, word.frozen_positions(), tuple(sorted(arrows)))
 
 

@@ -262,8 +262,8 @@ def test_word_index_maps(word_gamma7):
 
 
 def test_word_index_tables_against_scans(wild3):
-    """k+, k-, place and links read tables built once per word; each is
-    compared with a scan of the word's letters."""
+    """k+, k-, place, links and firsts read tables built once per word;
+    each is compared with a scan of the word's letters."""
     rng = random.Random(15)
     e8 = CartanMatrix.from_edges(
         8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
@@ -283,14 +283,17 @@ def test_word_index_tables_against_scans(wild3):
             assert w.k_plus(k) == (up[1] if len(up) > 1 else r + 1)
             assert w.k_minus(k) == (down[-1] if down else 0)
             assert w.place(k) == (tuple(down + up), len(down))
+            assert w.firsts(k) == tuple(
+                next((t for t in range(k, r + 1) if pos[t - 1] == j), r + 1)
+                for j in range(w.cartan.n + 1)
+            )
         for s in range(1, r + 1):
             sp = w.k_plus(s)
             links = []
             for t in range(1, sp):
                 q = w.cartan.q(pos[s - 1], pos[t - 1])
                 if t != s and q and w.k_plus(t) >= sp:
-                    chain = tuple(u for u in range(1, r + 1) if pos[u - 1] == pos[t - 1])
-                    links.append((t, q, chain, chain.index(t)))
+                    links.append((t, q, pos[t - 1]))
             assert w.links(s) == tuple(links)
 
 
@@ -303,7 +306,7 @@ def crossing_links(word: ReducedWord, s: int) -> tuple:
         chain = word.chain(j)
         i = bisect_left(chain, sp)
         if i:
-            links.append((chain[i - 1], q, chain, i - 1))
+            links.append((chain[i - 1], q, j))
     return tuple(sorted(links))
 
 

@@ -582,6 +582,21 @@ def test_negative_depth_rejected(capsys):
         assert "-5 is negative" in capsys.readouterr().err
 
 
+def test_mu_i_plan_only_takes_no_depth(capsys):
+    """``--plan-only`` runs no pass, so a ``--depth`` beside it would be
+    ignored: the pair exits 2 in either order, and each flag alone runs."""
+    doc = json.dumps(PBW6)
+    for flags in (["--plan-only", "--depth", "2"], ["--depth", "0", "--plan-only"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["mu-i", "--inline", doc, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+    for flags in (["--plan-only"], ["--depth", "2"]):
+        code, out = run(capsys, "mu-i", "--inline", doc, *flags)
+        assert code == 0 and json.loads(out)["plan"]["length"] == 3
+
+
 def test_commands_reject_flags_they_do_not_read(capsys):
     for argv in (
         ["gamma", "--inline", json.dumps(GAMMA7), "--depth", "3"],

@@ -260,10 +260,10 @@ def test_link_table_built_once_per_word(monkeypatch, word_pbw6):
 
 
 def test_check_reads_each_plan_step_identity(monkeypatch):
-    """The exchange check of every plan step asks the factor rule for that
-    step's (k, s) and gets ``identity_sides(word, k, s)[1:]``, which the
-    scan oracle confirms: on E8, the wild chain-pass words and random tame
-    words."""
+    """The exchange check of every plan step asks the identity rule
+    ``identity_positions`` for that step's (k, s), and the labels it makes,
+    ``identity_sides(word, k, s)``, are those the scan oracle finds: on E8,
+    the wild chain-pass words and random tame words."""
     wild = CartanMatrix.from_edges(3, WILD3_EDGES)
     words = [
         ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
@@ -275,22 +275,20 @@ def test_check_reads_each_plan_step_identity(monkeypatch):
     words += [
         random_reduced_word(rng, rng.choice(TAME_POOL), rng.randint(2, 12)) for _ in range(30)
     ]
-    sides = intervals.identity_sides
+    positions = intervals.identity_positions
     for word in words:
         seen = []
 
         def recorded(w, k, s):
-            seen.append((k, s, sides(w, k, s)))
-            return seen[-1][2]
+            seen.append((k, s))
+            return positions(w, k, s)
 
-        monkeypatch.setattr(intervals, "identity_sides", recorded)
+        monkeypatch.setattr(intervals, "identity_positions", recorded)
         run_mu_i(word, max_seed_steps=0)
         monkeypatch.undo()
-        assert [(k, s) for k, s, _ in seen] == [
-            (step.group, step.before.b) for step in mu_i_plan(word).steps
-        ]
-        for k, s, out in seen:
-            assert out[1:] == identity_sides(word, k, s)[1:] == identity_sides_by_scan(word, k, s)[1:]
+        assert seen == [(step.group, step.before.b) for step in mu_i_plan(word).steps]
+        for k, s in seen:
+            assert identity_sides(word, k, s) == identity_sides_by_scan(word, k, s)
 
 
 def test_verify_identities_a4(word_a4_shift):
@@ -336,10 +334,11 @@ def test_e8_combinatorial_pass():
 
 
 def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
-    """``run_mu_i`` reads ``neighbors(v)`` of its working matrix once per plan
-    step, for the check and the exchange together, and ``mutate`` never
-    reads it; the pass makes no ``ExchangeMatrix.mutate`` snapshot.  On the
-    E8 combinatorial pass and on a fully tracked wild pass."""
+    """``run_mu_i`` reads ``neighbors(v)`` of its working matrix, which sorts
+    column v, once per tracked plan step, for its Laurent exchange, and on
+    no other step; ``mutate`` never reads it, and the pass makes no
+    ``ExchangeMatrix.mutate`` snapshot.  On the E8 combinatorial pass and on
+    a wild pass cut at step 4 and uncut."""
     reads, inside = [], [0]
     neighbors, mutate = WorkingMatrix.neighbors, WorkingMatrix.mutate
 
@@ -360,10 +359,10 @@ def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
     monkeypatch.setattr(ExchangeMatrix, "mutate", lambda self, k: snapshots.append(k))
     e8 = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
     wild = ReducedWord(wild3, (2, 3, 1, 3, 2, 3, 2, 1, 3))
-    for word, cut in ((e8, 0), (wild, None)):
+    for word, cut in ((e8, 0), (wild, 4), (wild, None)):
         reads.clear()
         report = run_mu_i(word, max_seed_steps=cut)
-        assert len(reads) == report.plan.length
+        assert len(reads) == (report.plan.length if cut is None else cut)
         assert not any(reads)  # none from inside mutate
     assert snapshots == []
 
@@ -431,7 +430,7 @@ def label_stop(monkeypatch, word: ReducedWord, d_delta) -> int | None:
 
 
 def test_label_check_stops_where_the_dense_rule_does(monkeypatch):
-    """The weighted label-bag check agrees with the dense Delta exchange on
+    """The weighted label check agrees with the dense Delta exchange on
     where a pass stops, with the true d_delta (neither stops) and with one
     entry of it perturbed: on E8, D4, affine A1, the wild chain-pass words and
     random words over the acceptance pool."""
@@ -465,15 +464,15 @@ def test_label_check_stops_where_the_dense_rule_does(monkeypatch):
 
 def test_neighborhood_mismatch_names_both_bags(monkeypatch, word_a4_shift):
     """A wrong identity pattern stops the pass with the label bag of each side
-    and the expected pair and factor bags: the factor rule that the check
-    reads from ``identity_sides`` doubles every exponent."""
-    sides = intervals.identity_sides
+    and the expected pair and factor bags: the identity rule that the check
+    reads, ``identity_positions``, doubles every exponent."""
+    positions = intervals.identity_positions
 
     def doubled(word, k, s):
-        lhs, pair, factors = sides(word, k, s)
-        return lhs, pair, tuple((lab, 2 * q) for lab, q in factors)
+        sp, kp, factors = positions(word, k, s)
+        return sp, kp, tuple((t, a, 2 * q) for t, a, q in factors)
 
-    monkeypatch.setattr(intervals, "identity_sides", doubled)
+    monkeypatch.setattr(intervals, "identity_positions", doubled)
     with pytest.raises(StepMismatchError) as info:
         run_mu_i(word_a4_shift, max_seed_steps=0)
     assert re.fullmatch(
@@ -481,6 +480,185 @@ def test_neighborhood_mismatch_names_both_bags(monkeypatch, word_a4_shift):
         r"in-side \{.*\}, out-side \{.*\}; expected pair \{M\[.*\}, factors \{M\[.*: 2.*\}",
         str(info.value),
     )
+
+
+def bag_check(word, labels, sides, step, weight, weight_minus) -> str | None:
+    """Oracle: the label-bag check of one step, or the message it raises.
+
+    Each side of ``sides`` (``neighbors(v)``) becomes a bag of vertex labels
+    with multiplicities and a d_delta-weighted total; the bags must be the
+    pair and factor bags of ``identity_sides``, and the heavier side (the
+    in-side only when strictly heavier) must be the pair's."""
+    rhs_pair, factors = intervals.identity_sides(word, step.group, step.before.b)[1:]
+    pair = {lab: 1 for lab in rhs_pair if lab.a <= lab.b}
+    product = {lab: q for lab, q in factors if lab.a <= lab.b}
+    weighed = []
+    for side in sides:
+        bag, total = {}, 0
+        for u, mult in side:
+            lab = labels[u - 1]
+            bag[lab] = bag.get(lab, 0) + mult
+            total += mult * (weight[lab.b] - weight_minus[lab.a])
+        weighed.append((bag, total))
+    (bag_in, w_in), (bag_out, w_out) = weighed
+    if [bag_in, bag_out] not in ([pair, product], [product, pair]):
+        return (
+            f"step {step.index}: exchange neighborhoods do not match the identity pattern "
+            f"at vertex {step.vertex}: in-side {bag_in}, out-side {bag_out}; "
+            f"expected pair {pair}, factors {product}"
+        )
+    if (bag_in if w_in > w_out else bag_out) != pair:
+        return (
+            f"step {step.index}: d_delta weights pick the factor side at vertex {step.vertex}: "
+            f"in-side {w_in}, out-side {w_out}"
+        )
+    return None
+
+
+def oracle_words() -> list[ReducedWord]:
+    """E8 (8..1)x15, D4 [4,1,2,3]x3, affine A1 [1,2,1,2,1], the three wild
+    chain-pass words, a twelve-letter wild word and 40 random pool words."""
+    wild = CartanMatrix.from_edges(3, WILD3_EDGES)
+    words = [
+        ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15),
+        ReducedWord(CARTAN_POOL[4], (4, 1, 2, 3) * 3),
+        ReducedWord(CartanMatrix.from_edges(2, [(1, 2, 2)]), (1, 2, 1, 2, 1)),
+        ReducedWord(wild, (1, 2, 3, 1, 3, 1, 2, 3, 1, 3)),
+        ReducedWord(wild, (2, 3, 1, 3, 2, 3, 2, 1, 3)),
+        ReducedWord(wild, (3, 2, 3, 2, 1, 3, 2, 1, 3)),
+        ReducedWord(wild, (2, 3, 1, 3, 2, 3, 2, 1, 3, 1, 2, 3)),
+    ]
+    rng = random.Random(35)
+    return words + [
+        random_reduced_word(rng, rng.choice(CARTAN_POOL), rng.randint(3, 12)) for _ in range(40)
+    ]
+
+
+def off_pass(matrix: WorkingMatrix, v: int, mutant: str, pick: int) -> None:
+    """Mutants of the working matrix at vertex v: one arrow v -> u added, u
+    the least vertex other than v with no entry in column v ("arrow"), or,
+    with u the neighbour of v at place ``pick`` (mod the degree) in vertex
+    order, the arrows between v and u reversed ("reversed") or doubled
+    ("doubled arrow")."""
+    column = matrix.cols[v]
+    if mutant == "arrow":
+        u, b = next(u for u in range(1, matrix.r + 1) if u != v and u not in column), 1
+    else:
+        neighbours = sorted(column)
+        u = neighbours[pick % len(neighbours)]
+        b = -column[u] if mutant == "reversed" else 2 * column[u]
+    column[u] = b
+    if u in matrix.cols:
+        matrix.cols[u][v] = -b
+
+
+def test_step_check_agrees_with_the_bag_oracle(monkeypatch):
+    """At every plan step the O(deg) column check passes or fails as the
+    label-bag oracle does, with the same message: on the unchanged pass and
+    under five mutants.  Each factor exponent is doubled in the identity
+    rule, or one d_delta entry is perturbed: the matrix still follows the
+    pass, so the pass is carried on past a failing step and every step is
+    compared.  One arrow is added to the working matrix after step 3, or the
+    arrows between the vertex of a random step and one of its neighbours
+    are reversed or doubled just before that step: the matrix leaves the
+    pass, whose entries then grow without bound, so it stops at its first
+    failure.  A plain ``run_mu_i`` raises the first failure."""
+    check = intervals._check_exchange
+    positions = intervals.identity_positions
+    rng = random.Random(36)
+
+    def doubled(word, k, s):
+        sp, kp, factors = positions(word, k, s)
+        return sp, kp, tuple((t, a, 2 * q) for t, a, q in factors)
+
+    off = ("arrow", "reversed", "doubled arrow")
+    failed = dict.fromkeys(("none", "doubled", "d_delta") + off, 0)
+    for word in oracle_words():
+        plan = mu_i_plan(word)
+        tables = hom_tables(word)
+        perturbed = list(tables.d_delta)
+        perturbed[rng.randrange(word.r)] += rng.choice((-1, 1)) * rng.randint(1, 2 * max(perturbed))
+        for mutant in failed:
+            at = 4 if mutant == "arrow" else rng.randint(1, max(plan.length, 1))
+            pick = rng.randrange(12)
+            verdicts = []
+
+            def compared(word_, matrix, labels, where, step, weight, weight_minus):
+                if mutant in off and step.index == at:
+                    off_pass(matrix, step.vertex, mutant, pick)
+                sides = matrix.neighbors(step.vertex)
+                expected = bag_check(word_, labels, sides, step, weight, weight_minus)
+                try:
+                    check(word_, matrix, labels, where, step, weight, weight_minus)
+                except StepMismatchError as exc:
+                    verdicts.append(str(exc))
+                    assert verdicts[-1] == expected, (word.printed, mutant)
+                    if mutant in off:
+                        raise
+                else:
+                    verdicts.append(None)
+                    assert expected is None, (word.printed, mutant)
+
+            with monkeypatch.context() as patch:
+                if mutant == "doubled":
+                    patch.setattr(intervals, "identity_positions", doubled)
+                if mutant == "d_delta":
+                    patch.setattr(
+                        intervals, "hom_tables", lambda w: replace(tables, d_delta=tuple(perturbed))
+                    )
+                patch.setattr(intervals, "_check_exchange", compared)
+                try:
+                    run_mu_i(word, max_seed_steps=0)
+                except StepMismatchError as exc:
+                    assert mutant in off and str(exc) == verdicts[-1]
+                else:
+                    assert len(verdicts) == plan.length
+                first = next((text for text in verdicts if text), None)
+                failed[mutant] += first is not None
+                if mutant in off:
+                    mutate, calls = WorkingMatrix.mutate, []
+
+                    def mutant_before_step(matrix, k):
+                        mutate(matrix, k)
+                        calls.append(k)
+                        if len(calls) == at - 1 < plan.length:
+                            off_pass(matrix, plan.steps[at - 1].vertex, mutant, pick)
+
+                    patch.setattr(WorkingMatrix, "mutate", mutant_before_step)
+                    if at == 1:
+                        continue  # no mutation precedes step 1; compared above
+                patch.setattr(intervals, "_check_exchange", check)
+                if first is None:
+                    run_mu_i(word, max_seed_steps=0)
+                else:
+                    with pytest.raises(StepMismatchError) as info:
+                        run_mu_i(word, max_seed_steps=0)
+                    assert str(info.value) == first
+    long_plans = sum(mu_i_plan(word).length >= 4 for word in oracle_words())
+    assert failed["none"] == 0
+    assert failed["arrow"] == long_plans > 20
+    assert failed["reversed"] > 40 and failed["doubled arrow"] > 40
+    assert failed["doubled"] > 40 and failed["d_delta"] > 20, failed
+
+
+def test_vertex_labels_stay_distinct_and_mapped(monkeypatch):
+    """At every step of every oracle plan the vertex labels are pairwise
+    distinct, as the summands of a basic cluster-tilting object are, and the
+    label -> vertex map that the check reads agrees with them."""
+    check = intervals._check_exchange
+    steps = []
+
+    def observed(word, matrix, labels, where, step, weight, weight_minus):
+        assert len(set(labels)) == len(labels)
+        assert where == {lab: v for v, lab in enumerate(labels, start=1)}
+        steps.append(step)
+        check(word, matrix, labels, where, step, weight, weight_minus)
+
+    monkeypatch.setattr(intervals, "_check_exchange", observed)
+    for word in oracle_words():
+        report = run_mu_i(word, max_seed_steps=0)
+        assert len(set(report.final_labels)) == word.r
+    assert len(steps) > 1000
 
 
 def test_star_golden(word_a4_shift):
