@@ -122,8 +122,8 @@ def check_seed_walks(seed: int, words: int, depth: int) -> bool:
         grading = _word_grading(word)
         tables = hom_tables(word)
         seed_state = Seed.from_word(word)
-        dims, dim_totals = initial_dimvec_labels(tables)
-        deltas, delta_totals = initial_delta_labels(tables)
+        dims, dim_totals = map(list, initial_dimvec_labels(tables))
+        deltas, delta_totals = map(list, initial_delta_labels(tables))
         if not seed_state.matrix.mutable:
             continue
         last = None
@@ -137,12 +137,12 @@ def check_seed_walks(seed: int, words: int, depth: int) -> bool:
                 return False
             if nxt.cluster[k - 1].multidegree(grading) is None:
                 return False
-            move_d = mutate_dimvec(seed_state.matrix, dims, dim_totals, k)
-            move_a = mutate_delta_dimvec(seed_state.matrix, deltas, delta_totals, k)
-            if tables.dimvec_of_delta(move_a.new_label) != move_d.new_label:
+            dims[k - 1], dim_totals[k - 1], _ = mutate_dimvec(seed_state.matrix, dims, dim_totals, k)
+            deltas[k - 1], delta_totals[k - 1], _ = mutate_delta_dimvec(
+                seed_state.matrix, deltas, delta_totals, k
+            )
+            if tables.dimvec_of_delta(deltas[k - 1]) != dims[k - 1]:
                 return False
-            dims, dim_totals = move_d.labels, move_d.totals
-            deltas, delta_totals = move_a.labels, move_a.totals
             seed_state = nxt
             last = k
     return True
@@ -222,10 +222,7 @@ def check_mu_i_small(seed: int) -> bool:
         if not word.r:
             continue
         report = run_mu_i(word)
-        if not (
-            report.final_labels_expected(word)
-            and report.final_chains_reversed(word)
-        ):
+        if not (report.final_labels_ok and report.chains_reversed):
             return False
     return True
 

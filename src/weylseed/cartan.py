@@ -331,20 +331,22 @@ class QuiverOrientation:
         return QuiverOrientation(cartan, tuple(normalized))
 
     def is_acyclic(self) -> bool:
+        """Kahn's algorithm: remove vertices of in-degree 0 until none is
+        left; the arrows are acyclic when every vertex goes."""
         children: dict[int, set[int]] = {i: set() for i in range(1, self.cartan.n + 1)}
         for s, t, _ in self.arrows:
             children[s].add(t)
-        state: dict[int, int] = {}
-
-        def visit(v: int) -> bool:
-            state[v] = 1
+        indegree = dict.fromkeys(children, 0)
+        for targets in children.values():
+            for t in targets:
+                indegree[t] += 1
+        removed = [v for v, d in indegree.items() if not d]
+        for v in removed:  # the list grows as vertices reach in-degree 0
             for u in children[v]:
-                if state.get(u) == 1 or (state.get(u) is None and not visit(u)):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(state.get(v) == 2 or visit(v) for v in children)
+                indegree[u] -= 1
+                if not indegree[u]:
+                    removed.append(u)
+        return len(removed) == len(children)
 
 
 def sym_form(cartan: CartanMatrix, d: Root, e: Root) -> int:

@@ -172,19 +172,19 @@ def cmd_walk(doc, args) -> dict:
     }
 
 
-def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> tuple[tuple, list[str]]:
-    """Exchange the labels and totals of ``start`` along ``path``, mutating
-    a working copy of the word's matrix in place once per step; the labels
-    reached and the side picked at each step."""
+def _walk_labels(doc: dict, word: ReducedWord, start, exchange) -> tuple[list, list[str]]:
+    """Exchange the labels and totals of ``start`` along ``path``, writing
+    entry k of each list and mutating a working copy of the word's matrix in
+    place once per step; the labels reached and the side picked at each
+    step."""
     matrix = WorkingMatrix(b_matrix(gamma_i(word)))
-    labels, totals = start
+    labels, totals = map(list, start)
     picks = []
     for n, k in enumerate(_path(doc, matrix), start=1):
         with located(f"step {n}, vertex {k}"):
-            move = exchange(matrix, labels, totals, k)
+            labels[k - 1], totals[k - 1], picked_in = exchange(matrix, labels, totals, k)
         matrix.mutate(k)
-        labels, totals = move.labels, move.totals
-        picks.append("in" if move.picked_in_side else "out")
+        picks.append("in" if picked_in else "out")
     return labels, picks
 
 
@@ -220,8 +220,8 @@ def cmd_mu_i(doc, args) -> tuple[str, ...]:
     checks = {
         "steps_checked": report.steps_checked,
         "final_labels": [[lab.b, lab.a] for lab in report.final_labels],
-        "final_labels_ok": report.final_labels_expected(word),
-        "chains_reversed": report.final_chains_reversed(word),
+        "final_labels_ok": report.final_labels_ok,
+        "chains_reversed": report.chains_reversed,
     }
     # the dump of {"report": checks} without its opening brace
     return '{"plan":', report.plan.json_text(), ",", _dump({"report": checks})[1:]

@@ -201,14 +201,6 @@ def initial_delta_labels(tables: HomTables) -> tuple[tuple[Vec, ...], Vec]:
     return tuple(labels), tables.d_delta_prefix[1:]
 
 
-@dataclass(frozen=True)
-class MutationStep:
-    new_label: Vec
-    labels: tuple[Vec, ...]
-    totals: Vec
-    picked_in_side: bool
-
-
 def _side_total(pairs: list[tuple[int, int]], totals: Sequence[int]) -> int:
     return sum(mult * totals[v - 1] for v, mult in pairs)
 
@@ -228,9 +220,11 @@ def _exchange(
     totals: Sequence[int],
     k: int,
     dominant: bool,
-) -> MutationStep:
-    """Minus the old label plus the neighbor sum of the larger total (the
-    in-side only when strictly larger); with ``dominant`` that sum must
+) -> tuple[Vec, int, bool]:
+    """The new label at k, its total and whether the in-side was picked.
+
+    The label is minus the old one plus the neighbor sum of the larger total
+    (the in-side only when strictly larger); with ``dominant`` that sum must
     dominate the other one coordinatewise.  Totals are linear in the labels,
     so the new total is the picked total minus the old one."""
     ins, outs = matrix.neighbors(k)
@@ -250,29 +244,28 @@ def _exchange(
         raise MismatchError(
             f"dimension-vector exchange at vertex {k}: total {high} does not dominate total {low}"
         )
-    new_labels, new_totals = list(labels), list(totals)
-    new_labels[k - 1] = new_label
-    new_totals[k - 1] = high - totals[k - 1]
-    return MutationStep(new_label, tuple(new_labels), tuple(new_totals), picked_in)
+    return new_label, high - totals[k - 1], picked_in
 
 
 def mutate_dimvec(
     matrix: ExchangeMatrix | WorkingMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
-) -> MutationStep:
+) -> tuple[Vec, int, bool]:
     """Exchange the dimension-vector label at a mutable vertex.
 
     ``totals`` holds the entry sums of ``labels``.  The replacement is minus
     the old label plus the neighbor sum with the larger total.  That sum must
     dominate the other one coordinatewise; otherwise the exchange raises
-    MismatchError naming the vertex and both totals.  The matrix is only
-    read: the caller mutates it at k.
+    MismatchError naming the vertex and both totals.  Returns the new label,
+    its total and whether the in-side was picked.  Nothing passed in is
+    changed: the caller writes entry k of the labels and totals and mutates
+    the matrix at k.
     """
     return _exchange(matrix, labels, totals, k, dominant=True)
 
 
 def mutate_delta_dimvec(
     matrix: ExchangeMatrix | WorkingMatrix, labels: Sequence[Vec], totals: Sequence[int], k: int
-) -> MutationStep:
+) -> tuple[Vec, int, bool]:
     """Same exchange on filtration-multiplicity vectors.
 
     ``totals`` holds the labels weighted with the total dimensions d_delta

@@ -165,14 +165,6 @@ def identity_sides(
     )
 
 
-def expected_final_label(word: ReducedWord, v: int) -> IntervalLabel:
-    """After the full pass, chain vertex number m holds the label whose
-    bottom sits at chain position t_j - 1 - m."""
-    chain = word.chain(word.letter(v))
-    m = word.occ_index(v)
-    return IntervalLabel(chain[-1], chain[len(chain) - 1 - m])
-
-
 @dataclass
 class MuIReport:
     plan: MutationPlan
@@ -180,24 +172,8 @@ class MuIReport:
     label_values: dict[IntervalLabel, LaurentPoly]
     final_matrix: ExchangeMatrix
     steps_checked: int
-
-    def final_labels_expected(self, word: ReducedWord) -> bool:
-        """Every vertex holds ``expected_final_label``; over a chain these are
-        the labels [k_max, k] of all its positions k."""
-        return all(
-            lab == expected_final_label(word, v)
-            for v, lab in enumerate(self.final_labels, start=1)
-        )
-
-    def final_chains_reversed(self, word: ReducedWord) -> bool:
-        """Horizontal arrows point up the chains once the pass is complete."""
-        for j in range(1, word.cartan.n + 1):
-            chain = word.chain(j)
-            for u, v in zip(chain, chain[1:]):
-                # u has a later same-letter occurrence, hence is mutable
-                if self.final_matrix.entry(v, u) != 1:
-                    return False
-        return True
+    final_labels_ok: bool  # the m-th vertex of each chain holds [top, m-th from the top]
+    chains_reversed: bool  # every horizontal arrow points up its chain
 
 
 def _check_exchange(
@@ -278,7 +254,8 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     specific identities should cut the symbolic part at the step they need.
     An engine error raised by the exchange, such as a product over
     ``MAX_TERM_PAIRS``, is re-raised as the same class with the step and the
-    vertex before its detail.
+    vertex before its detail.  The report's two final checks read the labels
+    and the matrix the pass ends with.
     """
     plan = mu_i_plan(word)
     initial = b_matrix(gamma_i(word))
@@ -305,12 +282,20 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
         labels[v - 1] = step.after
         del where[step.before]
         where[step.after] = v
+    chains = [word.chain(j) for j in range(1, word.cartan.n + 1)]
     return MuIReport(
         plan=plan,
         final_labels=tuple(labels),
         label_values=label_values,
         final_matrix=matrix.matrix(),
         steps_checked=plan.length,
+        final_labels_ok=all(
+            labels[v - 1] == (chain[-1], a) for chain in chains for v, a in zip(chain, chain[::-1])
+        ),
+        # every vertex below the top of its chain is mutable and has a column
+        chains_reversed=all(
+            matrix.column(u).get(v) == 1 for chain in chains for u, v in zip(chain, chain[1:])
+        ),
     )
 
 
@@ -376,7 +361,7 @@ def verify_identity(
 
 class PBWExpander:
     """Expansion of interval labels in the variables dual to the chain
-    subquotients, by downward recursion on interval length.
+    subquotients, solving each label from shorter ones.
 
     Every division must be exact; a failure would contradict the
     polynomiality of the expansion and raises an engine error.
@@ -388,30 +373,42 @@ class PBWExpander:
         self._cache: dict[IntervalLabel, LaurentPoly] = {}
 
     def expand(self, label: IntervalLabel) -> LaurentPoly:
-        word = self.word
+        """The expansion of ``label``.  Labels wait on an explicit stack, each
+        beside its identity once read, and a label is solved once every label
+        its identity reads is cached: a long chain takes no Python stack."""
+        word, table, cache = self.word, self.table, self._cache
         if label.is_unit:
-            return LaurentPoly.one(self.table)
-        if label in self._cache:
-            return self._cache[label]
-        if label.a == label.b:
-            out = LaurentPoly.var(self.table, f"m{label.b}")
-            self._cache[label] = out
-            return out
-        b_prev = word.k_minus(label.b)
-        # label = [b_prev^+, a] is rhs_pair[0] of the exchange identity at
-        # (k=a, s=b_prev)
-        lhs_pair, rhs_pair, factors = identity_sides(word, label.a, b_prev)
-        lhs = _product(self.table, self.expand, ((lab, 1) for lab in lhs_pair))
-        out = lhs - _product(self.table, self.expand, factors)
-        if not rhs_pair[1].is_unit:
-            try:
-                out = out.exact_div(self.expand(rhs_pair[1]))
-            except NotDivisibleError as exc:
-                raise NotPolynomialAfterSubstitutionError(
-                    f"expansion of {label} is not polynomial"
-                ) from exc
-        self._cache[label] = out
-        return out
+            return LaurentPoly.one(table)
+        stack = [(label, None)]
+        while stack:
+            top, sides = stack.pop()
+            if top in cache:
+                continue
+            if top.a == top.b:
+                cache[top] = LaurentPoly.var(table, f"m{top.b}")
+                continue
+            if sides is None:
+                # top = [b_prev^+, a] is rhs_pair[0] of the exchange identity
+                # at (k=a, s=b_prev)
+                sides = identity_sides(word, top.a, word.k_minus(top.b))
+            lhs_pair, rhs_pair, factors = sides
+            reads = (*lhs_pair, *[lab for lab, _ in factors], rhs_pair[1])
+            missing = [(lab, None) for lab in reads[::-1] if not (lab.is_unit or lab in cache)]
+            if missing:
+                stack += [(top, sides), *missing]
+                continue
+            value = cache.__getitem__
+            out = _product(table, value, ((lab, 1) for lab in lhs_pair))
+            out -= _product(table, value, factors)
+            if not rhs_pair[1].is_unit:
+                try:
+                    out = out.exact_div(cache[rhs_pair[1]])
+                except NotDivisibleError as exc:
+                    raise NotPolynomialAfterSubstitutionError(
+                        f"expansion of {top} is not polynomial"
+                    ) from exc
+            cache[top] = out
+        return cache[label]
 
     def expand_initial(self, k: int) -> LaurentPoly:
         """Expansion of the k-th initial cluster variable."""

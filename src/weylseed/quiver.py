@@ -118,10 +118,6 @@ class _Columns:
         except KeyError:
             raise ValidationError(f"vertex {k} is frozen or absent") from None
 
-    def entry(self, i: int, k: int) -> int:
-        """b_ik = #(k -> i) - #(i -> k); k must be mutable."""
-        return self.column(k).get(i, 0)
-
     def neighbors(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(vertex, multiplicity) pairs with arrows vertex -> k, then with
         k -> vertex, each in increasing vertex order: column k is sorted as

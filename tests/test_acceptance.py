@@ -212,11 +212,10 @@ def test_criterion_5_dimension_vector_mutation():
     w = ReducedWord(de, (1, 3, 2, 1, 3, 2, 1))
     tables = hom_tables(w)
     matrix = b_matrix(gamma_i(w))
-    move = mutate_dimvec(matrix, *initial_dimvec_labels(tables), 4)
-    assert move.picked_in_side  # 70 > 69
-    assert move.new_label == (0, 2, 2, 4, 8, 6, 13)
-    dmove = mutate_delta_dimvec(matrix, *initial_delta_labels(tables), 4)
-    assert dmove.new_label == (0, 2, 0, 0, 0, 0, 1)
+    new_label, _, picked_in = mutate_dimvec(matrix, *initial_dimvec_labels(tables), 4)
+    assert picked_in  # 70 > 69
+    assert new_label == (0, 2, 2, 4, 8, 6, 13)
+    assert mutate_delta_dimvec(matrix, *initial_delta_labels(tables), 4)[0] == (0, 2, 0, 0, 0, 0, 1)
     ok("5 dimension-vector mutation")
 
 
@@ -256,15 +255,13 @@ def test_criterion_6_chain_pass(wild_word, wild_report):
     # full runs on the two length-10 words: every step is checked against
     # the exchange-identity pattern inside run_mu_i
     report_shift = run_mu_i(w_shift)
-    assert report_shift.final_labels_expected(w_shift)
-    assert report_shift.final_chains_reversed(w_shift)
-    assert wild_report.final_labels_expected(wild_word)
-    assert wild_report.final_chains_reversed(wild_word)
+    assert report_shift.final_labels_ok and report_shift.chains_reversed
+    assert wild_report.final_labels_ok and wild_report.chains_reversed
     pbw_word = ReducedWord(
         CartanMatrix.from_edges(3, [(1, 2, 1), (2, 3, 1)]), (2, 3, 1, 2, 3, 1)
     )
     report_pbw = run_mu_i(pbw_word)
-    assert report_pbw.final_labels_expected(pbw_word)
+    assert report_pbw.final_labels_ok
     ok("6 chain-reversal pass")
 
 
@@ -363,5 +360,5 @@ def test_criterion_10_property_suites():
         if not w.r:
             continue
         report = run_mu_i(w)  # raises StepMismatchError on any violation
-        assert report.final_labels_expected(w)
+        assert report.final_labels_ok
     ok("10 property suites")

@@ -7,6 +7,7 @@ from dataclasses import replace
 from operator import ge, mul, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylseed.acceptance import CARTAN_POOL, random_reduced_word
 from weylseed.cartan import CartanMatrix, ReducedWord, dim_V, sym_form
@@ -22,7 +23,7 @@ from weylseed.homdata import (
     ringel_form_delta,
 )
 from weylseed.intervals import mu_i_plan
-from weylseed.quiver import ExchangeMatrix, b_matrix, gamma_i
+from weylseed.quiver import ExchangeMatrix, WorkingMatrix, b_matrix, gamma_i
 
 E8 = CartanMatrix.from_edges(
     8, [(5, 6, 1), (6, 8, 1), (7, 8, 1), (8, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]
@@ -220,17 +221,16 @@ def test_mutate_dimvec_printed(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
     labels, totals = initial_dimvec_labels(tables)
-    move = mutate_dimvec(matrix, labels, totals, 4)
-    assert move.picked_in_side  # the 70 > 69 selection
-    assert move.new_label == (0, 2, 2, 4, 8, 6, 13)
+    new_label, new_total, picked_in = mutate_dimvec(matrix, labels, totals, 4)
+    assert picked_in  # the 70 > 69 selection
+    assert new_label == (0, 2, 2, 4, 8, 6, 13) and new_total == 70 - totals[3]
 
 
 def test_mutate_delta_dimvec_printed(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
     labels, totals = initial_delta_labels(tables)
-    move = mutate_delta_dimvec(matrix, labels, totals, 4)
-    assert move.new_label == (0, 2, 0, 0, 0, 0, 1)
+    assert mutate_delta_dimvec(matrix, labels, totals, 4)[0] == (0, 2, 0, 0, 0, 0, 1)
 
 
 def test_initial_delta_labels_are_intervals(word_mut7):
@@ -243,11 +243,11 @@ def test_initial_delta_labels_are_intervals(word_mut7):
 def test_mutation_involution(word_mut7):
     tables = hom_tables(word_mut7)
     matrix = b_matrix(gamma_i(word_mut7))
-    labels, totals = initial_dimvec_labels(tables)
-    once = mutate_dimvec(matrix, labels, totals, 4)
+    labels, totals = map(list, initial_dimvec_labels(tables))
+    old = labels[3], totals[3]
+    labels[3], totals[3], _ = mutate_dimvec(matrix, labels, totals, 4)
     mutated = matrix.mutate(4)
-    back = mutate_dimvec(mutated, once.labels, once.totals, 4)
-    assert back.labels == labels and back.totals == totals
+    assert mutate_dimvec(mutated, labels, totals, 4)[:2] == old
     assert mutated.mutate(4) == matrix
 
 
@@ -266,8 +266,8 @@ def test_two_path_consistency_random_walks():
             continue
         tables = hom_tables(word)
         matrix = b_matrix(gamma_i(word))
-        dims, dim_totals = initial_dimvec_labels(tables)
-        deltas, delta_totals = initial_delta_labels(tables)
+        dims, dim_totals = map(list, initial_dimvec_labels(tables))
+        deltas, delta_totals = map(list, initial_delta_labels(tables))
         if not matrix.mutable:
             continue
         last = None
@@ -275,12 +275,38 @@ def test_two_path_consistency_random_walks():
             choices = [k for k in matrix.mutable if k != last]
             k = rng.choice(choices)
             # mutate_dimvec raises MismatchError unless the picked side dominates
-            md = mutate_dimvec(matrix, dims, dim_totals, k)
-            ma = mutate_delta_dimvec(matrix, deltas, delta_totals, k)
-            assert tables.dimvec_of_delta(ma.new_label) == md.new_label
-            matrix, dims, deltas = matrix.mutate(k), md.labels, ma.labels
-            dim_totals, delta_totals = md.totals, ma.totals
+            dims[k - 1], dim_totals[k - 1], _ = mutate_dimvec(matrix, dims, dim_totals, k)
+            deltas[k - 1], delta_totals[k - 1], _ = mutate_delta_dimvec(
+                matrix, deltas, delta_totals, k
+            )
+            assert tables.dimvec_of_delta(deltas[k - 1]) == dims[k - 1]
+            matrix = matrix.mutate(k)
             last = k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_both_label_walks_weigh_vertices_alike(data):
+    """The VV column sums that start the dimension-vector walk equal the chain
+    prefix sums of d_delta that start the filtration walk, so along any path
+    the two exchanges pick the same side and carry the same totals: random
+    words over the pool and the wild rank-3 matrix, random paths."""
+    cartan = data.draw(st.sampled_from((*CARTAN_POOL, WILD3)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    word = random_reduced_word(rng, cartan, data.draw(st.integers(1, 10)))
+    tables = hom_tables(word)
+    dims, dim_totals = map(list, initial_dimvec_labels(tables))
+    deltas, delta_totals = map(list, initial_delta_labels(tables))
+    assert dim_totals == delta_totals
+    matrix = WorkingMatrix(b_matrix(gamma_i(word)))
+    path = data.draw(st.lists(st.sampled_from(matrix.mutable), max_size=10)) if matrix.mutable else []
+    for k in path:
+        dims[k - 1], dim_totals[k - 1], dim_in = mutate_dimvec(matrix, dims, dim_totals, k)
+        deltas[k - 1], delta_totals[k - 1], delta_in = mutate_delta_dimvec(
+            matrix, deltas, delta_totals, k
+        )
+        assert dim_in == delta_in and dim_totals == delta_totals
+        matrix.mutate(k)
 
 
 def test_negative_entry_aborts(word_mut7):
@@ -299,8 +325,8 @@ def test_non_dominating_exchange_raises():
     labels, totals = ((0, 0, 0), (5, 0, 0), (0, 1, 0)), (0, 5, 1)
     with pytest.raises(MismatchError, match=r"vertex 1: total 5 does not dominate total 1"):
         mutate_dimvec(matrix, labels, totals, 1)
-    move = mutate_delta_dimvec(matrix, labels, totals, 1)  # d_delta = (1, 1, 1)
-    assert move.new_label == (5, 0, 0) and move.picked_in_side and move.totals == (5, 5, 1)
+    # the totals weigh the labels with d_delta = (1, 1, 1)
+    assert mutate_delta_dimvec(matrix, labels, totals, 1) == ((5, 0, 0), 5, True)
 
 
 def test_d_delta_closed_form_is_the_vm_column_sum():
@@ -361,7 +387,7 @@ def gamma_document(word) -> dict:
     entry."""
     quiver = gamma_i(word)
     matrix = b_matrix(quiver)
-    rows = [[matrix.entry(i, v) for v in matrix.mutable] for i in range(1, word.r + 1)]
+    rows = [[matrix.column(v).get(i, 0) for v in matrix.mutable] for i in range(1, word.r + 1)]
     return {
         "quiver": quiver.to_json(),
         "b_matrix": {"vertices": word.r, "mutable": list(matrix.mutable), "rows": rows},
@@ -373,15 +399,16 @@ def label_documents(word, path) -> tuple[dict, dict]:
     label walk stepping through immutable matrices."""
     tables = hom_tables(word)
     docs = []
-    for (labels, totals), exchange in (
+    for start, exchange in (
         (initial_dimvec_labels(tables), mutate_dimvec),
         (initial_delta_labels(tables), mutate_delta_dimvec),
     ):
         matrix, sides = b_matrix(gamma_i(word)), []
+        labels, totals = map(list, start)
         for k in path:
-            move = exchange(matrix, labels, totals, k)
-            matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
-            sides.append("in" if move.picked_in_side else "out")
+            labels[k - 1], totals[k - 1], picked_in = exchange(matrix, labels, totals, k)
+            matrix = matrix.mutate(k)
+            sides.append("in" if picked_in else "out")
         docs.append({"labels": [list(v) for v in labels], "sides": sides})
     dimvec, delta = docs
     dimvec["tables"] = {
@@ -474,12 +501,13 @@ def walk_against_reference(matrix, labels, totals, weights, path, dominant, tall
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
             tally[type(exc).__name__] += 1
             return
-        move = exchange(matrix, labels, totals, k)
-        assert (move.labels, move.picked_in_side) == expected
-        assert move.new_label == move.labels[k - 1]
-        assert move.totals == weighed(move.labels, weights)
+        new_label, new_total, picked_in = exchange(matrix, labels, totals, k)
+        labels, totals = list(labels), list(totals)
+        labels[k - 1], totals[k - 1] = new_label, new_total
+        assert (tuple(labels), picked_in) == expected
+        assert tuple(totals) == weighed(labels, weights)
         tally["step"] += 1
-        matrix, labels, totals = matrix.mutate(k), move.labels, move.totals
+        matrix = matrix.mutate(k)
 
 
 def random_path(rng, matrix, depth):

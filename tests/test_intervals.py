@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from dataclasses import replace
 from functools import cached_property
 
@@ -20,7 +21,6 @@ from weylseed.intervals import (
     IntervalLabel,
     PBWExpander,
     PlanStep,
-    expected_final_label,
     identity_sides,
     identity_step,
     mu_i_plan,
@@ -144,8 +144,7 @@ def test_run_mu_i_small(word_pbw6, word_a4_shift):
     for w in (word_pbw6, word_a4_shift):
         report = run_mu_i(w)
         assert report.steps_checked == mu_i_plan(w).length
-        assert report.final_labels_expected(w)
-        assert report.final_chains_reversed(w)
+        assert report.final_labels_ok and report.chains_reversed
 
 
 def test_run_mu_i_empty_plan(a4):
@@ -166,7 +165,21 @@ def test_final_label_layout(word_a4_shift):
     }
     assert as_pairs == expected
     for v, lab in enumerate(report.final_labels, start=1):
-        assert lab == expected_final_label(word_a4_shift, v)
+        # chain vertex number m ends with its bottom at chain position t_j - 1 - m
+        chain = word_a4_shift.chain(word_a4_shift.letter(v))
+        assert lab == (chain[-1], chain[len(chain) - 1 - word_a4_shift.occ_index(v)])
+    assert report.final_labels_ok
+
+
+def test_report_checks_read_the_state_the_pass_ends_in(monkeypatch, word_a4_shift):
+    """A plan cut after any of its steps runs cleanly and leaves both final
+    checks false; only the whole plan leaves them true."""
+    plan = mu_i_plan(word_a4_shift)
+    for cut in range(plan.length + 1):
+        monkeypatch.setattr(intervals, "mu_i_plan", lambda word: replace(plan, steps=plan.steps[:cut]))
+        report = run_mu_i(word_a4_shift, max_seed_steps=0)
+        assert report.steps_checked == cut
+        assert report.final_labels_ok == report.chains_reversed == (cut == plan.length)
 
 
 def test_identity_sides_wild(word_wild10):
@@ -329,8 +342,7 @@ def test_e8_combinatorial_pass():
     word = ReducedWord(CartanMatrix.from_edges(8, E8_EDGES), tuple(range(8, 0, -1)) * 15)
     report = run_mu_i(word, max_seed_steps=0)
     assert report.steps_checked == 840
-    assert report.final_labels_expected(word)
-    assert report.final_chains_reversed(word)
+    assert report.final_labels_ok and report.chains_reversed
 
 
 def test_each_pass_step_reads_its_neighbourhood_once(monkeypatch, wild3):
@@ -405,16 +417,17 @@ def dense_stop(word: ReducedWord, d_delta) -> int | None:
     from the indicators of the initial intervals; every exchange along the
     plan must leave the indicator of the step's new label."""
     matrix = b_matrix(gamma_i(word))
-    deltas, totals = initial_delta_labels(replace(hom_tables(word), d_delta=tuple(d_delta)))
+    start = initial_delta_labels(replace(hom_tables(word), d_delta=tuple(d_delta)))
+    deltas, totals = map(list, start)
     for step in mu_i_plan(word).steps:
+        v = step.vertex
         try:
-            move = mutate_delta_dimvec(matrix, deltas, totals, step.vertex)
+            deltas[v - 1], totals[v - 1], _ = mutate_delta_dimvec(matrix, deltas, totals, v)
         except NegativeEntryError:
             return step.index
-        deltas, totals = move.labels, move.totals
-        if deltas[step.vertex - 1] != interval_indicator(word, *step.after):
+        if deltas[v - 1] != interval_indicator(word, *step.after):
             return step.index
-        matrix = matrix.mutate(step.vertex)
+        matrix = matrix.mutate(v)
     return None
 
 
@@ -710,8 +723,7 @@ def test_run_mu_i_more_word_families():
     ]
     for w in words:
         report = run_mu_i(w)
-        assert report.final_labels_expected(w)
-        assert report.final_chains_reversed(w)
+        assert report.final_labels_ok and report.chains_reversed
         for step in report.plan.steps:
             out = verify_identity(w, step.group, step.before.b, report.label_values)
             assert out["ok"]
@@ -785,6 +797,52 @@ def test_pbw_expand_never_divides_by_one(monkeypatch, word_pbw6, word_a4_shift):
                     )
     assert unit_divisor_labels > 0
     assert [d for d in divisors if d == LaurentPoly.one(d.vars)] == []
+
+
+def deepest_stack(fn) -> int:
+    """The most Python frames above the call of ``fn`` while it runs."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return deepest
+
+
+def test_pbw_stack_depth_does_not_grow_with_the_chain():
+    """``expand`` keeps its pending labels on a list, not on the Python
+    stack: the top label of the double-edge word [1,2]^m reaches the same
+    depth for m = 3 and m = 6, and computes exactly the labels its identities
+    read, directly or through others."""
+    cartan = CartanMatrix.from_edges(2, [(1, 2, 2)])
+    depths = []
+    for m in (3, 6):
+        word = ReducedWord(cartan, (1, 2) * m)
+        top = IntervalLabel(word.chain(word.letter(1))[-1], 1)
+        expander = PBWExpander(word)
+        depths.append(deepest_stack(lambda: expander.expand(top)))
+        read, todo = set(), [top]
+        while todo:
+            label = todo.pop()
+            if label in read or label.is_unit:
+                continue
+            read.add(label)
+            if label.a < label.b:
+                lhs_pair, rhs_pair, factors = identity_sides(word, label.a, word.k_minus(label.b))
+                todo += [*lhs_pair, *[lab for lab, _ in factors], rhs_pair[1]]
+        assert set(expander._cache) == read
+    assert depths[0] == depths[1]
 
 
 def test_pbw_w_modules(word_pbw6):

@@ -56,6 +56,45 @@ def test_stdlib_only_and_no_unused_imports():
     assert problems == []
 
 
+def test_every_module_parses_as_the_oldest_supported_python():
+    """``requires-python`` is 3.10: every package module parses with the
+    3.10 grammar, so no later syntax slips in unseen."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_function_refers_to_its_own_name():
+    """No package function calls itself, so no input takes one Python frame
+    per chain step: a function's body never names the function, and a
+    method's body never reads its own name off ``self`` or ``cls``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            fn: cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(fn)
+            for node in ast.walk(fn):
+                if cls is None:
+                    own = isinstance(node, ast.Name) and node.id == fn.name
+                else:
+                    own = (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == fn.name
+                        and ast.unparse(node.value) in ("self", "cls")
+                    )
+                if own:
+                    found.append(".".join(filter(None, (path.stem, cls, fn.name))))
+    assert found == []
+
+
 def test_only_quiver_reads_matrix_columns():
     """The sparse column form of ``ExchangeMatrix`` stays behind its module:
     no other package module reads a ``.cols`` attribute."""

@@ -150,7 +150,7 @@ def test_b_matrix_principal_skew(word_gamma7):
     m = b_matrix(gamma_i(word_gamma7))
     for i in m.mutable:
         for j in m.mutable:
-            assert m.entry(i, j) == -m.entry(j, i)
+            assert m.column(j).get(i, 0) == -m.column(i).get(j, 0)
 
 
 def test_matrix_mutate_sign_flip():
