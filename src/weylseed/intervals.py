@@ -25,7 +25,7 @@ from .errors import (
 )
 from .homdata import hom_tables
 from .laurent import LaurentPoly, VarTable
-from .quiver import ExchangeMatrix, Seed, WorkingMatrix, b_matrix, exchange, gamma_i
+from .quiver import Seed, WorkingMatrix, b_matrix, exchange, gamma_i
 
 
 class IntervalLabel(NamedTuple):
@@ -170,7 +170,6 @@ class MuIReport:
     plan: MutationPlan
     final_labels: tuple[IntervalLabel, ...]
     label_values: dict[IntervalLabel, LaurentPoly]
-    final_matrix: ExchangeMatrix
     steps_checked: int
     final_labels_ok: bool  # the m-th vertex of each chain holds [top, m-th from the top]
     chains_reversed: bool  # every horizontal arrow points up its chain
@@ -254,8 +253,9 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
     specific identities should cut the symbolic part at the step they need.
     An engine error raised by the exchange, such as a product over
     ``MAX_TERM_PAIRS``, is re-raised as the same class with the step and the
-    vertex before its detail.  The report's two final checks read the labels
-    and the matrix the pass ends with.
+    vertex before its detail.  The report keeps the labels the pass ends
+    with and settles its two final checks on them and on the last matrix,
+    which it does not keep.
     """
     plan = mu_i_plan(word)
     initial = b_matrix(gamma_i(word))
@@ -287,7 +287,6 @@ def run_mu_i(word: ReducedWord, max_seed_steps: int | None = None) -> MuIReport:
         plan=plan,
         final_labels=tuple(labels),
         label_values=label_values,
-        final_matrix=matrix.matrix(),
         steps_checked=plan.length,
         final_labels_ok=all(
             labels[v - 1] == (chain[-1], a) for chain in chains for v, a in zip(chain, chain[::-1])

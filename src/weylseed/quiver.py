@@ -230,10 +230,6 @@ class WorkingMatrix(_Columns):
         """Matrix mutation at k, in place."""
         _mutate_columns(self.cols, k, self.column(k))
 
-    def matrix(self) -> ExchangeMatrix:
-        """The matrix reached, handed its columns: the path's last read."""
-        return ExchangeMatrix._of_columns(self.r, self.mutable, self.cols)
-
 
 def b_matrix(quiver: Quiver) -> ExchangeMatrix:
     """b_ij = #(j -> i) - #(i -> j), columns restricted to mutable vertices.

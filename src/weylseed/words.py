@@ -55,8 +55,7 @@ class WordSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, int] | None = None):
-        terms = {} if terms is None else terms
+    def __init__(self, terms: Mapping[Word, int]):
         # a finished lowering has no zero coefficient, and ``dict`` copies it
         # in C.  Holding the caller's dict instead raised the peak RSS of
         # repeated ``euler-gen`` runs by 7%: the heap's layout, not more objects
@@ -141,7 +140,7 @@ def rho_f(
     i: int,
     u: WordSum,
     p: int,
-    pattern: Word | None = None,
+    pattern: Word | None,
 ) -> WordSum:
     """Divided power f_i^(p) of the lowering operator, in one pass.
 
@@ -164,16 +163,16 @@ def rho_f(
     prefix: the factor of gap l + 1 in round s + 1 is the factor of gap l in
     round s, plus 1 for the round, minus a_ii for the inserted i.
 
-    A state is one flat tuple, the first gap and its factor followed by the
-    (position, coefficient) pairs of its last i in increasing position, so a
-    partial word costs one allocation and no dict.  The walk is one forward
-    loop over the gaps from the first: it tests gap l, then reads letter l,
-    takes its a_ij off the factor and, when l is the next position of the
-    pairs, adds that coefficient to the running sum.  The pointer to the next
-    position stops at the word's length once the pairs are used up, which
-    ends the walk right after the last gap.  A word reached again gets its
-    new pair inserted in order, and takes the new first gap and factor when
-    that position is the smallest.
+    A state is one flat tuple, that factor followed by the (position,
+    coefficient) pairs of its last i in increasing position, so a partial
+    word costs one allocation and no dict.  The walk is one forward loop over
+    the gaps from the first, just after the first position: it tests gap l,
+    then reads letter l, takes its a_ij off the factor and, when l is the
+    next position of the pairs, adds that coefficient to the running sum.
+    The pointer to the next position stops at the word's length once the
+    pairs are used up, which ends the walk right after the last gap.  A word
+    reached again gets its new pair inserted in order, and takes the new
+    factor when that position is the smallest.
 
     With ``pattern``, only the words that split into runs along it are kept,
     after every round (see ``lowering_monomial``).  A round that holds more
@@ -190,22 +189,22 @@ def rho_f(
     pairing = {chr(j): a for j, a in enumerate(row, start=1)}
     carry = 1 - row[i - 1]
     letter = chr(i)
-    # word -> (first gap to fill, its factor, end_1, coef_1, end_2, coef_2,
+    # word -> (factor of the gap after end_1, end_1, coef_1, end_2, coef_2,
     # ...): the positions of its last inserted i, increasing, each with its
-    # coefficient; first = end_1 + 1, and end_1 = -1 before round 1.  The last
-    # round keys by word alone.
-    states: dict = {w: (0, lam[i - 1], -1, c) for w, c in u.terms.items()}
+    # coefficient, and end_1 = -1 before round 1.  The last round keys by
+    # word alone.
+    states: dict = {w: (lam[i - 1], -1, c) for w, c in u.terms.items()}
     for s in range(p):
         last = s == p - 1
         out: dict = {}
         get = out.get
         for w, state in states.items():
-            # gap l from the first one on, with its factor and running sum
-            l, weight, running = state[0], state[1], state[3]
-            n, size, j = len(w), len(state), 4
+            # gap l from the first one, end_1 + 1, on, with its factor and running sum
+            weight, l, running = state[0], state[1] + 1, state[2]
+            n, size, j = len(w), len(state), 3
             # the next end to add into the running sum; n is past every end
             # and ends the walk after the last gap
-            end = state[4] if size > 4 else n
+            end = state[3] if size > 3 else n
             while True:
                 if weight and running:
                     key = w[:l] + letter + w[l:]
@@ -214,11 +213,11 @@ def rho_f(
                     else:
                         had = get(key)
                         if had is None:
-                            out[key] = (l + 1, weight + carry, l, weight * running)
-                        elif l < had[2]:
-                            out[key] = (l + 1, weight + carry, l, weight * running) + had[2:]
+                            out[key] = (weight + carry, l, weight * running)
+                        elif l < had[1]:
+                            out[key] = (weight + carry, l, weight * running) + had[1:]
                         else:
-                            k = 4
+                            k = 3
                             while k < len(had) and had[k] < l:
                                 k += 2
                             out[key] = had[:k] + (l, weight * running) + had[k:]

@@ -213,6 +213,41 @@ def test_mu_i_executed(capsys):
     assert report["final_labels_ok"] and report["chains_reversed"]
 
 
+WILD3_EDGES = [[1, 2, 3], [1, 3, 2], [2, 3, 2]]
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        # the three chain-pass documents, each at the depth the benchmark runs it
+        ({"rank": 3, "edges": WILD3_EDGES, "word": [1, 2, 3, 1, 3, 1, 2, 3, 1, 3]}, ["--depth", "9"]),
+        ({"rank": 3, "edges": WILD3_EDGES, "word": [2, 3, 1, 3, 2, 3, 2, 1, 3]}, []),
+        ({"rank": 3, "edges": WILD3_EDGES, "word": [3, 2, 3, 2, 1, 3, 2, 1, 3]}, []),
+        (D4_WALK, []),
+    ],
+)
+def test_mu_i_values_change_no_output(capsys, doc, flags):
+    """``mu-i`` prints nothing that reads the tracked Laurent values: a run
+    that tracks them prints the same bytes as one that tracks none."""
+    tracked = run(capsys, "mu-i", "--inline", json.dumps(doc), *flags)
+    assert tracked[0] == 0
+    assert tracked == run(capsys, "mu-i", "--inline", json.dumps(doc), "--depth", "0")
+
+
+def test_mu_i_values_change_an_outcome_only_by_failing(capsys):
+    """The 12-letter wild word's exchange at step 15 multiplies two
+    17,483-term values, over ``MAX_TERM_PAIRS``: the default depth exits 3
+    there, and a run cut just before it prints what an untracked run does."""
+    doc = json.dumps({"rank": 3, "edges": WILD3_EDGES, "word": [2, 3, 1, 3, 2, 3, 2, 1, 3, 1, 2, 3]})
+    assert main(["mu-i", "--inline", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "TermLimitError" and error["detail"].startswith("step 15, vertex 6: ")
+    cut = run(capsys, "mu-i", "--inline", doc, "--depth", "14")
+    assert cut[0] == 0 and cut == run(capsys, "mu-i", "--inline", doc, "--depth", "0")
+
+
 def test_identities_command(capsys):
     doc = dict(PBW6, pairs=[[1, 1], [2, 2], [3, 3]])
     code, out = run(capsys, "identities", "--inline", json.dumps(doc))

@@ -1,7 +1,8 @@
 """Guards on the package as a whole: every name the benchmark rebinds exists,
 the modules import only the standard library and only what they use, every
 specific error class is an EngineError that is still raised somewhere, and no
-module-level definition, class member or function is dead."""
+module-level definition, class member, record field, parameter default or
+function is dead."""
 import ast
 import contextlib
 import importlib
@@ -63,6 +64,17 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def _owners(tree: ast.Module) -> dict[ast.FunctionDef, str]:
+    """Each method defined in a class body of ``tree`` -> its class's name."""
+    return {
+        fn: cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
 def test_no_function_refers_to_its_own_name():
     """No package function calls itself, so no input takes one Python frame
     per chain step: a function's body never names the function, and a
@@ -70,13 +82,7 @@ def test_no_function_refers_to_its_own_name():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {
-            fn: cls.name
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            for fn in cls.body
-            if isinstance(fn, ast.FunctionDef)
-        }
+        owner = _owners(tree)
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -326,6 +332,79 @@ def test_every_class_member_is_referenced():
         if not any(a.attr == member.name and id(a) not in own for a in attributes):
             dead.append(f"{cls_name}.{member.name}")
     assert dead == []
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a ``NamedTuple``, whose annotated
+    class-body names are its fields."""
+    decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
+    return "dataclass" in decorators or "NamedTuple" in {ast.unparse(b) for b in cls.bases}
+
+
+def test_every_record_field_is_read():
+    """Each field of a package dataclass or ``NamedTuple`` is read as an
+    attribute somewhere in the package: no field is kept for tests alone."""
+    fields, reads = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        fields += [
+            f"{path.stem}.{cls.name}.{node.target.id}"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        ]
+    assert [field for field in fields if field.rsplit(".", 1)[1] not in reads] == []
+
+
+def test_every_parameter_default_is_used():
+    """Each parameter default of a package function is taken by at least one
+    call inside the package: some call by the function's name (its class's
+    name for ``__init__``) passes neither the argument nor ``*``/``**``."""
+    functions, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        owner = _owners(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(fn)
+            params = fn.args.posonlyargs + fn.args.args
+            if cls is not None and "staticmethod" not in {ast.unparse(d) for d in fn.decorator_list}:
+                params = params[1:]  # self or cls is never passed
+            if fn.name == "__init__":
+                name, shown = cls, f"{path.stem}.{cls}"
+            else:
+                name, shown = fn.name, ".".join(filter(None, (path.stem, cls, fn.name)))
+            first = len(params) - len(fn.args.defaults)
+            functions += [(shown, name, index, params[index].arg) for index in range(first, len(params))]
+            functions += [
+                (shown, name, None, param.arg)
+                for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+
+    def omits(call, name, index, arg):
+        called = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+        if called != name or any(isinstance(a, ast.Starred) for a in call.args):
+            return False
+        keywords = {k.arg for k in call.keywords}
+        if None in keywords or arg in keywords:
+            return False
+        return index is None or len(call.args) <= index
+
+    unused = [
+        f"{shown}({arg})"
+        for shown, name, index, arg in functions
+        if not any(omits(call, name, index, arg) for call in calls)
+    ]
+    assert unused == []
 
 
 def _reachability_documents(monkeypatch) -> list[list[str]]:
